@@ -10,7 +10,10 @@ Epoch construction consumes the portable SplitMix64 stream in a documented
 order: one ``next_float`` per sample index 0..N-1 to decide the Bernoulli
 extra, then one Fisher-Yates shuffle of the expanded index list.  The
 stream for epoch e under seed s starts at state (s + e * GOLDEN_GAMMA)
-mod 2^64, so plans replicate across implementations.
+mod 2^64, so plans replicate across implementations.  For N samples and an
+expanded list of M indices, the shuffle's M - 1 bounded draws (bounds M,
+M - 1, ..., 2) start at state (s + (e + N) * GOLDEN_GAMMA) mod 2^64, so both
+parts are drawn in bulk; only the sequential swaps run per index.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelMatrix
-from .rng import GOLDEN_GAMMA, MASK64, SplitMix64
+from .rng import BLOCK_BOUND_LIMIT, GOLDEN_GAMMA, MASK64, bounded_block, float_block, splitmix64_block
 
 
 @dataclass
@@ -68,25 +71,31 @@ def sample_repeat_factors(labels: LabelMatrix, r, cfg: SamplerConfig) -> np.ndar
     if r.shape != (labels.n_classes,):
         raise ValueError("class repeat factors do not match label classes")
     y = labels.values.astype(bool)
-    out = np.ones(labels.n_samples, dtype=np.float64)
-    for i in range(labels.n_samples):
-        positive = r[y[i]]
-        if positive.size:
-            out[i] = min(cfg.r_max, float(positive.max()))
-    return out
+    # -inf, not 0, as the fill: it never exceeds a positive class's r, whatever r holds
+    rarest = np.where(y, r, -np.inf).max(axis=1, initial=-np.inf)
+    return np.where(y.any(axis=1), np.fmin(cfg.r_max, rarest), 1.0)
 
 
 def build_epoch(repeat, cfg: SamplerConfig, epoch: int = 0) -> EpochPlan:
     """Materialize one epoch: floor(r_i) copies plus a seeded Bernoulli extra, shuffled."""
     repeat = np.asarray(repeat, dtype=np.float64)
+    if repeat.ndim != 1:
+        raise ValueError("repeat factors must be a 1-D array")
+    if not np.isfinite(repeat).all():
+        raise ValueError("repeat factors must be finite")
     if (repeat < 1.0).any():
         raise ValueError("repeat factors must be >= 1")
-    rng = SplitMix64((cfg.seed + epoch * GOLDEN_GAMMA) & MASK64)
-    indices = []
-    for i, r_i in enumerate(repeat):
-        copies = int(r_i)
-        if rng.next_float() < r_i - copies:
-            copies += 1
-        indices.extend([i] * copies)
-    rng.shuffle(indices)
-    return EpochPlan(indices=np.asarray(indices, dtype=np.int64), epoch_len=len(indices))
+    state = (cfg.seed + epoch * GOLDEN_GAMMA) & MASK64
+    whole = np.floor(repeat)
+    copies = whole + (float_block(splitmix64_block(state, repeat.size)) < repeat - whole)
+    with np.errstate(over="ignore"):  # factors near the float maximum sum to inf, still rejected
+        total = copies.sum()
+    if total >= BLOCK_BOUND_LIMIT:
+        raise ValueError(f"epoch would need {total:.0f} indices; at most 2^32 - 1 are supported")
+    length = int(total)
+    indices = np.repeat(np.arange(repeat.size), copies.astype(np.int64)).tolist()
+    draws = splitmix64_block(state + repeat.size * GOLDEN_GAMMA, max(length - 1, 0))
+    swaps = bounded_block(draws, np.arange(length, 1, -1)).tolist()
+    for i, j in zip(range(length - 1, 0, -1), swaps):
+        indices[i], indices[j] = indices[j], indices[i]
+    return EpochPlan(indices=np.asarray(indices, dtype=np.int64), epoch_len=length)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.data import LabelMatrix
-from tailkit.rng import SplitMix64
+from tailkit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bounded_block, float_block, splitmix64_block
 from tailkit.sampler import (
     EpochPlan,
     SamplerConfig,
@@ -16,6 +17,42 @@ from tailkit.sampler import (
     sample_repeat_factors,
     zero_frequency_classes,
 )
+
+
+def scalar_sample_repeat_factors(labels, r, cfg):
+    """Reference: one Python pass per sample over its positive classes."""
+    y = labels.values.astype(bool)
+    out = np.ones(labels.n_samples, dtype=np.float64)
+    for i in range(labels.n_samples):
+        positive = r[y[i]]
+        if positive.size:
+            out[i] = min(cfg.r_max, float(positive.max()))
+    return out
+
+
+def scalar_build_epoch(repeat, seed, epoch):
+    """Reference: the documented stream consumed one scalar draw at a time."""
+    rng = SplitMix64((seed + epoch * GOLDEN_GAMMA) & MASK64)
+    indices = []
+    for i, r_i in enumerate(repeat):
+        copies = int(r_i)
+        if rng.next_float() < r_i - copies:
+            copies += 1
+        indices.extend([i] * copies)
+    rng.shuffle(indices)
+    return indices
+
+
+@st.composite
+def repeat_vectors(draw):
+    """Repeat factors in [1, 10]: lengths 0, 1 and up to 2000, some integer, some at r_max."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2000]), st.integers(min_value=0, max_value=2000)))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    repeat = gen.uniform(1.0, 10.0, n)
+    integer = gen.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    repeat[integer] = np.floor(repeat[integer])
+    repeat[gen.random(n) < 0.05] = 10.0
+    return repeat
 
 
 class TestClassRepeatFactors:
@@ -62,6 +99,37 @@ class TestSampleRepeatFactors:
         cfg = SamplerConfig(r_max=10.0)
         out = sample_repeat_factors(labels, np.array([1.5, 4.0]), cfg)
         assert out.tolist() == [1.5, 4.0]
+
+    def test_no_classes(self):
+        labels = LabelMatrix(["a", "b"], np.zeros((2, 0)), [])
+        assert sample_repeat_factors(labels, np.zeros(0), SamplerConfig()).tolist() == [1.0, 1.0]
+
+    def test_non_finite_factors_follow_scalar_loop(self):
+        # NaN among positives caps to r_max (min(r_max, nan) keeps r_max); -inf stays -inf
+        labels = LabelMatrix(["a", "b", "c", "d"], [[1, 0], [0, 1], [1, 1], [0, 0]], ["c0", "c1"])
+        r = np.array([np.nan, -np.inf])
+        cfg = SamplerConfig(r_max=3.0)
+        out = sample_repeat_factors(labels, r, cfg)
+        assert out.tolist() == [3.0, -np.inf, 3.0, 1.0]
+        np.testing.assert_array_equal(out, scalar_sample_repeat_factors(labels, r, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=8, max_size=8),
+        st.floats(min_value=1.0, max_value=20.0),
+    )
+    def test_matches_scalar_loop(self, n, c, label_seed, r_values, r_max):
+        gen = np.random.default_rng(label_seed)
+        values = (gen.random((n, c)) < gen.random()).astype(np.int8)
+        labels = LabelMatrix([f"s{i}" for i in range(n)], values, [f"c{j}" for j in range(c)])
+        r = np.array(r_values[:c])
+        cfg = SamplerConfig(r_max=r_max)
+        np.testing.assert_array_equal(
+            sample_repeat_factors(labels, r, cfg), scalar_sample_repeat_factors(labels, r, cfg)
+        )
 
 
 class TestBuildEpoch:
@@ -115,6 +183,52 @@ class TestBuildEpoch:
         with pytest.raises(ValueError):
             build_epoch(np.array([0.5]), SamplerConfig())
 
+    @pytest.mark.parametrize(
+        "repeat, seed, epoch, expected",
+        [
+            ([1.3, 2.7, 1.0, 4.2, 1.5], 99, 7, [4, 1, 3, 3, 3, 1, 3, 0, 2, 1]),
+            # the epoch's start state wraps past 2^64
+            ([1.5] * 6 + [3.25, 1.0], 2**64 - 1, 3, [5, 4, 3, 6, 7, 6, 0, 2, 4, 1, 6, 0, 6]),
+        ],
+    )
+    def test_golden_plans(self, repeat, seed, epoch, expected):
+        assert build_epoch(repeat, SamplerConfig(seed=seed), epoch=epoch).indices.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        repeat_vectors(),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=1000),
+    )
+    def test_matches_scalar_stream(self, repeat, seed, epoch):
+        plan = build_epoch(repeat, SamplerConfig(seed=seed), epoch=epoch)
+        assert plan.indices.tolist() == scalar_build_epoch(repeat.tolist(), seed, epoch)
+
+    @pytest.mark.parametrize(
+        "repeat, message",
+        [
+            ([1.0, float("nan")], "finite"),
+            ([float("inf")], "finite"),
+            ([1.0, -float("inf")], "finite"),
+            ([[1.0, 2.0]], "1-D"),
+            (2.0, "1-D"),
+            ([1e308, 1e308], "2\\^32"),
+            # 2^32 indices: rejected from the counts, before any index list is allocated
+            ([2.0**31, 2.0**31], "2\\^32"),
+        ],
+    )
+    def test_rejects_bad_repeat_factors(self, repeat, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                build_epoch(repeat, SamplerConfig())
+
+    def test_epoch_length_limit(self, monkeypatch):
+        monkeypatch.setattr("tailkit.sampler.BLOCK_BOUND_LIMIT", 12)
+        assert build_epoch([2.0] * 5 + [1.0], SamplerConfig()).epoch_len == 11
+        with pytest.raises(ValueError, match="12 indices"):
+            build_epoch([2.0] * 6, SamplerConfig())
+
 
 class TestSplitMix64:
     def test_known_stream(self):
@@ -136,6 +250,33 @@ class TestSplitMix64:
         rng = SplitMix64(5)
         values = [rng.next_below(7) for _ in range(1000)]
         assert set(values) <= set(range(7))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=300))
+    def test_block_matches_scalar(self, state, count):
+        rng = SplitMix64(state)
+        expected = [rng.next_u64() for _ in range(count)]
+        block = splitmix64_block(state, count)
+        assert block.dtype == np.uint64
+        assert block.tolist() == expected
+        floats = [(x >> 11) * 2.0**-53 for x in expected]
+        assert float_block(block).tolist() == floats
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from([0, 2**32 - 1, 2**64 - 1])),
+                st.one_of(st.integers(min_value=1, max_value=2**32 - 1), st.sampled_from([1, 2, 2**32 - 1])),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_bounded_block_is_exact(self, pairs):
+        x = np.array([p[0] for p in pairs], dtype=np.uint64)
+        n = np.array([p[1] for p in pairs], dtype=np.uint64)
+        assert bounded_block(x, n).tolist() == [(a * b) >> 64 for a, b in pairs]
 
 
 def test_config_validation():
