@@ -6,15 +6,14 @@ have a binary format: magic ``EMB1``, u32-LE count, u32-LE dim, then
 count*dim float32-LE values row-major, with ids in a JSON sidecar
 ``<file>.ids.json``.
 
-All structures are immutable after construction and safe for concurrent
-reads.
+The structures are plain mutable dataclasses, validated only at construction.
 """
 
 import csv
 import json
-import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +89,10 @@ class ScoreMatrix:
 
 @dataclass
 class ClassConfig:
-    """Per-class quantities: counts, frequencies, weights, margins, repeat factors."""
+    """Per-class positive counts and frequencies."""
 
     counts: np.ndarray
     frequencies: np.ndarray
-    weights: np.ndarray = None
-    margins: np.ndarray = None
-    repeat_factors: np.ndarray = None
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -108,23 +104,6 @@ class ClassConfig:
             raise ValueError("frequencies shape mismatch")
         if (self.frequencies < 0).any() or (self.frequencies > 1).any():
             raise ValueError("frequency outside [0, 1]")
-        self.weights = (
-            np.ones(c) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
-        )
-        self.margins = (
-            np.zeros(c) if self.margins is None else np.asarray(self.margins, dtype=np.float64)
-        )
-        self.repeat_factors = (
-            np.ones(c)
-            if self.repeat_factors is None
-            else np.asarray(self.repeat_factors, dtype=np.float64)
-        )
-        if (self.weights <= 0).any():
-            raise ValueError("class weights must be strictly positive")
-        if (self.margins < 0).any():
-            raise ValueError("margins must be non-negative")
-        if (self.repeat_factors < 1).any():
-            raise ValueError("repeat factors must be >= 1")
 
 
 @dataclass
@@ -159,96 +138,114 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
 
-def _read_csv_rows(path):
+def _read_matrix(path, convert):
+    """Parse an ``id``-first CSV into (ids, column names, converted values).
+
+    ``convert`` maps an object array of cell strings to values, raising
+    ValueError for a cell it rejects.  It runs on the whole body at once; only
+    if it or the row-length/duplicate-id check fails are the rows rescanned
+    one by one, so the error names the first bad line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def _check_header(rows, path):
+        rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     if not header or header[0] != "id":
         raise ValueError(f"{path}: line 1: header must start with 'id'")
     names = header[1:]
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: line 1: duplicate column name")
-    return names
+    width = len(header)
+    if all(len(row) == width for row in body):
+        table = np.array(body, dtype=object).reshape(len(body), width)
+        ids = table[:, 0].tolist()
+        if len(set(ids)) == len(ids):
+            try:
+                return ids, names, convert(table[:, 1:])
+            except ValueError:
+                pass
+    seen = set()
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {lineno}: ragged row (dimension mismatch with header)")
+        if row[0] in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {row[0]!r}")
+        seen.add(row[0])
+        try:
+            convert(np.array([row[1:]], dtype=object))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    raise AssertionError(f"{path}: bulk conversion failed but every row converts")
+
+
+def _binary_labels(cells) -> np.ndarray:
+    stripped = np.frompyfunc(str.strip, 1, 1)(cells)
+    ones = stripped == "1"
+    bad = ~ones & (stripped != "0")
+    if bad.any():
+        raise ValueError(f"non-binary label {stripped[bad][0]!r}")
+    return ones.astype(np.int8)
+
+
+def _finite(cells, what: str = "score") -> np.ndarray:
+    """float() of every cell, so exactly Python's float spellings are accepted."""
+    try:
+        values = cells.astype(np.float64)
+    except ValueError:
+        for tok in cells.flat:
+            try:
+                float(tok)
+            except ValueError:
+                raise ValueError(f"bad number {tok!r}") from None
+        raise
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what}")
+    return values
+
+
+def _probabilities(cells) -> np.ndarray:
+    values = _finite(cells)
+    if ((values < 0.0) | (values > 1.0)).any():
+        raise ValueError("probability out of range")
+    return values
+
+
+def _write_matrix(path, ids, names, values) -> None:
+    """Write an ``id``-first CSV with 9 significant digits per value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + names)
+        for sample_id, row in zip(ids, values.tolist()):
+            writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
 
 
 def load_labels(path) -> LabelMatrix:
     """Parse a labels CSV into a LabelMatrix.  Entries must be exactly 0 or 1."""
-    rows = _read_csv_rows(path)
-    class_names = _check_header(rows, path)
-    ids, seen = [], set()
-    values = np.zeros((len(rows) - 1, len(class_names)), dtype=np.int8)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(class_names) + 1:
-            raise ValueError(f"{path}: line {lineno}: ragged row")
-        sample_id = row[0]
-        if sample_id in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-        seen.add(sample_id)
-        ids.append(sample_id)
-        for j, tok in enumerate(row[1:]):
-            tok = tok.strip()
-            if tok == "0":
-                values[lineno - 2, j] = 0
-            elif tok == "1":
-                values[lineno - 2, j] = 1
-            else:
-                raise ValueError(f"{path}: line {lineno}: non-binary label {tok!r}")
+    ids, class_names, values = _read_matrix(path, _binary_labels)
     return LabelMatrix(ids=ids, values=values, class_names=class_names)
 
 
 def save_labels(labels: LabelMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + labels.class_names)
-        for i, sample_id in enumerate(labels.ids):
-            writer.writerow([sample_id] + [str(int(v)) for v in labels.values[i]])
+    _write_matrix(path, labels.ids, labels.class_names, labels.values)
 
 
 def load_scores(path, kind: str) -> ScoreMatrix:
     """Parse a scores CSV.  kind='probabilities' enforces entries in [0, 1]."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    rows = _read_csv_rows(path)
-    class_names = _check_header(rows, path)
-    ids, seen = [], set()
-    values = np.zeros((len(rows) - 1, len(class_names)), dtype=np.float64)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(class_names) + 1:
-            raise ValueError(f"{path}: line {lineno}: header mismatch (ragged row)")
-        sample_id = row[0]
-        if sample_id in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-        seen.add(sample_id)
-        ids.append(sample_id)
-        for j, tok in enumerate(row[1:]):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: non-finite score")
-            if kind == "probabilities" and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: probability out of range")
-            values[lineno - 2, j] = v
+    convert = _probabilities if kind == "probabilities" else _finite
+    ids, class_names, values = _read_matrix(path, convert)
     return ScoreMatrix(ids=ids, values=values, kind=kind, class_names=class_names)
 
 
 def save_scores(scores: ScoreMatrix, path) -> None:
     """Write a scores CSV with 9 significant digits per value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + scores.class_names)
-        for i, sample_id in enumerate(scores.ids):
-            writer.writerow([sample_id] + [f"{v:.9g}" for v in scores.values[i]])
+    _write_matrix(path, scores.ids, scores.class_names, scores.values)
 
 
 def class_stats(labels: LabelMatrix) -> ClassConfig:
-    """Per-class counts and frequencies; weights/margins/repeat factors start neutral."""
+    """Per-class positive counts and their frequencies over the samples."""
     if labels.n_samples < 1:
         raise ValueError("need at least one sample")
     counts = labels.values.sum(axis=0, dtype=np.int64)
@@ -266,7 +263,8 @@ def load_embeddings(path) -> EmbeddingSet:
     # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
     if b"\x00" in head:
         raise ValueError(f"{path}: bad magic {head!r}")
-    return _load_embeddings_csv(path)
+    ids, _, vectors = _read_matrix(path, partial(_finite, what="embedding entry"))
+    return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
 def _load_embeddings_binary(path: Path) -> EmbeddingSet:
@@ -292,31 +290,6 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
-def _load_embeddings_csv(path: Path) -> EmbeddingSet:
-    rows = _read_csv_rows(path)
-    _check_header(rows, path)
-    dim = len(rows[0]) - 1
-    ids, seen = [], set()
-    vectors = np.zeros((len(rows) - 1, dim), dtype=np.float64)
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != dim + 1:
-            raise ValueError(f"{path}: line {lineno}: dimension mismatch")
-        sample_id = row[0]
-        if sample_id in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
-        seen.add(sample_id)
-        ids.append(sample_id)
-        for j, tok in enumerate(row[1:]):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: non-finite embedding entry")
-            vectors[lineno - 2, j] = v
-    return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
-
-
 def save_embeddings_binary(emb: EmbeddingSet, path) -> None:
     """Write EMB1 binary plus the ids JSON sidecar.  Round trips bit-exactly."""
     path = Path(path)
@@ -330,8 +303,4 @@ def save_embeddings_binary(emb: EmbeddingSet, path) -> None:
 
 
 def save_embeddings_csv(emb: EmbeddingSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"d{j}" for j in range(emb.dim)])
-        for i, sample_id in enumerate(emb.ids):
-            writer.writerow([sample_id] + [f"{float(v):.9g}" for v in emb.vectors[i]])
+    _write_matrix(path, emb.ids, [f"d{j}" for j in range(emb.dim)], emb.vectors)

@@ -23,7 +23,6 @@ class DbLossParams:
     beta: float = 0.9999
     alpha: float = 1.0
     margin_scale: float = 0.1
-    weight_normalization: str = "mean-one"
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
@@ -32,8 +31,6 @@ class DbLossParams:
             raise ValueError("alpha must be >= 0")
         if self.margin_scale < 0:
             raise ValueError("margin_scale must be >= 0")
-        if self.weight_normalization != "mean-one":
-            raise ValueError(f"unsupported normalization {self.weight_normalization!r}")
 
 
 @dataclass
@@ -61,13 +58,11 @@ def effective_numbers(counts, beta: float) -> np.ndarray:
     return (1.0 - beta) / (1.0 - np.power(beta, counts.astype(np.float64)))
 
 
-def class_weights(eff, alpha: float, norm: str = "mean-one") -> np.ndarray:
+def class_weights(eff, alpha: float) -> np.ndarray:
     """w_c = eff_c^alpha rescaled so the class mean is exactly 1."""
     eff = np.asarray(eff, dtype=np.float64)
     if (eff <= 0).any():
         raise ValueError("effective numbers must be positive")
-    if norm != "mean-one":
-        raise ValueError(f"unsupported normalization {norm!r}")
     raw = np.power(eff, alpha)
     return raw * (raw.size / raw.sum())
 

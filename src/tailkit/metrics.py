@@ -11,6 +11,9 @@ Conventions are pinned so results are reproducible and oracle-checkable:
 * ECE uses equal-width bins on [0, 1], right-closed with bin 0 left-closed;
   empty bins contribute nothing.
 
+Score rows are matched to label rows by id, as in the pipeline; a differing
+id set or class order is an error.
+
 Per-class metrics that are undefined (AP with no positives, AUC with a
 single class present) are skipped and reported, never imputed as 0.
 """
@@ -20,18 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelMatrix, ScoreMatrix
+from .pipeline import _align_to
 
 
 @dataclass
 class EceConfig:
     n_bins: int = 15
-    binning: str = "equal-width"
 
     def __post_init__(self):
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if self.binning != "equal-width":
-            raise ValueError(f"unsupported binning {self.binning!r}")
 
 
 @dataclass
@@ -140,15 +141,12 @@ def macro_report(
         ece_cfg = EceConfig()
     if scores.kind != "probabilities":
         raise ValueError("macro_report requires probability scores")
-    if scores.class_names != labels.class_names:
-        raise ValueError("class name misalignment between scores and labels")
-    if scores.ids != labels.ids:
-        raise ValueError("id misalignment between scores and labels")
+    values = _align_to(labels, scores)
 
     per_class = {}
     skipped = []
     for j, name in enumerate(labels.class_names):
-        col_scores = scores.values[:, j]
+        col_scores = values[:, j]
         col_labels = labels.values[:, j]
         ap = average_precision(col_scores, col_labels)
         auc = auc_roc(col_scores, col_labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreMatrix
+from .data import LabelMatrix, ScoreMatrix
 from .loss import stable_sigmoid
 
 
@@ -67,7 +67,7 @@ def sigmoid_scores(z: ScoreMatrix) -> ScoreMatrix:
     )
 
 
-def _align_to(reference: ScoreMatrix, other: ScoreMatrix) -> np.ndarray:
+def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.ndarray:
     """Rows of `other` reordered to match `reference` ids; class order must agree."""
     if other.class_names != reference.class_names:
         raise ValueError("class order misalignment")

@@ -40,12 +40,13 @@ class SamplerConfig:
 @dataclass
 class EpochPlan:
     indices: np.ndarray
-    epoch_len: int
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.epoch_len != self.indices.size:
-            raise ValueError("epoch_len does not match index count")
+
+    @property
+    def epoch_len(self) -> int:
+        return int(self.indices.size)
 
 
 def class_repeat_factors(frequencies, cfg: SamplerConfig) -> np.ndarray:
@@ -57,12 +58,6 @@ def class_repeat_factors(frequencies, cfg: SamplerConfig) -> np.ndarray:
     nonzero = f > 0
     r[nonzero] = np.maximum(1.0, np.sqrt(cfg.threshold / f[nonzero]))
     return r
-
-
-def zero_frequency_classes(frequencies) -> list:
-    """Class indices that cannot influence sampling (no positives)."""
-    f = np.asarray(frequencies, dtype=np.float64)
-    return [int(i) for i in np.nonzero(f == 0)[0]]
 
 
 def sample_repeat_factors(labels: LabelMatrix, r, cfg: SamplerConfig) -> np.ndarray:
@@ -98,4 +93,4 @@ def build_epoch(repeat, cfg: SamplerConfig, epoch: int = 0) -> EpochPlan:
     swaps = bounded_block(draws, np.arange(length, 1, -1)).tolist()
     for i, j in zip(range(length - 1, 0, -1), swaps):
         indices[i], indices[j] = indices[j], indices[i]
-    return EpochPlan(indices=np.asarray(indices, dtype=np.int64), epoch_len=length)
+    return EpochPlan(indices=indices)

@@ -326,6 +326,25 @@ class TestEvalCommand:
         macro_ap = np.mean([report["per_class"][k]["ap"] for k in ("a", "b", "c")])
         assert report["macro"]["map"] == pytest.approx(macro_ap)
 
+    def test_row_permuted_scores_give_identical_report(self, tmp_path, labels_csv):
+        # tied scores across rows, so AP's stable tie order would expose a row-order effect
+        rows = [
+            ["s0", "0.5", "0.5", "0.8"],
+            ["s1", "0.5", "0.2", "0.5"],
+            ["s2", "0.7", "0.5", "0.5"],
+            ["s3", "0.5", "0.2", "0.5"],
+        ]
+        reports = []
+        for name, order in (("aligned", [0, 1, 2, 3]), ("permuted", [3, 1, 0, 2])):
+            scores = write_csv_file(
+                tmp_path / f"{name}.csv", ["id", "a", "b", "c"], [rows[i] for i in order]
+            )
+            out = tmp_path / f"{name}.json"
+            rc = main(["eval", "--scores", str(scores), "--labels", str(labels_csv), "--out", str(out)])
+            assert rc == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_misaligned_ids_fail(self, tmp_path, labels_csv, capsys):
         scores = write_csv_file(
             tmp_path / "scores.csv", ["id", "a", "b", "c"], [["zz", "0.5", "0.5", "0.5"]]

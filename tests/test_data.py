@@ -1,3 +1,7 @@
+import csv
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,275 @@ from tailkit.data import (
     save_labels,
     save_scores,
 )
+
+
+# ---------------------------------------------------------------------------
+# Reference codec: one per-token loop per file kind, one writer per kind.
+# The library's single bulk reader and writer must agree with these.
+# ---------------------------------------------------------------------------
+
+
+def oracle_read_rows(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def oracle_check_header(rows, path):
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = rows[0]
+    if not header or header[0] != "id":
+        raise ValueError(f"{path}: line 1: header must start with 'id'")
+    names = header[1:]
+    if len(set(names)) != len(names):
+        raise ValueError(f"{path}: line 1: duplicate column name")
+    return names
+
+
+def oracle_load_labels(path):
+    rows = oracle_read_rows(path)
+    class_names = oracle_check_header(rows, path)
+    ids, seen = [], set()
+    values = np.zeros((len(rows) - 1, len(class_names)), dtype=np.int8)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(class_names) + 1:
+            raise ValueError(f"{path}: line {lineno}: ragged row")
+        sample_id = row[0]
+        if sample_id in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
+        ids.append(sample_id)
+        for j, tok in enumerate(row[1:]):
+            tok = tok.strip()
+            if tok == "0":
+                values[lineno - 2, j] = 0
+            elif tok == "1":
+                values[lineno - 2, j] = 1
+            else:
+                raise ValueError(f"{path}: line {lineno}: non-binary label {tok!r}")
+    return LabelMatrix(ids=ids, values=values, class_names=class_names)
+
+
+def oracle_save_labels(labels, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + labels.class_names)
+        for i, sample_id in enumerate(labels.ids):
+            writer.writerow([sample_id] + [str(int(v)) for v in labels.values[i]])
+
+
+def oracle_load_scores(path, kind):
+    rows = oracle_read_rows(path)
+    class_names = oracle_check_header(rows, path)
+    ids, seen = [], set()
+    values = np.zeros((len(rows) - 1, len(class_names)), dtype=np.float64)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(class_names) + 1:
+            raise ValueError(f"{path}: line {lineno}: header mismatch (ragged row)")
+        sample_id = row[0]
+        if sample_id in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
+        ids.append(sample_id)
+        for j, tok in enumerate(row[1:]):
+            try:
+                v = float(tok)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: non-finite score")
+            if kind == "probabilities" and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{path}: line {lineno}: probability out of range")
+            values[lineno - 2, j] = v
+    return ScoreMatrix(ids=ids, values=values, kind=kind, class_names=class_names)
+
+
+def oracle_save_scores(scores, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + scores.class_names)
+        for i, sample_id in enumerate(scores.ids):
+            writer.writerow([sample_id] + [f"{v:.9g}" for v in scores.values[i]])
+
+
+def oracle_load_embeddings_csv(path):
+    rows = oracle_read_rows(path)
+    oracle_check_header(rows, path)
+    dim = len(rows[0]) - 1
+    ids, seen = [], set()
+    vectors = np.zeros((len(rows) - 1, dim), dtype=np.float64)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != dim + 1:
+            raise ValueError(f"{path}: line {lineno}: dimension mismatch")
+        sample_id = row[0]
+        if sample_id in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
+        ids.append(sample_id)
+        for j, tok in enumerate(row[1:]):
+            try:
+                v = float(tok)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: non-finite embedding entry")
+            vectors[lineno - 2, j] = v
+    return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
+
+
+def oracle_save_embeddings_csv(emb, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id"] + [f"d{j}" for j in range(emb.dim)])
+        for i, sample_id in enumerate(emb.ids):
+            writer.writerow([sample_id] + [f"{float(v):.9g}" for v in emb.vectors[i]])
+
+
+# kind -> (library loader, oracle loader); each returns (ids, names, values)
+LOADERS = {
+    "labels": (load_labels, oracle_load_labels),
+    "logits": (lambda p: load_scores(p, "logits"), lambda p: oracle_load_scores(p, "logits")),
+    "probabilities": (
+        lambda p: load_scores(p, "probabilities"),
+        lambda p: oracle_load_scores(p, "probabilities"),
+    ),
+    "embeddings": (load_embeddings, oracle_load_embeddings_csv),
+}
+
+# whitespace that str.strip() and float() both drop, ASCII and not
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\u00a0", "\u2003", "\u3000"])
+# spellings float() accepts beyond plain repr: underscores, signs, exponents, other digits
+SPELLED = {
+    "logits": ["1_0", "-0", "+.5", "1E+2", "-1_000.2_5e-1_0", "\u0661\u0662", "007"],
+    "probabilities": ["1_0e-1", "-0", "+.5", "1E-2", "0.0_1", "\u0660.\u0665", "1"],
+}
+SPELLED["embeddings"] = SPELLED["logits"]
+
+
+def _number_token(kind):
+    # not near the float maximum, where a 4-digit spelling rounds up to inf
+    lo, hi = (0.0, 1.0) if kind == "probabilities" else (-1e300, 1e300)
+    number = st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+    written = number.flatmap(
+        lambda v: st.sampled_from([repr(v), f"{v:.9g}", f"{v:.3e}", f"{v:f}"])
+    )
+    return st.one_of(written, st.sampled_from(SPELLED[kind]))
+
+
+def _cell(kind):
+    core = st.sampled_from(["0", "1"]) if kind == "labels" else _number_token(kind)
+    return st.tuples(PADDING, core, PADDING).map("".join)
+
+
+# csv.writer leaves a lone "\r" unquoted under lineterminator="\n", so such a field
+# would split the record on reading; NUL is rejected by csv on Python 3.10
+_NAME_TEXT = st.text(st.characters(blacklist_characters="\x00\r", blacklist_categories=("Cs",)), max_size=4)
+
+
+@st.composite
+def matrix_files(draw, kind, min_rows=0):
+    """(header, rows) of a valid ``id``-first CSV of the given kind."""
+    n = draw(st.integers(min_value=min_rows, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=4))
+    ids = draw(st.lists(_NAME_TEXT, min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(_NAME_TEXT, min_size=c, max_size=c, unique=True))
+    rows = [[sample_id] + draw(st.lists(_cell(kind), min_size=c, max_size=c)) for sample_id in ids]
+    return ["id"] + names, rows
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _error(load, path) -> str:
+    with pytest.raises(ValueError) as info:
+        load(path)
+    return str(info.value)
+
+
+class TestCodecMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(LOADERS)).flatmap(lambda k: st.tuples(st.just(k), matrix_files(k))))
+    def test_valid_files(self, tmp_path_factory, case):
+        kind, (header, rows) = case
+        path = tmp_path_factory.mktemp("codec") / "m.csv"
+        _write_rows(path, header, rows)
+        load, oracle = LOADERS[kind]
+        got, want = load(path), oracle(path)
+        got_values = got.vectors if kind == "embeddings" else got.values
+        want_values = want.vectors if kind == "embeddings" else want.values
+        assert got.ids == want.ids
+        assert getattr(got, "class_names", None) == getattr(want, "class_names", None)
+        assert got_values.dtype == want_values.dtype
+        assert got_values.shape == want_values.shape == (len(rows), len(header) - 1)
+        assert got_values.tobytes() == want_values.tobytes()
+
+    NOT_A_NUMBER = ["abc", "", " ", "1__0", "0x1", "1,5", "_1", "1\x1c"]
+    NON_FINITE = ["nan", "inf", "-Infinity", "1e999", " NaN "]
+    BAD_TOKENS = {
+        "labels": {"token": ["2", "1.0", "x", "", " 01 ", "-1"]},
+        "logits": {"token": NOT_A_NUMBER, "non-finite": NON_FINITE},
+        "embeddings": {"token": NOT_A_NUMBER, "non-finite": NON_FINITE},
+        "probabilities": {
+            "token": NOT_A_NUMBER,
+            "non-finite": NON_FINITE,
+            "range": ["1.5", "-0.25", "1e1", "1.0000001", "-1e-300"],
+        },
+    }
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_first_bad_line(self, tmp_path_factory, data):
+        kind = data.draw(st.sampled_from(sorted(LOADERS)))
+        header, rows = data.draw(matrix_files(kind, min_rows=1))
+        c = len(header) - 1
+        tokens = self.BAD_TOKENS[kind] if c else {}
+        corruptions = ["ragged"] + (["duplicate"] if len(rows) > 1 else []) + sorted(tokens)
+        corruption = data.draw(st.sampled_from(corruptions))
+        k = data.draw(st.integers(min_value=1 if corruption == "duplicate" else 0, max_value=len(rows) - 1))
+        row = rows[k]
+        if corruption == "ragged":
+            rows[k] = row[:-1] if data.draw(st.booleans()) else row + ["0"]
+        elif corruption == "duplicate":
+            row[0] = rows[data.draw(st.integers(min_value=0, max_value=k - 1))][0]
+        else:
+            row[data.draw(st.integers(min_value=1, max_value=c))] = data.draw(st.sampled_from(tokens[corruption]))
+        path = tmp_path_factory.mktemp("codec") / "m.csv"
+        _write_rows(path, header, rows)
+        load, oracle = LOADERS[kind]
+        got, want = _error(load, path), _error(oracle, path)
+        assert re.search(r": line (\d+): ", got).group(1) == str(k + 2)
+        assert re.search(r": line (\d+): ", want).group(1) == str(k + 2)
+        if corruption == "ragged":
+            assert "ragged row" in got and "dimension mismatch" in got
+        else:
+            assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=4),
+        st.data(),
+    )
+    def test_writers_byte_identical(self, tmp_path_factory, n, c, data):
+        ids = data.draw(st.lists(_NAME_TEXT, min_size=n, max_size=n, unique=True))
+        names = data.draw(st.lists(_NAME_TEXT, min_size=c, max_size=c, unique=True))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = np.array(data.draw(st.lists(finite, min_size=n * c, max_size=n * c))).reshape(n, c)
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * c, max_size=n * c))).reshape(n, c)
+        tmp = tmp_path_factory.mktemp("writers")
+        cases = [
+            (save_labels, oracle_save_labels, LabelMatrix(ids, bits, names)),
+            (save_scores, oracle_save_scores, ScoreMatrix(ids, values, "logits", names)),
+            (save_embeddings_csv, oracle_save_embeddings_csv, EmbeddingSet(ids, values)),
+        ]
+        for save, oracle, matrix in cases:
+            save(matrix, tmp / "got.csv")
+            oracle(matrix, tmp / "want.csv")
+            assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 class TestLoadLabels:
@@ -76,9 +349,6 @@ class TestClassStats:
         stats = class_stats(labels)
         assert stats.counts.tolist() == [2, 1]
         assert stats.frequencies.tolist() == [1.0, 0.5]
-        assert stats.weights.tolist() == [1.0, 1.0]
-        assert stats.margins.tolist() == [0.0, 0.0]
-        assert stats.repeat_factors.tolist() == [1.0, 1.0]
 
     def test_empty_class_allowed(self):
         stats = class_stats(LabelMatrix(["a"], [[0]], ["c0"]))

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from tailkit.data import LabelMatrix
 from tailkit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bounded_block, float_block, splitmix64_block
 from tailkit.sampler import (
-    EpochPlan,
     SamplerConfig,
     build_epoch,
     class_repeat_factors,
     sample_repeat_factors,
-    zero_frequency_classes,
 )
 
 
@@ -73,7 +71,6 @@ class TestClassRepeatFactors:
         cfg = SamplerConfig(threshold=0.1)
         freqs = [0.0, 0.5, 0.0]
         assert class_repeat_factors(freqs, cfg).tolist() == [1.0, 1.0, 1.0]
-        assert zero_frequency_classes(freqs) == [0, 2]
 
 
 class TestSampleRepeatFactors:
@@ -286,5 +283,3 @@ def test_config_validation():
         SamplerConfig(threshold=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(r_max=0.5)
-    with pytest.raises(ValueError):
-        EpochPlan(indices=np.array([0, 1]), epoch_len=3)
