@@ -20,11 +20,13 @@ import numpy as np
 from . import __version__
 from .data import (
     class_stats,
+    csv_writer,
     load_embeddings,
     load_labels,
     load_scores,
     save_scores,
     ScoreMatrix,
+    write_json,
 )
 from .loss import DbLossParams, class_weights, effective_numbers, margins, stable_sigmoid
 from .metrics import EceConfig, macro_report
@@ -74,32 +76,35 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(target, subcommand: str, config: dict, inputs, seed=None) -> None:
-    """Write the run manifest next to the output (or inside the output dir)."""
-    target = Path(target)
-    path = target / "manifest.json" if target.is_dir() else target.with_name(
-        target.name + ".manifest.json"
-    )
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
-        "tool_version": __version__,
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _emit(args, event: str, **fields) -> None:
-    if getattr(args, "json_logs", False):
+    if args.json_logs:
         print(json.dumps({"event": event, **fields}, sort_keys=True))
     else:
         detail = " ".join(f"{k}={v}" for k, v in fields.items())
         print(f"{event}: {detail}" if detail else event)
 
 
-def _config_dict(args, skip=("func", "json_logs")) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _finish(args, target, inputs, event: str, seed=None, **fields) -> int:
+    """End a run: write its manifest, log `event` with `fields`, return exit code 0.
+
+    The manifest goes next to the output file `target`, or inside it when it
+    is a directory, and records the parsed arguments, the sha256 of `inputs`,
+    the seed and the tool version.
+    """
+    target = Path(target)
+    path = target / "manifest.json" if target.is_dir() else target.with_name(
+        target.name + ".manifest.json"
+    )
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "json_logs")},
+        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "seed": seed,
+        "tool_version": __version__,
+    }
+    write_json(path, manifest)
+    _emit(args, event, **fields)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -112,29 +117,18 @@ def cmd_weights(args):
     stats = class_stats(labels)
     empty = [labels.class_names[i] for i in np.nonzero(stats.counts == 0)[0]]
     if empty:
-        raise ValueError(
-            f"classes with zero positives cannot be weighted: {', '.join(empty)}"
-        )
+        raise ValueError(f"classes with zero positives cannot be weighted: {', '.join(empty)}")
     eff = effective_numbers(stats.counts, args.beta)
     weights = class_weights(eff, args.alpha)
     margin_vec = margins(stats.counts, args.kappa)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(["class", "count", "frequency", "effective_number", "weight", "margin"])
         for j, name in enumerate(labels.class_names):
-            writer.writerow(
-                [
-                    name,
-                    int(stats.counts[j]),
-                    f"{stats.frequencies[j]:.9g}",
-                    f"{eff[j]:.9g}",
-                    f"{weights[j]:.9g}",
-                    f"{margin_vec[j]:.9g}",
-                ]
-            )
-    _write_manifest(args.out, "weights", _config_dict(args), [args.labels])
-    _emit(args, "weights_written", out=args.out, classes=len(labels.class_names))
-    return 0
+            cells = (stats.frequencies[j], eff[j], weights[j], margin_vec[j])
+            writer.writerow([name, int(stats.counts[j])] + [f"{v:.9g}" for v in cells])
+    classes = len(labels.class_names)
+    return _finish(args, args.out, [args.labels], "weights_written", out=args.out, classes=classes)
 
 
 def cmd_sample(args):
@@ -149,24 +143,18 @@ def cmd_sample(args):
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for epoch in range(args.epochs):
             plan = build_epoch(repeat, cfg, epoch=epoch)
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": epoch,
-                        "epoch_len": plan.epoch_len,
-                        "indices": plan.indices.tolist(),
-                    }
-                )
-                + "\n"
-            )
-    _write_manifest(args.out, "sample", _config_dict(args), [args.labels], seed=args.seed)
-    _emit(args, "plans_written", out=args.out, epochs=args.epochs)
-    return 0
+            row = {"epoch": epoch, "epoch_len": plan.epoch_len, "indices": plan.indices.tolist()}
+            fh.write(json.dumps(row) + "\n")
+    return _finish(
+        args, args.out, [args.labels], "plans_written", args.seed, out=args.out, epochs=args.epochs
+    )
 
 
 def _load_synth_spec(path, seed_override=None) -> SynthSpec:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: synthetic spec must be a JSON object")
     if seed_override is not None:
         payload["seed"] = seed_override
     try:
@@ -178,10 +166,17 @@ def _load_synth_spec(path, seed_override=None) -> SynthSpec:
 def _load_margin_file(path, class_names):
     """Per-class margins from a CSV with `class` and `margin` columns."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or "class" not in rows[0] or "margin" not in rows[0]:
         raise ValueError(f"{path}: need 'class' and 'margin' columns")
-    by_class = {row["class"]: float(row["margin"]) for row in rows}
+    try:
+        by_class = {row["class"]: float(row["margin"]) for row in rows}
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad margin: {exc}") from None
     missing = [name for name in class_names if name not in by_class]
     if missing:
         raise ValueError(f"{path}: no margin for class(es) {', '.join(missing)}")
@@ -210,39 +205,27 @@ def cmd_train(args):
         _emit(args, "epoch", index=epoch, loss=round(value, 6))
     save_model(model, args.model_out)
     inputs = [args.synth_spec] + ([args.margins] if args.margins else [])
-    _write_manifest(args.model_out, "train", _config_dict(args), inputs, seed=spec.seed)
-    _emit(args, "model_written", out=args.model_out)
-    return 0
+    return _finish(args, args.model_out, inputs, "model_written", spec.seed, out=args.model_out)
 
 
 def cmd_predict(args):
     model = load_model(args.model)
     emb = load_embeddings(args.features)
-    logits = forward(model, emb.vectors.astype(np.float64))
-    if args.probabilities:
-        scores = ScoreMatrix(
-            ids=emb.ids,
-            values=stable_sigmoid(logits),
-            kind="probabilities",
-            class_names=model.class_names,
-        )
-    else:
-        scores = ScoreMatrix(
-            ids=emb.ids, values=logits, kind="logits", class_names=model.class_names
-        )
+    logits = forward(model, emb.vectors)
+    kind = "probabilities" if args.probabilities else "logits"
+    # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
+    values = stable_sigmoid(logits) if args.probabilities else logits
+    scores = ScoreMatrix(ids=emb.ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, args.out)
-    _write_manifest(args.out, "predict", _config_dict(args), [args.model, args.features])
-    _emit(args, "scores_written", out=args.out, kind=scores.kind)
-    return 0
+    inputs = [args.model, args.features]
+    return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=scores.kind)
 
 
 def cmd_merge_tta(args):
     views = [load_scores(p, kind="logits") for p in args.inputs]
     merged = tta_merge(views)
     save_scores(merged, args.out)
-    _write_manifest(args.out, "merge-tta", _config_dict(args), args.inputs)
-    _emit(args, "merged", views=len(views), out=args.out)
-    return 0
+    return _finish(args, args.out, args.inputs, "merged", views=len(views), out=args.out)
 
 
 def cmd_ensemble(args):
@@ -252,14 +235,10 @@ def cmd_ensemble(args):
     spec = EnsembleSpec.from_raw(args.weights)
     combined = ensemble(members, spec)
     save_scores(combined, args.out)
-    _write_manifest(args.out, "ensemble", _config_dict(args), args.inputs)
-    _emit(
-        args,
-        "ensembled",
-        members=len(members),
-        normalized_weights=[round(float(w), 12) for w in spec.normalized_weights],
+    weights = [round(float(w), 12) for w in spec.normalized_weights]
+    return _finish(
+        args, args.out, args.inputs, "ensembled", members=len(members), normalized_weights=weights
     )
-    return 0
 
 
 def cmd_gate(args):
@@ -272,9 +251,8 @@ def cmd_gate(args):
         index = scores.class_names.index(args.normal_class)
     gated = normal_gate(scores, GateConfig(normal_class_index=index, exponent=args.alpha_ng))
     save_scores(gated, args.out)
-    _write_manifest(args.out, "gate", _config_dict(args), [args.input])
-    _emit(args, "gated", normal_class=scores.class_names[index], exponent=args.alpha_ng)
-    return 0
+    fields = dict(normal_class=scores.class_names[index], exponent=args.alpha_ng)
+    return _finish(args, args.out, [args.input], "gated", **fields)
 
 
 def cmd_zeroshot(args):
@@ -285,10 +263,8 @@ def cmd_zeroshot(args):
     images = unit_normalize(load_embeddings(args.images))
     scores = score_batch(images, bank, ZsConfig(scale=args.scale))
     save_scores(scores, args.out)
-    inputs = [args.images, prompts_path]
-    _write_manifest(args.out, "zeroshot", _config_dict(args), inputs)
-    _emit(args, "zeroshot_scored", images=len(images.ids), classes=len(bank.class_names))
-    return 0
+    counts = dict(images=len(images.ids), classes=len(bank.class_names))
+    return _finish(args, args.out, [args.images, prompts_path], "zeroshot_scored", **counts)
 
 
 def cmd_eval(args):
@@ -297,12 +273,9 @@ def cmd_eval(args):
     report = macro_report(
         scores, labels, threshold=args.threshold, ece_cfg=EceConfig(n_bins=args.ece_bins)
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(args.out, "eval", _config_dict(args), [args.scores, args.labels])
-    _emit(args, "report_written", out=args.out, **{k: v for k, v in report.macro.items()})
-    return 0
+    write_json(args.out, report.to_json_dict())
+    inputs = [args.scores, args.labels]
+    return _finish(args, args.out, inputs, "report_written", out=args.out, **report.macro)
 
 
 def cmd_preprocess(args):
@@ -329,12 +302,10 @@ def cmd_preprocess(args):
             "dtype": "<f4",
             "source": str(args.image),
         }
-        (out_dir / f"{stem}__{name}.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    _write_manifest(out_dir, "preprocess", _config_dict(args), [args.image])
-    _emit(args, "preprocessed", transforms=list(spec.transforms), size=size)
-    return 0
+        write_json(out_dir / f"{stem}__{name}.json", sidecar)
+    return _finish(
+        args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size
+    )
 
 
 def cmd_demo(args):
@@ -348,7 +319,7 @@ def cmd_demo(args):
     )
     db_params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
-    summary, models, (x_test, y_test) = run_comparison(
+    summary, models, reports = run_comparison(
         spec,
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -360,33 +331,36 @@ def cmd_demo(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     for arm, model in models.items():
         save_model(model, out_dir / f"model_{arm}.json")
-        probs = stable_sigmoid(forward(model, x_test))
-        scores = ScoreMatrix(
-            ids=y_test.ids, values=probs, kind="probabilities", class_names=y_test.class_names
-        )
-        report = macro_report(scores, y_test)
-        (out_dir / f"report_{arm}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_manifest(out_dir, "demo", _config_dict(args), [], seed=args.seed)
-    _emit(
+        write_json(out_dir / f"report_{arm}.json", reports[arm].to_json_dict())
+    write_json(out_dir / "summary.json", summary)
+    arms = summary["arms"]
+    return _finish(
         args,
+        out_dir,
+        [],
         "demo_complete",
-        tail_map_db_cas=round(summary["arms"]["db_cas"]["tail_map"], 4),
-        tail_map_bce_uniform=round(summary["arms"]["bce_uniform"]["tail_map"], 4),
+        seed=args.seed,
+        tail_map_db_cas=round(arms["db_cas"]["tail_map"], 4),
+        tail_map_bce_uniform=round(arms["bce_uniform"]["tail_map"], 4),
         tail_gain=round(summary["tail_gain"], 4),
         head_change=round(summary["head_change"], 4),
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _add_loss_args(p, alpha=1.0) -> None:
+    p.add_argument("--beta", type=float, default=0.9999)
+    p.add_argument("--alpha", type=float, default=alpha)
+    p.add_argument("--kappa", type=float, default=0.1)
+
+
+def _add_sampler_args(p, threshold=0.001) -> None:
+    p.add_argument("--threshold", type=float, default=threshold)
+    p.add_argument("--rmax", type=float, default=10.0)
 
 
 def build_parser() -> _Parser:
@@ -399,16 +373,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("weights", parents=[common], help="per-class loss weights and margins")
     p.add_argument("--labels", required=True)
-    p.add_argument("--beta", type=float, default=0.9999)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=0.1)
+    _add_loss_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("sample", parents=[common], help="class-aware epoch plans")
     p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", type=float, default=0.001)
-    p.add_argument("--rmax", type=float, default=10.0)
+    _add_sampler_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -422,11 +393,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=0.9999)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=0.1)
-    p.add_argument("--threshold", type=float, default=0.001)
-    p.add_argument("--rmax", type=float, default=10.0)
+    _add_loss_args(p)
+    _add_sampler_args(p)
     p.add_argument("--margins", default=None, help="CSV with class,margin columns; bypasses the margin generator")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
@@ -492,11 +460,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--beta", type=float, default=0.9999)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--kappa", type=float, default=0.1)
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--rmax", type=float, default=10.0)
+    _add_loss_args(p, alpha=0.5)
+    _add_sampler_args(p, threshold=0.05)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,10 +145,16 @@ def _read_matrix(path, convert):
     ``convert`` maps an object array of cell strings to values, raising
     ValueError for a cell it rejects.  It runs on the whole body at once; only
     if it or the row-length/duplicate-id check fails are the rows rescanned
-    one by one, so the error names the first bad line.
+    one by one, so the error names the first bad line.  "line N" counts CSV
+    records, the header being line 1, also for a record the csv module
+    cannot parse; a quoted field that spans physical lines is one record.
     """
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows.extend(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
@@ -211,13 +218,32 @@ def _probabilities(cells) -> np.ndarray:
     return values
 
 
+def csv_writer(fh):
+    r"""csv.writer with LF line endings that quotes fields holding a ``\r``.
+
+    Under ``lineterminator="\n"`` the writer leaves a lone ``\r`` bare, and the
+    field reads back as two records.  It quotes it under ``"\r\n"``, so rows
+    are written that way and each ending is cut back to ``\n``; fields without
+    ``\r`` are quoted the same under both.
+    """
+    lf_lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+    return csv.writer(lf_lines, lineterminator="\r\n")
+
+
 def _write_matrix(path, ids, names, values) -> None:
     """Write an ``id``-first CSV with 9 significant digits per value."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(["id"] + names)
         for sample_id, row in zip(ids, values.tolist()):
             writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON: indent 2, sorted keys, LF line endings, trailing LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_labels(path) -> LabelMatrix:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix
+from .data import LabelMatrix, ScoreMatrix, write_json
 from .loss import DbLossParams, class_weights, db_loss, effective_numbers, margins, stable_sigmoid
-from .metrics import average_precision
+from .metrics import macro_report
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 
 DEFAULT_HEAD_FREQUENCY = 0.5
@@ -243,28 +243,20 @@ def class_terciles(counts):
     return tail, head
 
 
-def tercile_macro_ap(probabilities, labels: LabelMatrix, class_indices):
-    """Mean AP over the given classes, skipping those with no positives."""
-    values = []
-    for j in class_indices:
-        ap = average_precision(probabilities[:, j], labels.values[:, j])
-        if ap is not None:
-            values.append(ap)
-    return float(np.mean(values)) if values else None
-
-
 def evaluate_arm(model: LinearModel, features, labels: LabelMatrix, tercile_counts):
+    """(summary, report): the macro report on `labels` and its all/tail/head class mAP.
+
+    Each mAP is the mean AP over its classes, skipping those with no positives.
+    """
     probs = stable_sigmoid(forward(model, features))
-    tail, head = class_terciles(tercile_counts)
-    per_class = [
-        average_precision(probs[:, j], labels.values[:, j]) for j in range(labels.n_classes)
-    ]
-    defined = [ap for ap in per_class if ap is not None]
-    return {
-        "map": float(np.mean(defined)) if defined else None,
-        "tail_map": tercile_macro_ap(probs, labels, tail),
-        "head_map": tercile_macro_ap(probs, labels, head),
-    }
+    scores = ScoreMatrix(labels.ids, probs, "probabilities", labels.class_names)
+    report = macro_report(scores, labels)
+    ap = [report.per_class[name]["ap"] for name in labels.class_names]
+    summary = {"map": report.macro["map"]}
+    for key, classes in zip(("tail_map", "head_map"), class_terciles(tercile_counts)):
+        defined = [ap[j] for j in classes if ap[j] is not None]
+        summary[key] = float(np.mean(defined)) if defined else None
+    return summary, report
 
 
 def run_comparison(
@@ -278,7 +270,9 @@ def run_comparison(
     """Two-arm experiment: db+cas versus plain-bce+uniform on one synthetic draw.
 
     Both arms share the data, the split, the learning rate, and the epoch
-    count; only the loss and the sampler differ.
+    count; only the loss and the sampler differ.  Returns (summary, models,
+    reports), the last two keyed by arm; each report is the arm's macro
+    report on the held-out split.
     """
     if db_params is None:
         db_params = DbLossParams(alpha=0.5)
@@ -288,8 +282,7 @@ def run_comparison(
     (x_train, y_train), (x_test, y_test) = holdout_split(features, labels)
     tercile_counts = labels.values.sum(axis=0, dtype=np.int64)
 
-    arms = {}
-    models = {}
+    arms, models, reports = {}, {}, {}
     for name, loss_name, sampler_name in (
         ("db_cas", "db", "cas"),
         ("bce_uniform", "plain-bce", "uniform"),
@@ -303,9 +296,8 @@ def run_comparison(
             seed=spec.seed,
         )
         model, trace = train(x_train, y_train, cfg, db_params, sampler_cfg)
-        summary = evaluate_arm(model, x_test, y_test, tercile_counts)
-        summary["final_train_loss"] = trace[-1]
-        arms[name] = summary
+        arms[name], reports[name] = evaluate_arm(model, x_test, y_test, tercile_counts)
+        arms[name]["final_train_loss"] = trace[-1]
         models[name] = model
 
     summary = {
@@ -317,15 +309,17 @@ def run_comparison(
         "tail_gain": arms["db_cas"]["tail_map"] - arms["bce_uniform"]["tail_map"],
         "head_change": arms["db_cas"]["head_map"] - arms["bce_uniform"]["head_map"],
     }
-    return summary, models, (x_test, y_test)
+    return summary, models, reports
 
 
 def save_model(model: LinearModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model.to_json_dict())
 
 
 def load_model(path) -> LinearModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return LinearModel.from_json_dict(json.load(fh))
+        payload = json.load(fh)
+    try:
+        return LinearModel.from_json_dict(payload)
+    except (KeyError, TypeError) as exc:  # a missing field, or a payload of the wrong shape
+        raise ValueError(f"{path}: not a model file: {exc!r}") from None

@@ -120,15 +120,14 @@ def load_prompt_manifest(path) -> PromptBank:
     """
     path = Path(path)
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    entries = manifest.get("classes")
-    if not entries:
+    entries = manifest.get("classes") if isinstance(manifest, dict) else None
+    if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no classes")
     class_names, embeddings, texts = [], {}, {}
     for entry in entries:
-        name = entry.get("name")
-        emb_path = entry.get("embeddings")
-        if not name or not emb_path:
+        if not isinstance(entry, dict) or not entry.get("name") or not entry.get("embeddings"):
             raise ValueError(f"{path}: each class needs 'name' and 'embeddings'")
+        name, emb_path = entry["name"], entry["embeddings"]
         if name in embeddings:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb = unit_normalize(load_embeddings(path.parent / emb_path))

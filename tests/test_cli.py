@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from tailkit.cli import main
+from tailkit.cli import build_parser, main
 from tailkit.data import EmbeddingSet, load_scores, save_embeddings_binary
+from tailkit.trainer import LinearModel, save_model
 
 
 def write_csv_file(path, header, rows):
@@ -432,6 +433,9 @@ class TestDemoCommand:
             assert (out_dir / name).exists(), name
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "tail_gain" in summary and "arms" in summary
+        for arm in ("db_cas", "bce_uniform"):
+            report = json.loads((out_dir / f"report_{arm}.json").read_text())
+            assert report["macro"]["map"] == summary["arms"][arm]["map"]
 
 
 class TestExitCodes:
@@ -457,6 +461,72 @@ class TestExitCodes:
         assert rc == 1
 
 
+def test_predict_probabilities_of_overflowing_logits(tmp_path, capsys):
+    # logits of +-inf are no valid logits file, but their probabilities are 1 and 0
+    model = tmp_path / "m.json"
+    save_model(LinearModel(np.array([[1e308], [-1e308]]), np.zeros(2), ["a", "b"]), model)
+    feats = tmp_path / "f.emb"
+    save_embeddings_binary(EmbeddingSet(["q0"], [[10.0]]), feats)
+    argv = ["predict", "--model", str(model), "--features", str(feats)]
+    with np.errstate(over="ignore"):
+        assert main(argv + ["--probabilities", "--out", str(tmp_path / "p.csv")]) == 0
+        assert load_scores(tmp_path / "p.csv", kind="probabilities").values.tolist() == [[1.0, 0.0]]
+        assert main(argv + ["--out", str(tmp_path / "z.csv")]) == 1
+    assert "error: non-finite score entry" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """A malformed input file ends in exit 1 and an `error:` line naming it, not a traceback."""
+
+    @staticmethod
+    def assert_fails_naming(path, argv, capsys):
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_csv_cell_over_field_limit(self, tmp_path, capsys):
+        labels = write_csv_file(tmp_path / "y.csv", ["id", "a"], [["x" * 200_000, "1"]])
+        argv = ["weights", "--labels", labels, "--out", tmp_path / "w.csv"]
+        self.assert_fails_naming(labels, argv, capsys)
+
+    def test_model_without_bias(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"class_names": ["a"], "weights": [[1.0]]}), encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        self.assert_fails_naming(model, argv, capsys)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [[{"name": "g", "embeddings": "g.emb"}], {"classes": ["g.emb"]}],
+        ids=["list-manifest", "non-object-entry"],
+    )
+    def test_prompt_manifest_shape(self, tmp_path, capsys, manifest):
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), images)
+        save_embeddings_binary(EmbeddingSet(["g0"], [[1.0, 0.0]]), tmp_path / "g.emb")
+        prompts = tmp_path / "manifest.json"
+        prompts.write_text(json.dumps(manifest), encoding="utf-8")
+        argv = ["zeroshot", "--images", images, "--prompts", prompts, "--out", tmp_path / "zs.csv"]
+        self.assert_fails_naming(prompts, argv, capsys)
+
+    def test_spec_list_with_seed_override(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([60, 2, 4]), encoding="utf-8")
+        argv = ["train", "--synth-spec", spec, "--seed", "3", "--model-out", tmp_path / "m.json"]
+        self.assert_fails_naming(spec, argv, capsys)
+
+    def test_margin_row_without_margin_cell(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 4}))
+        margins = tmp_path / "margins.csv"
+        margins.write_text("class,margin\nc0,0.1\nc1\n", encoding="utf-8")
+        argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
+        self.assert_fails_naming(margins, argv, capsys)
+
+
 class TestManifestAndLogs:
     def test_manifest_contents(self, tmp_path, labels_csv):
         out = tmp_path / "w.csv"
@@ -474,6 +544,72 @@ class TestManifestAndLogs:
         assert rc == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert any(entry.get("event") == "weights_written" for entry in lines)
+
+
+def _manifest_case(subcommand, tmp_path, labels_csv):
+    """(argv, manifest path, input paths, seed) of one small run of `subcommand`."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_samples": 60, "n_classes": 3, "feature_dim": 4, "seed": 4}))
+    model = tmp_path / "model.json"
+    save_model(LinearModel(np.eye(3, 4), np.zeros(3), ["a", "b", "c"]), model)
+    feats = tmp_path / "feats.emb"
+    save_embeddings_binary(EmbeddingSet(["q0", "q1"], np.arange(8.0).reshape(2, 4)), feats)
+    probs = write_csv_file(
+        tmp_path / "p.csv",
+        ["id", "a", "b", "c"],
+        [[f"s{i}", "0.5", f"0.{i + 1}", "0.25"] for i in range(4)],
+    )
+    logits = write_csv_file(tmp_path / "z.csv", ["id", "a", "b", "c"], [["s0", "1", "-2", "0.5"]])
+    images = tmp_path / "img.emb"
+    save_embeddings_binary(EmbeddingSet(["i0"], np.ones((1, 4))), images)
+    save_embeddings_binary(EmbeddingSet(["g0"], np.eye(1, 4)), tmp_path / "g.emb")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"classes": [{"name": "g", "embeddings": "g.emb"}]}), encoding="utf-8"
+    )
+    pgm = tmp_path / "img.pgm"
+    pgm.write_bytes(b"P5\n4 4\n255\n" + bytes(range(0, 160, 10)))
+    out, out_dir = tmp_path / "out.x", tmp_path / "out_dir"
+    cases = {
+        "weights": (["--labels", labels_csv], [labels_csv], None),
+        "sample": (["--labels", labels_csv, "--seed", "5"], [labels_csv], 5),
+        "train": (["--synth-spec", spec, "--epochs", "1"], [spec], 4),
+        "predict": (["--model", model, "--features", feats], [model, feats], None),
+        "merge-tta": (["--in", logits, logits], [logits, logits], None),
+        "ensemble": (["--in", probs, "--weights", "2"], [probs], None),
+        "gate": (["--in", probs, "--normal-class", "a"], [probs], None),
+        "zeroshot": (["--images", images, "--prompts", tmp_path], [images, tmp_path / "manifest.json"], None),
+        "eval": (["--scores", probs, "--labels", labels_csv], [probs, labels_csv], None),
+        "preprocess": ([pgm, "--size", "4"], [pgm], None),
+        "demo": (
+            ["--seed", "3", "--n-samples", "60", "--n-classes", "3", "--feature-dim", "4", "--epochs", "1"],
+            [],
+            3,
+        ),
+    }
+    args, inputs, seed = cases[subcommand]
+    if subcommand in ("preprocess", "demo"):
+        target, manifest = ["--out-dir", out_dir], out_dir / "manifest.json"
+    else:
+        flag = "--model-out" if subcommand == "train" else "--out"
+        target, manifest = [flag, out], tmp_path / "out.x.manifest.json"
+    argv = [subcommand] + [str(a) for a in args + target]
+    return argv, manifest, [str(p) for p in inputs], seed
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["weights", "sample", "train", "predict", "merge-tta", "ensemble", "gate", "zeroshot", "eval", "preprocess", "demo"],
+)
+def test_every_subcommand_writes_its_manifest(subcommand, tmp_path, labels_csv):
+    argv, manifest_path, inputs, seed = _manifest_case(subcommand, tmp_path, labels_csv)
+    assert main(argv) == 0
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    parsed = vars(build_parser().parse_args(argv))
+    assert manifest["subcommand"] == subcommand
+    assert set(manifest["config"]) == set(parsed) - {"func", "json_logs"}
+    assert manifest["config"]["subcommand"] == subcommand
+    assert set(manifest["input_digests"]) == set(inputs)
+    assert manifest["seed"] == seed
 
 
 def test_module_entry_point_runs():

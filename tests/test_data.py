@@ -180,9 +180,17 @@ def _cell(kind):
     return st.tuples(PADDING, core, PADDING).map("".join)
 
 
-# csv.writer leaves a lone "\r" unquoted under lineterminator="\n", so such a field
-# would split the record on reading; NUL is rejected by csv on Python 3.10
+# the oracle writers leave a lone "\r" unquoted (csv.writer under lineterminator="\n"),
+# so such a field would split the record on reading; NUL is rejected by csv on Python 3.10
 _NAME_TEXT = st.text(st.characters(blacklist_characters="\x00\r", blacklist_categories=("Cs",)), max_size=4)
+# the library writers quote a lone "\r"; the characters csv treats specially come often
+_ANY_NAME_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(["\r", "\n", '"', ",", " "]),
+        st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+    ),
+    max_size=4,
+)
 
 
 @st.composite
@@ -289,6 +297,53 @@ class TestCodecMatchesOracle:
             save(matrix, tmp / "got.csv")
             oracle(matrix, tmp / "want.csv")
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=4), st.data())
+def test_ids_and_names_round_trip(tmp_path_factory, n, c, data):
+    ids = data.draw(st.lists(_ANY_NAME_TEXT, min_size=n, max_size=n, unique=True))
+    names = data.draw(st.lists(_ANY_NAME_TEXT, min_size=c, max_size=c, unique=True))
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * c, max_size=n * c)))
+    bits = bits.reshape(n, c)
+    path = tmp_path_factory.mktemp("rt") / "m.csv"
+    cases = [
+        (save_labels, load_labels, LabelMatrix(ids, bits, names)),
+        (save_scores, lambda p: load_scores(p, "logits"), ScoreMatrix(ids, bits - 0.5, "logits", names)),
+        (save_embeddings_csv, load_embeddings, EmbeddingSet(ids, bits * 0.25)),
+    ]
+    for save, load, matrix in cases:
+        save(matrix, path)
+        back = load(path)
+        assert back.ids == ids
+        if hasattr(matrix, "class_names"):
+            assert back.class_names == names
+            assert back.values.tobytes() == matrix.values.tobytes()
+        else:
+            assert back.vectors.tobytes() == matrix.vectors.tobytes()
+
+
+def test_lone_carriage_return_is_quoted(tmp_path):
+    path = tmp_path / "s.csv"
+    save_scores(ScoreMatrix(["0\r", "a"], [[0.5], [1.0]], "logits", ["k\r"]), path)
+    assert path.read_bytes() == b'id,"k\r"\n"0\r",0.5\na,1\n'
+    back = load_scores(path, "logits")
+    assert back.ids == ["0\r", "a"] and back.class_names == ["k\r"]
+
+
+@pytest.mark.parametrize(
+    "last_record, message",
+    [("z,2", "non-binary label '2'"), ("z" * 200_000 + ",1", "field larger than field limit")],
+    ids=["bad-cell", "csv-error"],
+)
+def test_line_numbers_count_records(tmp_path, last_record, message):
+    # the quoted id spans two physical lines, so the faulty record is line 4 of
+    # the file but record 3; a cell fault and a csv parse fault both say line 3
+    path = tmp_path / "y.csv"
+    path.write_text('id,a\n"x\ny",1\n' + last_record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_labels(path)
+    assert str(info.value).startswith(f"{path}: line 3: {message}")
 
 
 class TestLoadLabels:

@@ -10,6 +10,7 @@ from tailkit.trainer import (
     SynthSpec,
     TrainConfig,
     class_terciles,
+    evaluate_arm,
     forward,
     generate_synthetic,
     holdout_split,
@@ -213,12 +214,20 @@ class TestModelSerialization:
 
 def test_run_comparison_shares_config_across_arms():
     spec = SynthSpec(n_samples=600, n_classes=6, feature_dim=12, power_law_exponent=1.0, seed=3)
-    summary, models, (x_test, y_test) = run_comparison(
+    summary, models, reports = run_comparison(
         spec, learning_rate=0.3, epochs=5, batch_size=32,
         sampler_cfg=SamplerConfig(threshold=0.05, r_max=10.0, seed=3),
     )
     assert set(summary["arms"]) == {"db_cas", "bce_uniform"}
     assert set(models) == {"db_cas", "bce_uniform"}
+    assert set(reports) == {"db_cas", "bce_uniform"}
+    features, labels = generate_synthetic(spec)
+    _, (x_test, y_test) = holdout_split(features, labels)
     assert x_test.shape[0] == y_test.n_samples == 120
-    for arm in summary["arms"].values():
+    counts = labels.values.sum(axis=0, dtype=np.int64)
+    for name, arm in summary["arms"].items():
         assert arm["map"] is not None
+        held_out, report = evaluate_arm(models[name], x_test, y_test, counts)
+        assert held_out["map"] == arm["map"] == reports[name].macro["map"]
+        assert held_out["tail_map"] == arm["tail_map"]
+        assert held_out["head_map"] == arm["head_map"]
