@@ -14,6 +14,11 @@ import numpy as np
 from tailkit.trainer import SynthSpec, run_comparison
 
 
+def _fmt(value, width: int, sign: str = "") -> str:
+    """`value` to 4 decimals, right-aligned to `width`; "n/a" when it is None."""
+    return f"{'n/a':>{width}}" if value is None else f"{value:>{sign}{width}.4f}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
@@ -44,18 +49,19 @@ def main():
             spec, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size
         )
         arms = summary["arms"]
-        wins += summary["tail_gain"] > 0
-        head_changes.append(summary["head_change"])
+        # a tercile with no held-out positive has no mAP: shown as n/a, never a win
+        tail_gain, head_change = summary["tail_gain"], summary["head_change"]
+        wins += tail_gain is not None and tail_gain > 0
+        if head_change is not None:
+            head_changes.append(head_change)
         print(
-            f"{seed:>5} {arms['db_cas']['tail_map']:>12.4f} "
-            f"{arms['bce_uniform']['tail_map']:>10.4f} {summary['tail_gain']:>+8.4f} "
-            f"{summary['head_change']:>+12.4f}"
+            f"{seed:>5} {_fmt(arms['db_cas']['tail_map'], 12)} "
+            f"{_fmt(arms['bce_uniform']['tail_map'], 10)} {_fmt(tail_gain, 8, '+')} "
+            f"{_fmt(head_change, 12, '+')}"
         )
     elapsed = time.monotonic() - start
-    print(
-        f"\nwins {wins}/{len(args.seeds)}, mean head change "
-        f"{np.mean(head_changes):+.4f}, elapsed {elapsed:.1f}s"
-    )
+    mean_head = _fmt(np.mean(head_changes) if head_changes else None, 0, "+")
+    print(f"\nwins {wins}/{len(args.seeds)}, mean head change {mean_head}, elapsed {elapsed:.1f}s")
 
 
 if __name__ == "__main__":

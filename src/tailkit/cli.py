@@ -334,17 +334,15 @@ def cmd_demo(args):
         write_json(out_dir / f"report_{arm}.json", reports[arm].to_json_dict())
     write_json(out_dir / "summary.json", summary)
     arms = summary["arms"]
-    return _finish(
-        args,
-        out_dir,
-        [],
-        "demo_complete",
-        seed=args.seed,
-        tail_map_db_cas=round(arms["db_cas"]["tail_map"], 4),
-        tail_map_bce_uniform=round(arms["bce_uniform"]["tail_map"], 4),
-        tail_gain=round(summary["tail_gain"], 4),
-        head_change=round(summary["head_change"], 4),
-    )
+    fields = {
+        "tail_map_db_cas": arms["db_cas"]["tail_map"],
+        "tail_map_bce_uniform": arms["bce_uniform"]["tail_map"],
+        "tail_gain": summary["tail_gain"],
+        "head_change": summary["head_change"],
+    }
+    # a tercile whose classes have no held-out positive has no mAP, so no gain
+    rounded = {k: None if v is None else round(v, 4) for k, v in fields.items()}
+    return _finish(args, out_dir, [], "demo_complete", seed=args.seed, **rounded)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ The structures are plain mutable dataclasses, validated only at construction.
 
 import csv
 import json
+import re
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -230,13 +231,27 @@ def csv_writer(fh):
     return csv.writer(lf_lines, lineterminator="\r\n")
 
 
+# an id csv.writer may quote or reject: it holds a delimiter, quote, line-break or NUL
+_CSV_SPECIAL = re.compile(r'[,"\r\n\x00]')
+
+
 def _write_matrix(path, ids, names, values) -> None:
-    """Write an ``id``-first CSV with 9 significant digits per value."""
+    """Write an ``id``-first CSV with 9 significant digits per value.
+
+    A row whose id is a string ``csv.writer`` writes bare is formatted with one
+    ``%`` call (``"%.9g" % v == f"{v:.9g}"``).  Every other row goes through
+    ``csv_writer`` for its quoting rules, and so does every row of a matrix
+    without columns, where an empty id is a lone field and is written ``""``.
+    """
+    fmt = ",".join(["%.9g"] * len(names))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh)
         writer.writerow(["id"] + names)
         for sample_id, row in zip(ids, values.tolist()):
-            writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
+            if fmt and type(sample_id) is str and not _CSV_SPECIAL.search(sample_id):
+                fh.write(f"{sample_id},{fmt % tuple(row)}\n")
+            else:
+                writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
 
 
 def write_json(path, payload) -> None:

@@ -6,6 +6,7 @@ Conventions are pinned so results are reproducible and oracle-checkable:
   order via a stable sort) and average precision at each positive rank.
 * AUC uses the Mann-Whitney formulation: the fraction of
   (positive, negative) pairs ranked correctly, ties counting 0.5.
+  Ranks are average ranks over the runs of tied scores.
 * F1 thresholds with ``score >= threshold`` and returns 0 when the
   denominator 2TP + FP + FN is 0.
 * ECE uses equal-width bins on [0, 1], right-closed with bin 0 left-closed;
@@ -82,15 +83,13 @@ def auc_roc(scores, labels):
         return None
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
+    # tie runs of the sorted scores; NaN != NaN, so each NaN is a run of its own
+    bounds = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [scores.size])) - 1
+    # average rank over the tie run gives exactly 0.5 credit per tied pair
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average rank over the tie group gives exactly 0.5 credit per tied pair
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     pos_rank_sum = ranks[positive].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -259,6 +259,11 @@ def evaluate_arm(model: LinearModel, features, labels: LabelMatrix, tercile_coun
     return summary, report
 
 
+def _difference(a, b):
+    """a - b, or None when either mAP is undefined (no class of the tercile has a positive)."""
+    return None if a is None or b is None else a - b
+
+
 def run_comparison(
     spec: SynthSpec,
     learning_rate: float = 0.5,
@@ -306,8 +311,8 @@ def run_comparison(
         "epochs": epochs,
         "batch_size": batch_size,
         "arms": arms,
-        "tail_gain": arms["db_cas"]["tail_map"] - arms["bce_uniform"]["tail_map"],
-        "head_change": arms["db_cas"]["head_map"] - arms["bce_uniform"]["head_map"],
+        "tail_gain": _difference(arms["db_cas"]["tail_map"], arms["bce_uniform"]["tail_map"]),
+        "head_change": _difference(arms["db_cas"]["head_map"], arms["bce_uniform"]["head_map"]),
     }
     return summary, models, reports
 

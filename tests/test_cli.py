@@ -437,6 +437,18 @@ class TestDemoCommand:
             report = json.loads((out_dir / f"report_{arm}.json").read_text())
             assert report["macro"]["map"] == summary["arms"][arm]["map"]
 
+    def test_tail_tercile_without_held_out_positives(self, tmp_path, capsys):
+        # 20 samples, 3 classes: the held-out split has no positive of the tail class
+        out_dir = tmp_path / "demo"
+        argv = ["demo", "--seed", "1", "--n-samples", "20", "--n-classes", "3"]
+        argv += ["--feature-dim", "4", "--epochs", "1", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["tail_gain"] is None
+        assert summary["arms"]["db_cas"]["tail_map"] is None
+        assert summary["head_change"] is not None
+        assert "tail_gain=None" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

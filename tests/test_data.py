@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ def oracle_save_embeddings_csv(emb, path):
         writer.writerow(["id"] + [f"d{j}" for j in range(emb.dim)])
         for i, sample_id in enumerate(emb.ids):
             writer.writerow([sample_id] + [f"{float(v):.9g}" for v in emb.vectors[i]])
+
+
+def oracle_write_matrix(path, ids, names, values):
+    """The per-cell writer behind every save_* before rows took one ``%`` format call."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        lf_lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf_lines, lineterminator="\r\n")
+        writer.writerow(["id"] + names)
+        for sample_id, row in zip(ids, values.tolist()):
+            writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
 
 
 # kind -> (library loader, oracle loader); each returns (ids, names, values)
@@ -297,6 +308,56 @@ class TestCodecMatchesOracle:
             save(matrix, tmp / "got.csv")
             oracle(matrix, tmp / "want.csv")
             assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+# any finite float, with -0.0, subnormals and values near the 9-digit boundary drawn often
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -1.5e-310, 1e16, 123456789.5, 999999999.5, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=4), st.data())
+def test_writer_matches_per_cell_writer(tmp_path_factory, n, c, data):
+    ids = data.draw(st.lists(st.one_of(st.just(""), _ANY_NAME_TEXT), min_size=n, max_size=n, unique=True))
+    names = data.draw(st.lists(_ANY_NAME_TEXT, min_size=c, max_size=c, unique=True))
+    values = np.array(data.draw(st.lists(_ANY_FINITE, min_size=n * c, max_size=n * c))).reshape(n, c)
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * c, max_size=n * c))).reshape(n, c)
+    tmp = tmp_path_factory.mktemp("writer")
+    cases = [
+        (save_labels, LabelMatrix(ids, bits, names), names),
+        (save_scores, ScoreMatrix(ids, values, "logits", names), names),
+        (save_embeddings_csv, EmbeddingSet(ids, values), [f"d{j}" for j in range(c)]),
+    ]
+    for save, matrix, header in cases:
+        save(matrix, tmp / "got.csv")
+        values_of = matrix.vectors if isinstance(matrix, EmbeddingSet) else matrix.values
+        oracle_write_matrix(tmp / "want.csv", ids, header, values_of)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "ids", [["a\x00b"], ["x", "\x00"], [7, 8.5, None, True]], ids=["nul-inner", "nul-alone", "not-str"]
+)
+def test_unusual_ids_written_as_per_cell_writer(tmp_path, ids):
+    # csv.writer rejects NUL on Python 3.10 and writes it bare from 3.11 on;
+    # it writes a non-string id as str(), and None as an empty field
+    scores = ScoreMatrix(ids, np.full((len(ids), 2), 0.5), "logits", ["p", "q"])
+    writers = [
+        lambda path: save_scores(scores, path),
+        lambda path: oracle_write_matrix(path, scores.ids, scores.class_names, scores.values),
+    ]
+    outcomes = []
+    for k, write in enumerate(writers):
+        path = tmp_path / f"{k}.csv"
+        try:
+            write(path)
+        except csv.Error as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(path.read_bytes())
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=100, deadline=None)

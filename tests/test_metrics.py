@@ -44,6 +44,46 @@ def auc_pairwise_oracle(scores, labels):
     return total / (pos.size * neg.size)
 
 
+def tie_loop_auc(scores, labels):
+    """The tie-group loop auc_roc ran before its ranks came from tie runs in bulk."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positive = np.asarray(labels).ravel() == 1
+    n_pos = int(positive.sum())
+    n_neg = scores.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = ranks[positive].sum()
+    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+# a handful of score values makes long tie runs; -0.0 == 0.0 ties, NaN ties nothing
+TIE_POOL = np.array([0.0, -0.0, 0.25, 0.5, 1.0, np.nan])
+
+
+@st.composite
+def auc_inputs(draw):
+    """(scores, labels) of length 1..2000: heavy ties or continuous, any positive share."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        pool = rng.choice(TIE_POOL, size=draw(st.integers(1, TIE_POOL.size)), replace=False)
+        scores = rng.choice(pool, n)
+    else:
+        scores = rng.standard_normal(n)
+    share = draw(st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]))
+    return scores, (rng.random(n) < share).astype(np.int8)
+
+
 class TestAveragePrecision:
     def test_hand_example(self):
         ap = average_precision([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
@@ -102,6 +142,18 @@ class TestAucRoc:
                 assert got is None
             else:
                 assert got == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(auc_inputs())
+    def test_equals_tie_loop(self, case):
+        scores, labels = case
+        assert auc_roc(scores, labels) == tie_loop_auc(scores, labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.integers(0, 1)), min_size=1, max_size=40))
+    def test_equals_tie_loop_on_any_floats(self, pairs):
+        scores, labels = (np.array(column) for column in zip(*pairs))
+        assert auc_roc(scores, labels) == tie_loop_auc(scores, labels)
 
     def test_label_flip_symmetry(self):
         rng = np.random.default_rng(2)
