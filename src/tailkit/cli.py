@@ -38,7 +38,7 @@ from .raster import (
     IMAGENET_STD,
     TTA_TRANSFORMS,
     TtaSpec,
-    apply_tta,
+    apply_transform,
     load_pgm,
     normalize_clip_style,
     percentile_clip_rescale,
@@ -256,12 +256,13 @@ def cmd_gate(args):
 
 
 def cmd_zeroshot(args):
+    cfg = ZsConfig(scale=args.scale)
     prompts_path = Path(args.prompts)
     if prompts_path.is_dir():
         prompts_path = prompts_path / "manifest.json"
     bank = load_prompt_manifest(prompts_path)
     images = unit_normalize(load_embeddings(args.images))
-    scores = score_batch(images, bank, ZsConfig(scale=args.scale))
+    scores = score_batch(images, bank, cfg)
     save_scores(scores, args.out)
     counts = dict(images=len(images.ids), classes=len(bank.class_names))
     return _finish(args, args.out, [args.images, prompts_path], "zeroshot_scored", **counts)
@@ -292,8 +293,8 @@ def cmd_preprocess(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
-    for name, view in zip(spec.transforms, apply_tta(grid, spec)):
-        tensor = to_tensor3(view, mean, std).astype("<f4")
+    for name in spec.transforms:
+        tensor = to_tensor3(apply_transform(grid, name), mean, std).astype("<f4")
         raw_path = out_dir / f"{stem}__{name}.raw"
         raw_path.write_bytes(tensor.tobytes())
         sidecar = {

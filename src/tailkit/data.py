@@ -310,15 +310,13 @@ def load_embeddings(path) -> EmbeddingSet:
 
 def _load_embeddings_binary(path: Path) -> EmbeddingSet:
     raw = path.read_bytes()
-    if raw[:4] != EMB_MAGIC:
-        raise ValueError(f"{path}: bad magic")
     if len(raw) < 12:
         raise ValueError(f"{path}: truncated header")
     count, dim = struct.unpack_from("<II", raw, 4)
     expected = 12 + 4 * count * dim
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    vectors = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim).copy()
+    vectors = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
     if not np.isfinite(vectors).all():
         raise ValueError(f"{path}: non-finite embedding entry")
     sidecar = path.with_name(path.name + ".ids.json")
@@ -326,6 +324,8 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
         ids = json.loads(sidecar.read_text(encoding="utf-8"))
         if not isinstance(ids, list) or len(ids) != count:
             raise ValueError(f"{sidecar}: ids sidecar does not match count {count}")
+        if not all(type(i) in (str, int) for i in ids):
+            raise ValueError(f"{sidecar}: every id must be a string or an integer")
     else:
         ids = [str(i) for i in range(count)]
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)

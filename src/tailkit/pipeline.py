@@ -1,4 +1,4 @@
-"""Inference-time score refinement: sigmoid, TTA merge, ensembling, gating.
+"""Inference-time score refinement: TTA merge, ensembling, gating.
 
 TTA views are merged in probability space (sigmoid first, then the
 unweighted mean across views) -- do not "optimize" this into a logit mean,
@@ -22,26 +22,22 @@ from .loss import stable_sigmoid
 @dataclass
 class EnsembleSpec:
     member_weights: np.ndarray
-    normalized_weights: np.ndarray
 
     def __post_init__(self):
-        self.member_weights = np.asarray(self.member_weights, dtype=np.float64)
-        self.normalized_weights = np.asarray(self.normalized_weights, dtype=np.float64)
-        if (self.member_weights <= 0).any():
-            raise ValueError("member weights must be strictly positive")
-        if self.normalized_weights.shape != self.member_weights.shape:
-            raise ValueError("weight shape mismatch")
-        if abs(self.normalized_weights.sum() - 1.0) > 1e-12:
-            raise ValueError("normalized weights must sum to 1")
+        w = np.asarray(self.member_weights, dtype=np.float64)
+        if w.ndim != 1 or w.size < 1:
+            raise ValueError("need at least one member weight")
+        if not (np.isfinite(w) & (w > 0)).all():
+            raise ValueError("member weights must be finite and strictly positive")
+        self.member_weights = w
+
+    @property
+    def normalized_weights(self) -> np.ndarray:
+        return self.member_weights / self.member_weights.sum()
 
     @classmethod
     def from_raw(cls, weights) -> "EnsembleSpec":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("need at least one member weight")
-        if (w <= 0).any():
-            raise ValueError("member weights must be strictly positive")
-        return cls(member_weights=w, normalized_weights=w / w.sum())
+        return cls(member_weights=weights)
 
 
 @dataclass
@@ -50,21 +46,10 @@ class GateConfig:
     exponent: float = 0.5
 
     def __post_init__(self):
-        if self.exponent < 0:
+        if not (self.exponent >= 0):
             raise ValueError("gate exponent must be >= 0")
         if self.normal_class_index < 0:
             raise ValueError("normal class index must be >= 0")
-
-
-def sigmoid_scores(z: ScoreMatrix) -> ScoreMatrix:
-    if z.kind != "logits":
-        raise ValueError("sigmoid_scores expects logits")
-    return ScoreMatrix(
-        ids=z.ids,
-        values=stable_sigmoid(z.values),
-        kind="probabilities",
-        class_names=z.class_names,
-    )
 
 
 def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.ndarray:

@@ -130,23 +130,6 @@ def load_pgm(path) -> Raster:
     return Raster(width=width, height=height, depth=depth, pixels=pixels.astype(np.uint16))
 
 
-def save_pgm(raster: Raster, path, binary: bool = True) -> None:
-    header = f"P5\n{raster.width} {raster.height}\n{raster.maxval}\n"
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            if raster.depth == 8:
-                fh.write(raster.pixels.astype(np.uint8).tobytes())
-            else:
-                fh.write(raster.pixels.astype(">u2").tobytes())
-    else:
-        lines = [f"P2\n{raster.width} {raster.height}\n{raster.maxval}"]
-        for row in raster.pixels:
-            lines.append(" ".join(str(int(v)) for v in row))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
 def nearest_rank_percentile(values, pct: float) -> float:
     """Nearest-rank percentile: the value at rank max(1, ceil(pct/100 * n))."""
     v = np.sort(np.asarray(values, dtype=np.float64).ravel())
@@ -272,8 +255,3 @@ def apply_transform(grid, name: str):
     if name == "zoom0.9":
         return _zoom(grid, 0.9)
     raise ValueError(f"unknown transform {name!r}")
-
-
-def apply_tta(grid, spec: TtaSpec):
-    """One output grid per transform, all at the input's height and width."""
-    return [apply_transform(grid, name) for name in spec.transforms]

@@ -24,8 +24,8 @@ class ZsConfig:
     scale: float = 5.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not (0 < self.scale < np.inf):
+            raise ValueError("scale must be finite and > 0")
 
 
 @dataclass
@@ -64,26 +64,15 @@ class PromptBank:
 
 
 def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
-    """Scale every row to unit Euclidean norm; all-zero rows are rejected."""
-    vectors = emb.vectors.astype(np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
+    """Scale every row to unit Euclidean norm; all-zero rows are rejected.
+
+    The result is a new float64 matrix; ``emb`` is left unchanged.
+    """
+    norms = np.linalg.norm(emb.vectors, axis=1)
     if (norms == 0).any():
         bad = int(np.nonzero(norms == 0)[0][0])
         raise ValueError(f"zero-norm embedding row (id {emb.ids[bad]!r})")
-    return EmbeddingSet(ids=emb.ids, vectors=vectors / norms[:, None], normalized=True)
-
-
-def class_similarity(image_vec, bank: PromptBank, class_name: str) -> float:
-    """Mean cosine similarity between one unit image vector and a class's prompts."""
-    v = np.asarray(image_vec, dtype=np.float64)
-    prompts = bank.embeddings[class_name]
-    if v.shape != (prompts.shape[1],):
-        raise ValueError("embedding dimension mismatch")
-    return float((prompts @ v).mean())
-
-
-def zs_probability(similarity: float, cfg: ZsConfig) -> float:
-    return float(stable_sigmoid(cfg.scale * similarity))
+    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / norms[:, None], normalized=True)
 
 
 def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreMatrix:
@@ -92,7 +81,7 @@ def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreM
         raise ValueError("image embeddings must be unit-normalized first")
     if images.dim != bank.dim:
         raise ValueError("embedding dimension mismatch between images and prompts")
-    similarities = images.vectors.astype(np.float64) @ bank.mean_prompt_matrix().T
+    similarities = images.vectors @ bank.mean_prompt_matrix().T
     return ScoreMatrix(
         ids=images.ids,
         values=stable_sigmoid(cfg.scale * similarities),
@@ -132,7 +121,7 @@ def load_prompt_manifest(path) -> PromptBank:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb = unit_normalize(load_embeddings(path.parent / emb_path))
         class_names.append(name)
-        embeddings[name] = emb.vectors.astype(np.float64)
+        embeddings[name] = emb.vectors
         if "prompts" in entry:
             texts[name] = list(entry["prompts"])
     return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings)

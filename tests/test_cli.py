@@ -9,6 +9,16 @@ import pytest
 
 from tailkit.cli import build_parser, main
 from tailkit.data import EmbeddingSet, load_scores, save_embeddings_binary
+from tailkit.raster import (
+    IMAGENET_MEAN,
+    IMAGENET_STD,
+    TTA_TRANSFORMS,
+    apply_transform,
+    load_pgm,
+    percentile_clip_rescale,
+    resize_bilinear,
+    to_tensor3,
+)
 from tailkit.trainer import LinearModel, save_model
 
 
@@ -18,6 +28,16 @@ def write_csv_file(path, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def write_one_class_prompts(directory):
+    """A prompt manifest for one class `g` with the single unit prompt (1, 0)."""
+    save_embeddings_binary(EmbeddingSet(["g0"], [[1.0, 0.0]]), directory / "g.emb")
+    manifest = directory / "manifest.json"
+    manifest.write_text(
+        json.dumps({"classes": [{"name": "g", "embeddings": "g.emb"}]}), encoding="utf-8"
+    )
+    return manifest
 
 
 @pytest.fixture
@@ -385,6 +405,18 @@ class TestPreprocessCommand:
             assert np.isfinite(tensor).all()
         assert (out_dir / "manifest.json").exists()
 
+    def test_every_view_equals_its_transform(self, tmp_path, write_pgm):
+        rng = np.random.default_rng(3)
+        pgm = write_pgm("scan.pgm", rng.integers(0, 65536, (24, 20)), maxval=65535)
+        out_dir = tmp_path / "views"
+        argv = ["preprocess", str(pgm), "--size", "16", "--tta", *TTA_TRANSFORMS]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        grid = resize_bilinear(percentile_clip_rescale(load_pgm(pgm)), 16, 16)
+        for name in TTA_TRANSFORMS:
+            tensor = to_tensor3(apply_transform(grid, name), IMAGENET_MEAN, IMAGENET_STD)
+            expected = tensor.astype("<f4").tobytes()
+            assert (out_dir / f"scan__{name}.raw").read_bytes() == expected, name
+
     def test_task2_divides_by_maxval(self, tmp_path, write_pgm):
         pgm = write_pgm("flat.pgm", np.full((4, 4), 65535), maxval=65535)
         out_dir = tmp_path / "pre2"
@@ -524,6 +556,18 @@ class TestMalformedInputs:
         argv = ["zeroshot", "--images", images, "--prompts", prompts, "--out", tmp_path / "zs.csv"]
         self.assert_fails_naming(prompts, argv, capsys)
 
+    @pytest.mark.parametrize(
+        "ids", [[[1], {"a": 2}], ["i0", True], ["i0", 1.5]], ids=["objects", "bool", "float"]
+    )
+    def test_sidecar_ids_not_str_or_int(self, tmp_path, capsys, ids):
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0", "i1"], [[1.0, 0.0], [0.0, 1.0]]), images)
+        sidecar = tmp_path / "img.emb.ids.json"
+        sidecar.write_text(json.dumps(ids), encoding="utf-8")
+        prompts = write_one_class_prompts(tmp_path)
+        argv = ["zeroshot", "--images", images, "--prompts", prompts, "--out", tmp_path / "zs.csv"]
+        self.assert_fails_naming(sidecar, argv, capsys)
+
     def test_spec_list_with_seed_override(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([60, 2, 4]), encoding="utf-8")
@@ -537,6 +581,34 @@ class TestMalformedInputs:
         margins.write_text("class,margin\nc0,0.1\nc1\n", encoding="utf-8")
         argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
         self.assert_fails_naming(margins, argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, value, field",
+    [
+        ("zeroshot", "--scale", "nan", "scale"),
+        ("zeroshot", "--scale", "inf", "scale"),
+        ("gate", "--alpha-ng", "nan", "exponent"),
+        ("ensemble", "--weights", "nan", "weights"),
+        ("ensemble", "--weights", "inf", "weights"),
+    ],
+)
+def test_non_finite_number_names_its_field(tmp_path, capsys, subcommand, flag, value, field):
+    """NaN or inf ends in exit 1 and one `error:` line naming the field, with no warning."""
+    scores = write_csv_file(tmp_path / "p.csv", ["id", "Normal", "x"], [["s0", "0.5", "0.25"]])
+    save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), tmp_path / "img.emb")
+    inputs = {
+        "zeroshot": ["--images", tmp_path / "img.emb", "--prompts", write_one_class_prompts(tmp_path)],
+        "gate": ["--in", scores],
+        "ensemble": ["--in", scores, scores],
+    }[subcommand]
+    values = [value, "1"] if subcommand == "ensemble" else [value]
+    argv = [subcommand, *inputs, flag, *values, "--out", tmp_path / "out.csv"]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestManifestAndLogs:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.data import ScoreMatrix
+from tailkit.loss import stable_sigmoid
 from tailkit.metrics import auc_roc, average_precision
-from tailkit.pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, sigmoid_scores, tta_merge
+from tailkit.pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 
 
 def logits(values, ids=None, classes=None):
@@ -25,35 +27,32 @@ def probs(values, ids=None, classes=None):
 
 
 class TestSigmoidScores:
+    """A logit matrix maps to probabilities through a one-view TTA merge."""
+
     def test_zero_logit(self):
-        assert sigmoid_scores(logits([[0.0]])).values[0, 0] == 0.5
+        assert tta_merge([logits([[0.0]])]).values[0, 0] == 0.5
 
     def test_saturation_no_overflow(self):
-        out = sigmoid_scores(logits([[500.0, -500.0]]))
+        out = tta_merge([logits([[500.0, -500.0]])])
         assert out.values[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert out.values[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_ln3_gives_three_quarters(self):
-        out = sigmoid_scores(logits([[math.log(3.0)]]))
+        out = tta_merge([logits([[math.log(3.0)]])])
         assert out.values[0, 0] == pytest.approx(0.75, abs=1e-15)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError, match="logits"):
-            sigmoid_scores(probs([[0.5]]))
 
 
 class TestTtaMerge:
     def test_single_view_equals_sigmoid(self):
         view = logits([[0.3, -1.2], [2.0, 0.0]])
         merged = tta_merge([view])
-        expected = sigmoid_scores(view)
-        np.testing.assert_array_equal(merged.values, expected.values)
+        np.testing.assert_array_equal(merged.values, stable_sigmoid(view.values))
         assert merged.kind == "probabilities"
 
     def test_identical_views_no_change(self):
         view = logits([[0.7, -0.4]])
         merged = tta_merge([view, view])
-        np.testing.assert_allclose(merged.values, sigmoid_scores(view).values, atol=1e-15)
+        np.testing.assert_allclose(merged.values, stable_sigmoid(view.values), atol=1e-15)
 
     def test_hand_mean(self):
         merged = tta_merge([logits([[0.0]]), logits([[math.log(3.0)]])])
@@ -63,8 +62,7 @@ class TestTtaMerge:
         a = logits([[1.0], [2.0]], ids=["x", "y"])
         b = logits([[2.0], [1.0]], ids=["y", "x"])
         merged = tta_merge([a, b])
-        expected = sigmoid_scores(a)
-        np.testing.assert_allclose(merged.values, expected.values, atol=1e-15)
+        np.testing.assert_allclose(merged.values, stable_sigmoid(a.values), atol=1e-15)
         assert merged.ids == ["x", "y"]
 
     def test_mismatched_ids_rejected(self):
@@ -124,6 +122,19 @@ class TestEnsemble:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             EnsembleSpec.from_raw([1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "weights", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [], [[1.0, 2.0]]]
+    )
+    def test_non_finite_or_misshapen_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="member weight"):
+            EnsembleSpec(member_weights=weights)
+
+    def test_normalized_weights_derive_from_the_one_stored_field(self):
+        spec = EnsembleSpec(member_weights=[3.0, 0.25, 1.0])
+        assert [f.name for f in dataclasses.fields(spec)] == ["member_weights"]
+        w = np.array([3.0, 0.25, 1.0])
+        assert spec.normalized_weights.tobytes() == (w / w.sum()).tobytes()
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError, match="count"):

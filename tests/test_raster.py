@@ -8,16 +8,15 @@ from tailkit.raster import (
     CLIP_MEAN,
     IMAGENET_MEAN,
     IMAGENET_STD,
+    TTA_TRANSFORMS,
     Raster,
     TtaSpec,
     apply_transform,
-    apply_tta,
     load_pgm,
     nearest_rank_percentile,
     normalize_clip_style,
     percentile_clip_rescale,
     resize_bilinear,
-    save_pgm,
     to_tensor3,
 )
 
@@ -75,13 +74,12 @@ class TestLoadPgm:
         with pytest.raises(ValueError, match="not a PGM"):
             load_pgm(path)
 
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        raster = Raster(width=5, height=3, depth=16, pixels=rng.integers(0, 65536, (3, 5)))
-        path = tmp_path / "rt.pgm"
-        save_pgm(raster, path)
-        back = load_pgm(path)
-        assert np.array_equal(back.pixels, raster.pixels)
+    def test_round_trip(self, write_pgm):
+        pixels = np.random.default_rng(1).integers(0, 65536, (3, 5))
+        for binary in (True, False):
+            back = load_pgm(write_pgm(f"rt{binary}.pgm", pixels, maxval=65535, binary=binary))
+            assert (back.width, back.height, back.depth) == (5, 3, 16)
+            assert np.array_equal(back.pixels, pixels)
 
 
 class TestPercentileClip:
@@ -203,9 +201,7 @@ class TestToTensor3:
 class TestTta:
     def test_identity_exact(self):
         grid = np.random.default_rng(4).random((6, 6))
-        outs = apply_tta(grid, TtaSpec(("identity",)))
-        assert len(outs) == 1
-        np.testing.assert_array_equal(outs[0], grid)
+        np.testing.assert_array_equal(apply_transform(grid, "identity"), grid)
 
     def test_hflip_involution(self):
         grid = np.random.default_rng(5).random((5, 8))
@@ -223,9 +219,8 @@ class TestTta:
 
     def test_all_transforms_preserve_shape(self):
         grid = np.random.default_rng(6).random((10, 14))
-        spec = TtaSpec(("identity", "hflip", "rot+5", "rot-5", "zoom1.1", "zoom0.9"))
-        for out in apply_tta(grid, spec):
-            assert out.shape == grid.shape
+        for name in TTA_TRANSFORMS:
+            assert apply_transform(grid, name).shape == grid.shape
 
     def test_zoom_out_pads_with_zeros(self):
         grid = np.ones((20, 20))

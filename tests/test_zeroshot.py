@@ -9,12 +9,10 @@ from tailkit.metrics import average_precision
 from tailkit.zeroshot import (
     PromptBank,
     ZsConfig,
-    class_similarity,
     default_prompt_texts,
     load_prompt_manifest,
     score_batch,
     unit_normalize,
-    zs_probability,
 )
 
 SIGMOID_5 = 1.0 / (1.0 + math.exp(-5.0))  # 0.9933071490757153
@@ -32,6 +30,12 @@ def make_bank(class_vectors):
 def unit_rows(rng, k, d):
     m = rng.standard_normal((k, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def zs_score(image_vec, prompts, scale=5.0) -> float:
+    """score_batch of one unit image vector against one class's prompt rows."""
+    images = EmbeddingSet(["img"], [image_vec], normalized=True)
+    return float(score_batch(images, make_bank({"k": prompts}), ZsConfig(scale=scale)).values[0, 0])
 
 
 class TestUnitNormalize:
@@ -52,47 +56,55 @@ class TestUnitNormalize:
         with pytest.raises(ValueError, match="zero-norm"):
             unit_normalize(emb)
 
+    def test_input_left_unchanged_and_result_float64(self):
+        emb = EmbeddingSet(["a", "b"], np.array([[3.0, 4.0], [0.0, -2.0]], dtype=np.float32))
+        before = emb.vectors.copy()
+        out = unit_normalize(emb)
+        np.testing.assert_array_equal(emb.vectors, before)
+        assert not emb.normalized
+        assert out.vectors.dtype == np.float64
+        assert not np.shares_memory(out.vectors, emb.vectors)
+
 
 class TestClassSimilarity:
+    """The score of a class is the scaled sigmoid of the mean cosine with its prompts."""
+
     def test_matching_prompt(self):
-        v = np.array([1.0, 0.0])
-        bank = make_bank({"k": [[1.0, 0.0]]})
-        assert class_similarity(v, bank, "k") == pytest.approx(1.0)
+        v = unit_rows(np.random.default_rng(2), 1, 16)[0]
+        assert zs_score(v, [v]) == pytest.approx(SIGMOID_5, abs=1e-12)
 
     def test_orthogonal_prompts(self):
         v = np.array([1.0, 0.0, 0.0])
-        bank = make_bank({"k": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
-        assert class_similarity(v, bank, "k") == pytest.approx(0.0, abs=1e-15)
+        assert zs_score(v, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) == 0.5
 
     def test_half_mean(self):
         v = np.array([1.0, 0.0])
-        bank = make_bank({"k": [[1.0, 0.0], [0.0, 1.0]]})
-        assert class_similarity(v, bank, "k") == pytest.approx(0.5, abs=1e-15)
+        expected = 1.0 / (1.0 + math.exp(-2.5))
+        assert zs_score(v, [[1.0, 0.0], [0.0, 1.0]]) == pytest.approx(expected, abs=1e-15)
 
     def test_prompt_permutation_invariance(self):
         rng = np.random.default_rng(3)
         prompts = unit_rows(rng, 5, 16)
         v = unit_rows(rng, 1, 16)[0]
-        a = class_similarity(v, make_bank({"k": prompts}), "k")
-        b = class_similarity(v, make_bank({"k": prompts[::-1]}), "k")
-        assert a == pytest.approx(b, abs=1e-12)
+        assert zs_score(v, prompts) == pytest.approx(zs_score(v, prompts[::-1]), abs=1e-12)
 
 
 class TestZsProbability:
     def test_zero_similarity(self):
         for scale in (0.1, 1.0, 5.0, 50.0):
-            assert zs_probability(0.0, ZsConfig(scale=scale)) == 0.5
+            assert zs_score([1.0, 0.0], [[0.0, 1.0]], scale=scale) == 0.5
 
     def test_scaled_sigmoid_at_one(self):
-        assert zs_probability(1.0, ZsConfig(scale=5.0)) == pytest.approx(SIGMOID_5, abs=1e-12)
+        assert zs_score([0.0, 1.0], [[0.0, 1.0]]) == pytest.approx(SIGMOID_5, abs=1e-12)
 
     def test_symmetry(self):
-        p = zs_probability(-1.0, ZsConfig(scale=5.0))
+        p = zs_score([-1.0, 0.0], [[1.0, 0.0]])
         assert p == pytest.approx(1.0 - SIGMOID_5, abs=1e-12)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ZsConfig(scale=0.0)
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scale"):
+                ZsConfig(scale=scale)
 
 
 class TestScoreBatch:
@@ -118,10 +130,12 @@ class TestScoreBatch:
         bank = make_bank({f"c{j}": unit_rows(rng, 4, 24) for j in range(5)})
         cfg = ZsConfig(scale=5.0)
         batched = score_batch(images, bank, cfg)
+        # independent loop oracle: one dot product at a time
         for i in range(16):
             for j, name in enumerate(bank.class_names):
-                s = class_similarity(images.vectors[i].astype(np.float64), bank, name)
-                expected = zs_probability(s, cfg)
+                prompts = bank.embeddings[name]
+                s = sum(float(np.dot(images.vectors[i], row)) for row in prompts) / len(prompts)
+                expected = 1.0 / (1.0 + math.exp(-cfg.scale * s))
                 assert batched.values[i, j] == pytest.approx(expected, rel=1e-6)
 
     def test_raw_scale_invariance(self):
