@@ -132,6 +132,8 @@ def cmd_weights(args):
 
 
 def cmd_sample(args):
+    if args.epochs < 1:
+        raise ValueError("epochs must be >= 1")
     labels = load_labels(args.labels)
     stats = class_stats(labels)
     cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
@@ -295,8 +297,7 @@ def cmd_preprocess(args):
     stem = Path(args.image).stem
     for name in spec.transforms:
         tensor = to_tensor3(apply_transform(grid, name), mean, std).astype("<f4")
-        raw_path = out_dir / f"{stem}__{name}.raw"
-        raw_path.write_bytes(tensor.tobytes())
+        tensor.tofile(out_dir / f"{stem}__{name}.raw")
         sidecar = {
             "transform": name,
             "shape": list(tensor.shape),

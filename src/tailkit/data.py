@@ -24,6 +24,9 @@ SCORE_KINDS = ("logits", "probabilities")
 
 EMB_MAGIC = b"EMB1"
 
+# rows per np.linalg.norm call in _row_norms: bounds its squared temporary at 4 MiB for D = 512
+_NORM_BLOCK_ROWS = 1024
+
 
 @dataclass
 class LabelMatrix:
@@ -131,13 +134,26 @@ class EmbeddingSet:
         if not np.isfinite(self.vectors).all():
             raise ValueError("non-finite embedding entry")
         if self.normalized:
-            norms = np.linalg.norm(self.vectors, axis=1)
+            norms = _row_norms(self.vectors)
             if not np.allclose(norms, 1.0, atol=1e-6):
                 raise ValueError("normalized flag set but rows are not unit norm")
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def _row_norms(vectors) -> np.ndarray:
+    """``np.linalg.norm(vectors, axis=1)``, taken over blocks of rows.
+
+    Each row's reduction does not depend on the blocking, so the result is
+    bit-identical; only the temporaries are smaller.
+    """
+    norms = np.empty(vectors.shape[0])
+    for start in range(0, vectors.shape[0], _NORM_BLOCK_ROWS):
+        block = vectors[start : start + _NORM_BLOCK_ROWS]
+        norms[start : start + _NORM_BLOCK_ROWS] = np.linalg.norm(block, axis=1)
+    return norms
 
 
 def _read_matrix(path, convert):
@@ -326,6 +342,12 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
             raise ValueError(f"{sidecar}: ids sidecar does not match count {count}")
         if not all(type(i) in (str, int) for i in ids):
             raise ValueError(f"{sidecar}: every id must be a string or an integer")
+        # compared as written: the id 1 and the id "1" are both written as 1
+        seen = set()
+        for key in map(str, ids):
+            if key in seen:
+                raise ValueError(f"{sidecar}: duplicate id {key!r}")
+            seen.add(key)
     else:
         ids = [str(i) for i in range(count)]
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)

@@ -136,6 +136,8 @@ def macro_report(
     ece_cfg: EceConfig = None,
 ) -> MetricReport:
     """Per-class AP/AUC/F1/ECE plus macro means over the defined classes."""
+    if np.isnan(threshold):
+        raise ValueError("F1 threshold must not be NaN")
     if ece_cfg is None:
         ece_cfg = EceConfig()
     if scores.kind != "probabilities":

@@ -29,6 +29,10 @@ class EnsembleSpec:
             raise ValueError("need at least one member weight")
         if not (np.isfinite(w) & (w > 0)).all():
             raise ValueError("member weights must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("member weights must have a finite sum")
         self.member_weights = w
 
     @property

@@ -2,7 +2,8 @@
 
 Pins the conventions that matter for bit-reproducibility:
 
-* percentiles use the nearest-rank definition on the sorted pixel
+* percentiles use the nearest-rank definition: the value is read from the
+  uint16 histogram and equals the one at that rank of the sorted pixel
   population; a constant raster rescales to all zeros,
 * bilinear resampling uses half-pixel-centered sampling with edge clamping,
   so plain bilinear never overshoots the input range,
@@ -130,25 +131,29 @@ def load_pgm(path) -> Raster:
     return Raster(width=width, height=height, depth=depth, pixels=pixels.astype(np.uint16))
 
 
-def nearest_rank_percentile(values, pct: float) -> float:
-    """Nearest-rank percentile: the value at rank max(1, ceil(pct/100 * n))."""
-    v = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    if v.size == 0:
-        raise ValueError("empty population")
-    rank = max(1, int(np.ceil(pct / 100.0 * v.size)))
-    return float(v[rank - 1])
+def _nearest_rank_values(pixels, pcts) -> list:
+    """Nearest-rank values of uint16 ``pixels``: for each pct, the value at rank
+    max(1, ceil(pct/100 * n)) of the sorted population.
+
+    Read from the histogram: that value is the smallest intensity whose
+    cumulative count reaches the rank.
+    """
+    cumulative = np.cumsum(np.bincount(pixels.ravel()))
+    ranks = [max(1, int(np.ceil(pct / 100.0 * pixels.size))) for pct in pcts]
+    return [float(v) for v in np.searchsorted(cumulative, ranks)]
 
 
 def percentile_clip_rescale(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0):
     """Clip to the [lo, hi] percentile window, then rescale to [0, 1]."""
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
-    pixels = raster.pixels.astype(np.float64)
-    q_lo = nearest_rank_percentile(pixels, lo_pct)
-    q_hi = nearest_rank_percentile(pixels, hi_pct)
+    q_lo, q_hi = _nearest_rank_values(raster.pixels, (lo_pct, hi_pct))
     if q_hi == q_lo:
-        return np.zeros_like(pixels)
-    return np.clip((pixels - q_lo) / (q_hi - q_lo), 0.0, 1.0)
+        return np.zeros(raster.pixels.shape)
+    grid = raster.pixels.astype(np.float64)
+    grid -= q_lo
+    grid /= q_hi - q_lo
+    return np.clip(grid, 0.0, 1.0, out=grid)
 
 
 def normalize_clip_style(raster: Raster):
@@ -188,7 +193,12 @@ def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
 
 
 def _rotate(grid, degrees: float):
-    """Rotate about the image center, bilinear sampling, zero fill outside."""
+    """Rotate about the image center, bilinear sampling, zero fill outside.
+
+    Each bilinear tap is gathered through one flat index into a copy of the
+    grid with a 2-pixel zero border.  Tap corners are clipped to [-2, h] and
+    [-2, w], so a tap outside the grid, even one far outside, reads a zero.
+    """
     grid = np.asarray(grid, dtype=np.float64)
     h, w = grid.shape
     theta = np.deg2rad(degrees)
@@ -198,19 +208,22 @@ def _rotate(grid, degrees: float):
     # inverse map: rotate output coordinates by -theta back into the source
     src_x = cos_t * xx + sin_t * yy + cx
     src_y = -sin_t * xx + cos_t * yy + cy
-    x0 = np.floor(src_x).astype(np.int64)
-    y0 = np.floor(src_y).astype(np.int64)
-    fx = src_x - x0
-    fy = src_y - y0
+    floor_x = np.floor(src_x)
+    floor_y = np.floor(src_y)
+    fx = src_x - floor_x
+    fy = src_y - floor_y
+    stride = w + 4
+    padded = np.zeros((h + 4, stride))
+    padded[2 : h + 2, 2 : w + 2] = grid
+    flat = padded.ravel()
+    rows = np.clip(floor_y, -2, h).astype(np.int64) + 2
+    cols = np.clip(floor_x, -2, w).astype(np.int64) + 2
+    corner = rows * stride + cols
     out = np.zeros_like(grid)
     for dy in (0, 1):
         for dx in (0, 1):
-            ys = y0 + dy
-            xs = x0 + dx
             weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
-            inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-            vals = np.where(inside, grid[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], 0.0)
-            out += weight * vals
+            out += weight * flat[corner + (dy * stride + dx)]
     return out
 
 

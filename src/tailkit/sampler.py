@@ -31,9 +31,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.threshold <= 1.0:
+        if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must be in (0, 1]")
-        if self.r_max < 1.0:
+        if not (self.r_max >= 1.0):
             raise ValueError("r_max must be >= 1")
 
 

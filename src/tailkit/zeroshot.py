@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, load_embeddings
+from .data import EmbeddingSet, ScoreMatrix, _row_norms, load_embeddings
 from .loss import stable_sigmoid
 
 
@@ -68,7 +68,7 @@ def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
 
     The result is a new float64 matrix; ``emb`` is left unchanged.
     """
-    norms = np.linalg.norm(emb.vectors, axis=1)
+    norms = _row_norms(emb.vectors)
     if (norms == 0).any():
         bad = int(np.nonzero(norms == 0)[0][0])
         raise ValueError(f"zero-norm embedding row (id {emb.ids[bad]!r})")

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from tailkit import cli
 from tailkit.cli import build_parser, main
 from tailkit.data import EmbeddingSet, load_scores, save_embeddings_binary
 from tailkit.raster import (
@@ -557,6 +558,20 @@ class TestMalformedInputs:
         self.assert_fails_naming(prompts, argv, capsys)
 
     @pytest.mark.parametrize(
+        "ids, shown", [(["a", "a"], "'a'"), ([1, "1"], "'1'")], ids=["same", "int-and-str"]
+    )
+    def test_sidecar_duplicate_ids_fail_before_scoring(self, tmp_path, capsys, monkeypatch, ids, shown):
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0", "i1"], [[1.0, 0.0], [0.0, 1.0]]), images)
+        sidecar = tmp_path / "img.emb.ids.json"
+        sidecar.write_text(json.dumps(ids), encoding="utf-8")
+        monkeypatch.setattr(cli, "score_batch", lambda *a: pytest.fail("scored a bad input"))
+        argv = ["zeroshot", "--images", images, "--prompts", write_one_class_prompts(tmp_path)]
+        assert main([str(a) for a in argv + ["--out", tmp_path / "zs.csv"]]) == 1
+        assert capsys.readouterr().err == f"error: {sidecar}: duplicate id {shown}\n"
+        assert not (tmp_path / "zs.csv").exists()
+
+    @pytest.mark.parametrize(
         "ids", [[[1], {"a": 2}], ["i0", True], ["i0", 1.5]], ids=["objects", "bool", "float"]
     )
     def test_sidecar_ids_not_str_or_int(self, tmp_path, capsys, ids):
@@ -583,6 +598,26 @@ class TestMalformedInputs:
         self.assert_fails_naming(margins, argv, capsys)
 
 
+def assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field):
+    """Exit 1 and one `error:` line naming `field`, no warning and no output file."""
+    scores = write_csv_file(tmp_path / "p.csv", ["id", "Normal", "x"], [["s0", "0.5", "0.25"]])
+    labels = write_csv_file(tmp_path / "y.csv", ["id", "Normal", "x"], [["s0", "1", "0"]])
+    save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), tmp_path / "img.emb")
+    inputs = {
+        "zeroshot": ["--images", tmp_path / "img.emb", "--prompts", write_one_class_prompts(tmp_path)],
+        "gate": ["--in", scores],
+        "ensemble": ["--in", scores, scores],
+        "sample": ["--labels", labels],
+        "eval": ["--scores", scores, "--labels", labels],
+    }[subcommand]
+    argv = [subcommand, *inputs, flag, *values, "--out", tmp_path / "out.csv"]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize(
     "subcommand, flag, value, field",
     [
@@ -591,24 +626,28 @@ class TestMalformedInputs:
         ("gate", "--alpha-ng", "nan", "exponent"),
         ("ensemble", "--weights", "nan", "weights"),
         ("ensemble", "--weights", "inf", "weights"),
+        ("sample", "--rmax", "nan", "r_max"),
+        ("eval", "--threshold", "nan", "threshold"),
     ],
 )
 def test_non_finite_number_names_its_field(tmp_path, capsys, subcommand, flag, value, field):
     """NaN or inf ends in exit 1 and one `error:` line naming the field, with no warning."""
-    scores = write_csv_file(tmp_path / "p.csv", ["id", "Normal", "x"], [["s0", "0.5", "0.25"]])
-    save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), tmp_path / "img.emb")
-    inputs = {
-        "zeroshot": ["--images", tmp_path / "img.emb", "--prompts", write_one_class_prompts(tmp_path)],
-        "gate": ["--in", scores],
-        "ensemble": ["--in", scores, scores],
-    }[subcommand]
     values = [value, "1"] if subcommand == "ensemble" else [value]
-    argv = [subcommand, *inputs, flag, *values, "--out", tmp_path / "out.csv"]
-    assert main([str(a) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
-    assert err.count("\n") == 1 and "Warning" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag, values, field",
+    [
+        ("sample", "--epochs", ["-1"], "epochs"),
+        ("sample", "--epochs", ["0"], "epochs"),
+        ("ensemble", "--weights", ["1e308", "1e308"], "weights"),
+    ],
+    ids=["epochs-negative", "epochs-zero", "weights-sum-overflows"],
+)
+def test_out_of_range_number_names_its_field(tmp_path, capsys, subcommand, flag, values, field):
+    """A finite number the command cannot use fails like a non-finite one."""
+    assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
 
 
 class TestManifestAndLogs:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.data import (
+    _NORM_BLOCK_ROWS,
     EmbeddingSet,
     LabelMatrix,
     ScoreMatrix,
@@ -20,6 +21,7 @@ from tailkit.data import (
     save_embeddings_csv,
     save_labels,
     save_scores,
+    _row_norms,
 )
 
 
@@ -510,6 +512,22 @@ class TestEmbeddings:
         save_embeddings_csv(emb, path)
         back = load_embeddings(path)
         assert back.vectors.tobytes() == emb.vectors.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(
+        [1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 3 * _NORM_BLOCK_ROWS + 7]
+    ),
+    st.integers(1, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_norms_match_one_norm_call(n, d, seed):
+    """Below, at, above and at several multiples of the block size, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, d)) * rng.choice([1e-150, 1.0, 1e150], size=(n, 1))
+    vectors[rng.random(vectors.shape) < 0.1] = -0.0
+    assert _row_norms(vectors).tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
 
 
 def test_score_matrix_rejects_bad_probability():

@@ -301,3 +301,8 @@ class TestMacroReport:
         logits = ScoreMatrix(scores.ids, scores.values, "logits", scores.class_names)
         with pytest.raises(ValueError, match="probabilit"):
             macro_report(logits, labels)
+
+    def test_nan_threshold_rejected(self):
+        scores, labels = self._fixture()
+        with pytest.raises(ValueError, match="threshold"):
+            macro_report(scores, labels, threshold=float("nan"))

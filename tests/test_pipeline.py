@@ -124,7 +124,8 @@ class TestEnsemble:
             EnsembleSpec.from_raw([1.0, 0.0])
 
     @pytest.mark.parametrize(
-        "weights", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [], [[1.0, 2.0]]]
+        "weights",
+        [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [], [[1.0, 2.0]], [1e308, 1e308]],
     )
     def test_non_finite_or_misshapen_weights_rejected(self, weights):
         with pytest.raises(ValueError, match="member weight"):

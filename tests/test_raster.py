@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,8 +12,9 @@ from tailkit.raster import (
     Raster,
     TtaSpec,
     apply_transform,
+    _nearest_rank_values,
+    _rotate,
     load_pgm,
-    nearest_rank_percentile,
     normalize_clip_style,
     percentile_clip_rescale,
     resize_bilinear,
@@ -25,6 +26,75 @@ grids = hnp.arrays(
     shape=st.tuples(st.integers(2, 12), st.integers(2, 12)),
     elements=st.floats(min_value=0.0, max_value=1.0),
 )
+
+FIXED_PCTS = (0.0, 1.0, 37.5, 99.0, 100.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the sort and clip + np.where code that the histogram
+# read and the padded gather replaced.  Those must agree byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def nearest_rank_percentile(values, pct: float) -> float:
+    """Nearest-rank percentile: the value at rank max(1, ceil(pct/100 * n))."""
+    v = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if v.size == 0:
+        raise ValueError("empty population")
+    rank = max(1, int(np.ceil(pct / 100.0 * v.size)))
+    return float(v[rank - 1])
+
+
+def percentile_clip_rescale_oracle(raster, lo_pct, hi_pct):
+    pixels = raster.pixels.astype(np.float64)
+    q_lo = nearest_rank_percentile(pixels, lo_pct)
+    q_hi = nearest_rank_percentile(pixels, hi_pct)
+    if q_hi == q_lo:
+        return np.zeros_like(pixels)
+    return np.clip((pixels - q_lo) / (q_hi - q_lo), 0.0, 1.0)
+
+
+def rotate_oracle(grid, degrees: float):
+    grid = np.asarray(grid, dtype=np.float64)
+    h, w = grid.shape
+    theta = np.deg2rad(degrees)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    src_x = cos_t * xx + sin_t * yy + cx
+    src_y = -sin_t * xx + cos_t * yy + cy
+    x0 = np.floor(src_x).astype(np.int64)
+    y0 = np.floor(src_y).astype(np.int64)
+    fx = src_x - x0
+    fy = src_y - y0
+    out = np.zeros_like(grid)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            ys = y0 + dy
+            xs = x0 + dx
+            weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
+            inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+            vals = np.where(inside, grid[np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)], 0.0)
+            out += weight * vals
+    return out
+
+
+@st.composite
+def rasters(draw):
+    """8- or 16-bit rasters up to 12x12, a third of them constant."""
+    depth = draw(st.sampled_from([8, 16]))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    maxval = (1 << depth) - 1
+    if draw(st.integers(0, 2)) == 0:
+        pixels = np.full((h, w), draw(st.integers(0, maxval)))
+    else:
+        pixels = draw(hnp.arrays(np.uint16, (h, w), elements=st.integers(0, maxval)))
+    return Raster(width=w, height=h, depth=depth, pixels=pixels)
+
+
+# signed grids with -0.0 drawn as often as any other value
+signed_cells = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
+ROTATION_ANGLES = (5.0, -5.0, 33.0, 90.0, 180.0)
 
 
 class TestLoadPgm:
@@ -102,11 +172,42 @@ class TestPercentileClip:
 
     def test_nearest_rank_definition(self):
         values = [15, 20, 35, 40, 50]
-        # classic nearest-rank cases
-        assert nearest_rank_percentile(values, 30) == 20
-        assert nearest_rank_percentile(values, 40) == 20
-        assert nearest_rank_percentile(values, 50) == 35
-        assert nearest_rank_percentile(values, 100) == 50
+        # classic nearest-rank cases, by the sort and by the histogram
+        cases = {30: 20, 40: 20, 50: 35, 100: 50}
+        for pct, expected in cases.items():
+            assert nearest_rank_percentile(values, pct) == expected
+        counted = _nearest_rank_values(np.array(values, dtype=np.uint16), list(cases))
+        assert counted == list(cases.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(rasters(), st.lists(st.floats(0.0, 100.0), max_size=4))
+    @example(Raster(width=1, height=1, depth=16, pixels=[[65535]]), [])
+    @example(Raster(width=1, height=1, depth=8, pixels=[[0]]), [])
+    def test_counting_matches_sort_oracle(self, raster, drawn):
+        pcts = list(FIXED_PCTS) + drawn
+        counted = _nearest_rank_values(raster.pixels, pcts)
+        for pct, value in zip(pcts, counted):
+            oracle = nearest_rank_percentile(raster.pixels, pct)
+            assert np.float64(value).tobytes() == np.float64(oracle).tobytes(), pct
+
+    @settings(max_examples=100, deadline=None)
+    @given(rasters(), st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+    def test_clip_rescale_matches_sort_oracle(self, raster, a, b):
+        for lo, hi in [(min(a, b), max(a, b)), (1.0, 99.0), (0.0, 100.0), (37.5, 99.0)]:
+            if lo < hi:
+                out = percentile_clip_rescale(raster, lo, hi)
+                expected = percentile_clip_rescale_oracle(raster, lo, hi)
+                assert out.dtype == np.float64 and out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
+
+    def test_large_16bit_raster_matches_sort_oracle(self):
+        rng = np.random.default_rng(11)
+        pixels = np.clip(rng.normal(30000, 9000, (512, 512)), 0, 65535).astype(np.uint16)
+        raster = Raster(width=512, height=512, depth=16, pixels=pixels)
+        counted = _nearest_rank_values(pixels, FIXED_PCTS)
+        assert counted == [nearest_rank_percentile(pixels, pct) for pct in FIXED_PCTS]
+        out = percentile_clip_rescale(raster, 1.0, 99.0)
+        assert out.tobytes() == percentile_clip_rescale_oracle(raster, 1.0, 99.0).tobytes()
 
     def test_invalid_bounds(self):
         raster = Raster(width=1, height=1, depth=8, pixels=[[0]])
@@ -241,6 +342,24 @@ class TestTta:
             TtaSpec(("identity", "identity"))
         with pytest.raises(ValueError):
             TtaSpec(("spin",))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (7, 5), (3, 8)]).flatmap(
+            lambda shape: hnp.arrays(np.float64, shape, elements=signed_cells)
+        ),
+        st.one_of(st.sampled_from(ROTATION_ANGLES), st.floats(-360.0, 360.0)),
+    )
+    def test_rotate_matches_clip_where_oracle(self, grid, degrees):
+        assert _rotate(grid, degrees).tobytes() == rotate_oracle(grid, degrees).tobytes()
+
+    def test_rotate_1024_matches_clip_where_oracle(self):
+        rng = np.random.default_rng(12)
+        grid = rng.standard_normal((1024, 1024))
+        grid[rng.random(grid.shape) < 0.05] = -0.0
+        grid[::97, :] = 0.0
+        for degrees in ROTATION_ANGLES:
+            assert _rotate(grid, degrees).tobytes() == rotate_oracle(grid, degrees).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(grids)

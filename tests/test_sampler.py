@@ -283,3 +283,7 @@ def test_config_validation():
         SamplerConfig(threshold=1.5)
     with pytest.raises(ValueError):
         SamplerConfig(r_max=0.5)
+    with pytest.raises(ValueError, match="r_max"):
+        SamplerConfig(r_max=math.nan)
+    with pytest.raises(ValueError, match="threshold"):
+        SamplerConfig(threshold=math.nan)
