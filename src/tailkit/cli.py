@@ -159,10 +159,14 @@ def _load_synth_spec(path, seed_override=None) -> SynthSpec:
         raise ValueError(f"{path}: synthetic spec must be a JSON object")
     if seed_override is not None:
         payload["seed"] = seed_override
+    return _synth_spec(payload, f"{path}: ")
+
+
+def _synth_spec(fields: dict, where: str = "") -> SynthSpec:
     try:
-        return SynthSpec(**payload)
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad synthetic spec: {exc}") from None
+        return SynthSpec(**fields)
+    except (TypeError, ValueError) as exc:  # an unknown or missing field, or a bad value
+        raise ValueError(f"{where}bad synthetic spec: {exc}") from None
 
 
 def _load_margin_file(path, class_names):
@@ -311,13 +315,15 @@ def cmd_preprocess(args):
 
 
 def cmd_demo(args):
-    spec = SynthSpec(
-        n_samples=args.n_samples,
-        n_classes=args.n_classes,
-        feature_dim=args.feature_dim,
-        power_law_exponent=args.exponent,
-        noise_std=args.noise_std,
-        seed=args.seed,
+    spec = _synth_spec(
+        dict(
+            n_samples=args.n_samples,
+            n_classes=args.n_classes,
+            feature_dim=args.feature_dim,
+            power_law_exponent=args.exponent,
+            noise_std=args.noise_std,
+            seed=args.seed,
+        )
     )
     db_params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)

@@ -11,8 +11,16 @@ the logits, over a numerically stable binary cross-entropy:
 
 The bce term uses the overflow-free form max(z,0) - z*y + log(1 + e^{-|z|}),
 and the analytic gradient is (w_c / (N*C)) * (sigmoid(z') - y).
+
+`db_loss` is the checked entry point.  `db_loss_fused` is the unchecked
+kernel behind it, which the trainer calls once per batch after checking the
+weights and margins once per run.  It computes e = exp(-|z'|) once for the
+bce term and the sigmoid, and 1 + e once for both branches of the sigmoid,
+in caller-owned buffers.  Both give the same bits as the formulas above
+evaluated in the order written, with the sigmoid as in `stable_sigmoid`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +35,19 @@ class DbLossParams:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.margin_scale < 0:
-            raise ValueError("margin_scale must be >= 0")
+        _check_finite_non_negative("alpha", self.alpha)
+        _check_finite_non_negative("margin_scale", self.margin_scale)
 
 
 @dataclass
 class DbLossResult:
     loss: float
     grad_z: np.ndarray
+
+
+def _check_finite_non_negative(name: str, value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def stable_sigmoid(z):
@@ -63,6 +74,7 @@ def class_weights(eff, alpha: float) -> np.ndarray:
     eff = np.asarray(eff, dtype=np.float64)
     if (eff <= 0).any():
         raise ValueError("effective numbers must be positive")
+    _check_finite_non_negative("alpha", alpha)
     raw = np.power(eff, alpha)
     return raw * (raw.size / raw.sum())
 
@@ -72,15 +84,25 @@ def margins(counts, kappa: float) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 1).any():
         raise ValueError("zero-count class has no defined margin")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    _check_finite_non_negative("kappa", kappa)
     n_max = counts.max()
     return kappa * np.log(n_max / counts.astype(np.float64))
 
 
+def _check_terms(w, m) -> None:
+    """Reject class weights that are not all finite and > 0, or margins not all finite and >= 0."""
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError("weights must be finite and > 0")
+    if not (np.isfinite(m).all() and (m >= 0).all()):
+        raise ValueError("margins must be finite and >= 0")
+
+
 def db_loss(z, y, w, m) -> DbLossResult:
-    """Weighted margin-adjusted BCE over an N x C batch, with exact gradient."""
-    z = np.asarray(z, dtype=np.float64)
+    """Weighted margin-adjusted BCE over an N x C batch, with exact gradient.
+
+    Checks its inputs, then runs `db_loss_fused` on a copy of z.
+    """
+    z = np.array(z, dtype=np.float64)  # a copy: the kernel overwrites it
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
@@ -91,13 +113,35 @@ def db_loss(z, y, w, m) -> DbLossResult:
         raise ValueError("weights and margins must have one entry per class")
     if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
-    if (w <= 0).any():
-        raise ValueError("weights must be strictly positive")
-    if (m < 0).any():
-        raise ValueError("margins must be non-negative")
-
-    z_adj = z - y * m
-    bce = np.maximum(z_adj, 0.0) - z_adj * y + np.log1p(np.exp(-np.abs(z_adj)))
-    loss = float(np.sum(w * bce) / (n * c))
-    grad = (w / (n * c)) * (stable_sigmoid(z_adj) - y)
+    _check_terms(w, m)
+    grad, work = np.empty_like(z), np.empty_like(z)
+    loss = db_loss_fused(z, y, w, m, w / (n * c), grad, work, np.empty(z.shape, dtype=bool))
     return DbLossResult(loss=loss, grad_z=grad)
+
+
+def db_loss_fused(z, y, w, m, scale, grad, work, mask) -> float:
+    """Unchecked `db_loss` of an N x C batch, in caller-owned buffers.
+
+    `z`, `y`, `grad` and `work` are float64 and `mask` is bool, all N x C and
+    C-contiguous.  `w`, `m` and `scale` = w / (N*C) are per-class vectors,
+    or the same tiled to N rows.  Returns the loss and writes the gradient
+    into `grad`; `z`, `work` and `mask` are overwritten.  The caller has
+    checked that z is finite and the terms with `_check_terms`.
+    """
+    z_adj = np.subtract(z, np.multiply(y, m, out=work), out=z)
+    np.greater_equal(z_adj, 0.0, out=mask)
+    e = np.abs(z_adj, out=grad)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    bce = np.maximum(z_adj, 0.0, out=work)
+    spare = np.multiply(z_adj, y, out=z_adj)  # the last read of z'
+    bce -= spare
+    bce += np.log1p(e, out=spare)
+    bce *= w
+    loss = float(np.sum(bce) / bce.size)
+    one_plus_e = np.add(e, 1.0, out=spare)
+    np.putmask(e, mask, 1.0)  # the sigmoid's numerator: 1 where z' >= 0, else e
+    sig = np.divide(e, one_plus_e, out=grad)
+    sig -= y
+    sig *= scale
+    return loss

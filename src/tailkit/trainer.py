@@ -10,13 +10,24 @@ given the configured seeds.
 """
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .data import LabelMatrix, ScoreMatrix, write_json
-from .loss import DbLossParams, class_weights, db_loss, effective_numbers, margins, stable_sigmoid
+from .loss import (
+    DbLossParams,
+    _check_finite_non_negative,
+    _check_terms,
+    class_weights,
+    db_loss_fused,
+    effective_numbers,
+    margins,
+    stable_sigmoid,
+)
 from .metrics import macro_report
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 
@@ -64,14 +75,21 @@ class SynthSpec:
     head_frequency: float = DEFAULT_HEAD_FREQUENCY
 
     def __post_init__(self):
+        for name in ("n_samples", "n_classes", "feature_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_samples < 1:
             raise ValueError("cannot place one positive per class with no samples")
         if self.n_classes < 1 or self.feature_dim < 1:
             raise ValueError("need at least one class and one feature")
-        if self.power_law_exponent < 0:
-            raise ValueError("power_law_exponent must be >= 0")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("power_law_exponent", "noise_std"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
+            _check_finite_non_negative(name, value)
         if not 0.0 < self.head_frequency <= 1.0:
             raise ValueError("head_frequency must be in (0, 1]")
 
@@ -86,8 +104,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        _check_finite_non_negative("learning_rate", self.learning_rate)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.loss not in ("db", "plain-bce"):
@@ -146,8 +163,6 @@ def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, mar
         margin_vec = np.asarray(margin_override, dtype=np.float64)
         if margin_vec.shape != (c,):
             raise ValueError("margin override needs one value per class")
-        if (margin_vec < 0).any():
-            raise ValueError("margins must be non-negative")
         return weights, margin_vec
     return weights, margins(counts, params.margin_scale)
 
@@ -163,7 +178,10 @@ def train(
     """SGD on the selected loss over sampler-built epochs.
 
     Returns (model, trace) where trace[e] is the epoch-mean loss.  Aborts
-    with ValueError if the loss stops being finite.
+    with ValueError if the loss stops being finite.  The class weights and
+    margins are checked once; each batch then runs `db_loss_fused` in
+    scratch arrays allocated once per batch size, with the same bits as
+    calling `db_loss` on it.
     """
     if loss_params is None:
         loss_params = DbLossParams()
@@ -176,6 +194,7 @@ def train(
     c = labels.n_classes
 
     weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)
+    _check_terms(weights, margin_vec)
     if cfg.sampler == "cas":
         freqs = labels.values.sum(axis=0, dtype=np.int64) / float(n)
         r_class = class_repeat_factors(freqs, sampler_cfg)
@@ -187,24 +206,40 @@ def train(
         weights=np.zeros((c, d)), bias=np.zeros(c), class_names=list(labels.class_names)
     )
     y_all = labels.values.astype(np.float64)
+    rows = 0  # batch rows the step's scratch arrays hold
     trace = []
     for epoch in range(cfg.epochs):
         plan = build_epoch(repeat, sampler_cfg, epoch=epoch)
+        if min(cfg.batch_size, plan.epoch_len) > rows:
+            # scratch of the fused step; a shorter batch uses the leading rows
+            rows = min(cfg.batch_size, plan.epoch_len)
+            z_buf, grad_buf, work_buf = (np.empty((rows, c)) for _ in range(3))
+            mask_buf = np.empty((rows, c), dtype=bool)
+            # per-class vectors tiled to whole rows, so no ufunc of the step broadcasts
+            full_scale = weights / (cfg.batch_size * c)
+            w_rows, m_rows, scale_rows = (
+                np.tile(v, (rows, 1)) for v in (weights, margin_vec, full_scale)
+            )
         loss_sum = 0.0
-        for start in range(0, plan.epoch_len, cfg.batch_size):
-            batch = plan.indices[start : start + cfg.batch_size]
-            x_b = features[batch]
-            y_b = y_all[batch]
-            z = x_b @ model.weights.T + model.bias
-            if not np.isfinite(z).all():
-                raise ValueError(f"training diverged at epoch {epoch}")
-            result = db_loss(z, y_b, weights, margin_vec)
-            if not np.isfinite(result.loss):
-                raise ValueError(f"training diverged at epoch {epoch}")
-            with np.errstate(over="ignore"):  # the divergence check above reports it
-                model.weights -= cfg.learning_rate * (result.grad_z.T @ x_b)
-                model.bias -= cfg.learning_rate * result.grad_z.sum(axis=0)
-            loss_sum += result.loss * batch.size
+        with np.errstate(over="ignore", invalid="ignore"):  # the divergence checks report these
+            for start in range(0, plan.epoch_len, cfg.batch_size):
+                batch = plan.indices[start : start + cfg.batch_size]
+                k = batch.size
+                z, grad, mask = z_buf[:k], grad_buf[:k], mask_buf[:k]
+                x_b = features[batch]
+                np.matmul(x_b, model.weights.T, out=z)
+                z += model.bias
+                if not np.isfinite(z, out=mask).all():
+                    raise ValueError(f"training diverged at epoch {epoch}")
+                scale = scale_rows[:k] if k == cfg.batch_size else weights / (k * c)
+                loss = db_loss_fused(
+                    z, y_all[batch], w_rows[:k], m_rows[:k], scale, grad, work_buf[:k], mask
+                )
+                if not math.isfinite(loss):
+                    raise ValueError(f"training diverged at epoch {epoch}")
+                model.weights -= cfg.learning_rate * (grad.T @ x_b)
+                model.bias -= cfg.learning_rate * grad.sum(axis=0)
+                loss_sum += loss * k
         trace.append(loss_sum / plan.epoch_len)
     if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
         raise ValueError("training diverged: non-finite parameters")

@@ -603,14 +603,19 @@ def assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
     scores = write_csv_file(tmp_path / "p.csv", ["id", "Normal", "x"], [["s0", "0.5", "0.25"]])
     labels = write_csv_file(tmp_path / "y.csv", ["id", "Normal", "x"], [["s0", "1", "0"]])
     save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), tmp_path / "img.emb")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_samples": 60, "n_classes": 3, "feature_dim": 4}), encoding="utf-8")
     inputs = {
         "zeroshot": ["--images", tmp_path / "img.emb", "--prompts", write_one_class_prompts(tmp_path)],
         "gate": ["--in", scores],
         "ensemble": ["--in", scores, scores],
         "sample": ["--labels", labels],
         "eval": ["--scores", scores, "--labels", labels],
+        "weights": ["--labels", write_csv_file(tmp_path / "y2.csv", ["id", "a", "b"], [["s0", "1", "1"]])],
+        "train": ["--synth-spec", spec, "--epochs", "1"],
     }[subcommand]
-    argv = [subcommand, *inputs, flag, *values, "--out", tmp_path / "out.csv"]
+    out_flag = "--model-out" if subcommand == "train" else "--out"
+    argv = [subcommand, *inputs, flag, *values, out_flag, tmp_path / "out.csv"]
     assert main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
@@ -628,6 +633,13 @@ def assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
         ("ensemble", "--weights", "inf", "weights"),
         ("sample", "--rmax", "nan", "r_max"),
         ("eval", "--threshold", "nan", "threshold"),
+        ("weights", "--alpha", "nan", "alpha"),
+        ("weights", "--kappa", "nan", "kappa"),
+        ("weights", "--kappa", "inf", "kappa"),
+        ("train", "--lr", "nan", "learning_rate"),
+        ("train", "--lr", "inf", "learning_rate"),
+        ("train", "--alpha", "nan", "alpha"),
+        ("train", "--kappa", "nan", "margin_scale"),
     ],
 )
 def test_non_finite_number_names_its_field(tmp_path, capsys, subcommand, flag, value, field):
@@ -648,6 +660,34 @@ def test_non_finite_number_names_its_field(tmp_path, capsys, subcommand, flag, v
 def test_out_of_range_number_names_its_field(tmp_path, capsys, subcommand, flag, values, field):
     """A finite number the command cannot use fails like a non-finite one."""
     assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_samples", 6e1),
+        ("n_classes", True),
+        ("seed", 1.5),
+        ("power_law_exponent", math.nan),
+        ("noise_std", math.nan),
+    ],
+)
+def test_bad_synthetic_spec_names_its_field(tmp_path, capsys, field, value):
+    spec = tmp_path / "spec.json"
+    fields = {"n_samples": 60, "n_classes": 3, "feature_dim": 4, field: value}
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    argv = ["train", "--synth-spec", spec, "--epochs", "1", "--model-out", tmp_path / "m.json"]
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: bad synthetic spec: {field} must be ")
+    assert err.count("\n") == 1 and not (tmp_path / "m.json").exists()
+
+
+def test_demo_nan_noise_names_the_field(tmp_path, capsys):
+    argv = ["demo", "--noise-std", "nan", "--epochs", "1", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: bad synthetic spec: noise_std must be finite and >= 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestManifestAndLogs:

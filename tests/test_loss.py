@@ -2,17 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tailkit.loss import (
     DbLossParams,
     class_weights,
     db_loss,
+    db_loss_fused,
     effective_numbers,
     margins,
     stable_sigmoid,
 )
+
+
+def db_loss_oracle(z, y, w, m):
+    """(loss, gradient) from the formulas; `db_loss` and its kernel must match it bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, c = z.shape
+    z_adj = z - y * m
+    bce = np.maximum(z_adj, 0.0) - z_adj * y + np.log1p(np.exp(-np.abs(z_adj)))
+    loss = float(np.sum(w * bce) / (n * c))
+    grad = (w / (n * c)) * (stable_sigmoid(z_adj) - y)
+    return loss, grad
 
 
 def random_instance(rng, n_max=5, c_max=6):
@@ -197,3 +211,79 @@ def test_params_validation():
         DbLossParams(alpha=-0.1)
     with pytest.raises(ValueError):
         DbLossParams(margin_scale=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_parameters_rejected(bad):
+    with pytest.raises(ValueError, match="alpha"):
+        DbLossParams(alpha=bad)
+    with pytest.raises(ValueError, match="margin_scale"):
+        DbLossParams(margin_scale=bad)
+    with pytest.raises(ValueError, match="alpha"):
+        class_weights(np.array([0.5, 1.0]), bad)
+    with pytest.raises(ValueError, match="kappa"):
+        margins([4, 1], bad)
+
+
+@pytest.mark.parametrize(
+    "w, m, field",
+    [
+        ([1.0, math.nan], [0.0, 0.0], "weights"),
+        ([1.0, 0.0], [0.0, 0.0], "weights"),
+        ([1.0, math.inf], [0.0, 0.0], "weights"),
+        ([1.0, 1.0], [0.0, math.nan], "margins"),
+        ([1.0, 1.0], [-0.5, 0.0], "margins"),
+        ([1.0, 1.0], [math.inf, 0.0], "margins"),
+    ],
+)
+def test_db_loss_rejects_bad_terms(w, m, field):
+    with pytest.raises(ValueError, match=field):
+        db_loss(np.zeros((1, 2)), np.ones((1, 2)), np.array(w), np.array(m))
+
+
+# Logits and margins that reach z' == 0 exactly, and |z'| where exp(-|z'|) is
+# subnormal or underflows to 0.
+LOGITS = st.one_of(
+    st.floats(-800.0, 800.0), st.sampled_from([0.0, -0.0, 1.0, 36.0, 708.0, 745.0, -746.0])
+)
+MARGINS = st.one_of(st.floats(0.0, 60.0), st.just(0.0))
+
+
+@st.composite
+def loss_batches(draw):
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    z = draw(hnp.arrays(np.float64, (n, c), elements=LOGITS))
+    y = draw(hnp.arrays(np.float64, (n, c), elements=st.sampled_from([0.0, 1.0])))
+    w = draw(hnp.arrays(np.float64, c, elements=st.floats(1e-3, 50.0)))
+    m = draw(hnp.arrays(np.float64, c, elements=MARGINS))
+    on_margin = draw(hnp.arrays(np.bool_, (n, c)))
+    z = np.where(on_margin & (y == 1.0), m, z)  # z - y*m == 0 exactly
+    return z, y, w, m
+
+
+class TestFusedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(loss_batches())
+    def test_bit_identical_to_oracle(self, batch):
+        z, y, w, m = batch
+        n, c = z.shape
+        loss, grad = db_loss_oracle(z, y, w, m)
+        checked = db_loss(z, y, w, m)
+        assert checked.loss == loss and np.array_equal(checked.grad_z, grad)
+        # per-class vectors as passed by db_loss, and tiled to whole rows as the trainer does
+        for w_arg, m_arg, scale in (
+            (w, m, w / (n * c)),
+            (np.tile(w, (n, 1)), np.tile(m, (n, 1)), np.tile(w / (n * c), (n, 1))),
+        ):
+            z_buf, out = z.copy(), np.empty_like(z)
+            work, mask = np.empty_like(z), np.empty(z.shape, dtype=bool)
+            assert db_loss_fused(z_buf, y, w_arg, m_arg, scale, out, work, mask) == loss
+            assert np.array_equal(out, grad)
+
+    def test_db_loss_leaves_its_inputs_unchanged(self):
+        z, y = np.array([[0.3, -2.0]]), np.array([[1.0, 0.0]])
+        w, m = np.array([1.0, 2.0]), np.array([0.5, 0.1])
+        copies = [a.copy() for a in (z, y, w, m)]
+        db_loss(z, y, w, m)
+        for before, after in zip(copies, (z, y, w, m)):
+            assert np.array_equal(before, after)

@@ -1,14 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from test_loss import db_loss_oracle
 
 from tailkit.loss import DbLossParams
-from tailkit.sampler import SamplerConfig
+from tailkit.sampler import (
+    SamplerConfig,
+    build_epoch,
+    class_repeat_factors,
+    sample_repeat_factors,
+)
 from tailkit.trainer import (
     LinearModel,
     SynthSpec,
     TrainConfig,
+    _loss_terms,
     class_terciles,
     evaluate_arm,
     forward,
@@ -20,6 +28,36 @@ from tailkit.trainer import (
     save_model,
     train,
 )
+
+
+def train_oracle(features, labels, cfg, loss_params, sampler_cfg, margin_override=None):
+    """(weights, bias, trace, epoch lengths) of plain SGD with one `db_loss_oracle` per batch."""
+    weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)
+    n, d = features.shape
+    c = labels.n_classes
+    if cfg.sampler == "cas":
+        freqs = labels.values.sum(axis=0, dtype=np.int64) / float(n)
+        r_class = class_repeat_factors(freqs, sampler_cfg)
+        repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
+    else:
+        repeat = np.ones(n)
+    w, b = np.zeros((c, d)), np.zeros(c)
+    y_all = labels.values.astype(np.float64)
+    trace, lengths = [], []
+    for epoch in range(cfg.epochs):
+        plan = build_epoch(repeat, sampler_cfg, epoch=epoch)
+        loss_sum = 0.0
+        for start in range(0, plan.epoch_len, cfg.batch_size):
+            batch = plan.indices[start : start + cfg.batch_size]
+            x_b = features[batch]
+            z = x_b @ w.T + b
+            loss, grad = db_loss_oracle(z, y_all[batch], weights, margin_vec)
+            w -= cfg.learning_rate * (grad.T @ x_b)
+            b -= cfg.learning_rate * grad.sum(axis=0)
+            loss_sum += loss * batch.size
+        trace.append(loss_sum / plan.epoch_len)
+        lengths.append(plan.epoch_len)
+    return w, b, trace, lengths
 
 
 def small_spec(seed=0, **overrides):
@@ -77,6 +115,25 @@ class TestGenerateSynthetic:
     def test_infeasible_spec(self):
         with pytest.raises(ValueError):
             SynthSpec(n_samples=0, n_classes=2, feature_dim=4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", 60.0),
+            ("n_classes", True),
+            ("feature_dim", 4.5),
+            ("seed", -1),
+            ("noise_std", math.nan),
+            ("noise_std", math.inf),
+            ("power_law_exponent", math.nan),
+            ("power_law_exponent", "1.5"),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        fields = dict(n_samples=60, n_classes=3, feature_dim=4)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(**fields)
 
     def test_warns_when_classes_exceed_dims(self):
         with pytest.warns(UserWarning):
@@ -164,6 +221,20 @@ class TestTrain:
         _, trace = train(features, labels, cfg)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+    def test_learning_rate_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr, epochs=1, batch_size=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_margin_override_rejected_before_training(self, bad):
+        features, labels = generate_synthetic(small_spec(4))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16)
+        margin = np.zeros(labels.n_classes)
+        margin[2] = bad
+        with pytest.raises(ValueError, match="margins"):
+            train(features, labels, cfg, margin_override=margin)
+
     def test_divergence_detected(self):
         from tailkit.data import LabelMatrix
 
@@ -172,6 +243,48 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e160, epochs=3, batch_size=4, loss="plain-bce", sampler="uniform")
         with pytest.raises(ValueError, match="diverged"):
             train(features, labels, cfg)
+
+
+class TestFusedStepMatchesOracle:
+    """`train` gives the bits of `train_oracle`."""
+
+    @staticmethod
+    def assert_same_as_oracle(features, labels, cfg, params, sampler_cfg, margin_override=None):
+        model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
+        w, b, expected, lengths = train_oracle(
+            features, labels, cfg, params, sampler_cfg, margin_override
+        )
+        assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
+        assert trace == expected
+        return lengths
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("loss, sampler", [("db", "cas"), ("plain-bce", "uniform")])
+    def test_demo_arms(self, seed, loss, sampler):
+        spec = SynthSpec(n_samples=400, n_classes=8, feature_dim=12, seed=seed)
+        features, labels = generate_synthetic(spec)
+        cfg = TrainConfig(0.5, epochs=6, batch_size=64, loss=loss, sampler=sampler, seed=seed)
+        params = DbLossParams(alpha=0.5)
+        sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=seed)
+        lengths = self.assert_same_as_oracle(features, labels, cfg, params, sampler_cfg)
+        assert any(length % 64 for length in lengths)  # a partial last batch
+
+    @pytest.mark.parametrize("lr", [0.0, 0.7])
+    def test_margin_override(self, lr):
+        features, labels = generate_synthetic(small_spec(5))
+        cfg = TrainConfig(lr, epochs=3, batch_size=24, loss="db", sampler="cas", seed=2)
+        margin = np.linspace(0.0, 2.0, labels.n_classes)
+        self.assert_same_as_oracle(
+            features, labels, cfg, DbLossParams(), SamplerConfig(seed=2), margin
+        )
+
+    def test_batches_longer_than_the_epoch(self):
+        # every epoch is one batch, and a later epoch is longer than the first, so the scratch grows
+        features, labels = generate_synthetic(small_spec(9, n_samples=50))
+        cfg = TrainConfig(0.4, epochs=5, batch_size=10_000, loss="db", sampler="cas", seed=9)
+        sampler_cfg = SamplerConfig(threshold=0.3, r_max=4.0, seed=9)
+        lengths = self.assert_same_as_oracle(features, labels, cfg, DbLossParams(), sampler_cfg)
+        assert max(lengths) > lengths[0]
 
 
 class TestSplitAndTerciles:
