@@ -183,6 +183,9 @@ def _load_margin_file(path, class_names):
         by_class = {row["class"]: float(row["margin"]) for row in rows}
     except ValueError as exc:
         raise ValueError(f"{path}: bad margin: {exc}") from None
+    for name, margin in by_class.items():
+        if not (np.isfinite(margin) and margin >= 0):
+            raise ValueError(f"{path}: bad margin for class {name!r}: {margin} is not finite and >= 0")
     missing = [name for name in class_names if name not in by_class]
     if missing:
         raise ValueError(f"{path}: no margin for class(es) {', '.join(missing)}")

@@ -156,16 +156,66 @@ def _row_norms(vectors) -> np.ndarray:
     return norms
 
 
-def _read_matrix(path, convert):
-    """Parse an ``id``-first CSV into (ids, column names, converted values).
+# the bytes of a plain file: printable ASCII, tab and LF, less the csv quote and
+# the underscore, which float() reads as a digit separator and np.loadtxt rejects
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"").replace(b"_", b"") + b"\t\n"
 
-    ``convert`` maps an object array of cell strings to values, raising
-    ValueError for a cell it rejects.  It runs on the whole body at once; only
-    if it or the row-length/duplicate-id check fails are the rows rescanned
-    one by one, so the error names the first bad line.  "line N" counts CSV
-    records, the header being line 1, also for a record the csv module
-    cannot parse; a quoted field that spans physical lines is one record.
+
+def _read_plain(path, parse, check):
+    """(ids, column names, values) of a plain file, or None to leave it to csv.
+
+    A plain file holds only ``_PLAIN_BYTES``, ends in LF, has no line longer
+    than ``csv.field_size_limit()``, an ``id`` header with unique column names
+    and at least one, one or more body rows with one cell per column, and
+    unique ids.  csv.reader splits such a file at every LF and comma, and on
+    its cells np.loadtxt's C reader accepts exactly what float() accepts and
+    yields the same doubles: both parse with PyOS_string_to_double (the bytes
+    0x1c-0x1f, which loadtxt strips as whitespace and float() rejects, are not
+    plain).  ``parse(rests, c)`` maps the text after each id to values and
+    ``check`` vets them; if either raises ValueError, or rows go missing, the
+    file is declined and the csv path finds and names the fault.
     """
+    raw = Path(path).read_bytes()
+    if not raw.endswith(b"\n") or raw.translate(None, _PLAIN_BYTES):
+        return None
+    lines = raw.decode("ascii").split("\n")[:-1]
+    head = lines[0].split(",")
+    names, c = head[1:], len(head) - 1
+    body = lines[1:]
+    if head[0] != "id" or not names or len(set(names)) != c or not body:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit() or any(line.count(",") != c for line in body):
+        return None
+    ids, _, rests = zip(*[line.partition(",") for line in body])
+    # an empty cell is neither a label nor a number, and np.loadtxt would skip its line
+    if len(set(ids)) != len(ids) or "" in rests:
+        return None
+    try:
+        values = check(parse(rests, c))
+    except ValueError:
+        return None
+    return (list(ids), names, values) if values.shape == (len(body), c) else None
+
+
+def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values):
+    """Parse an ``id``-first CSV into (ids, column names, checked values).
+
+    A plain file (see ``_read_plain``) is parsed from its text by
+    ``parse_plain``.  Any other goes through csv.reader, and ``parse_cells``
+    maps an object array of its cell strings to values, raising ValueError for
+    a cell it rejects.  It and ``check`` run on the whole body at once; only if
+    they or the row-length/duplicate-id check fail are the rows rescanned one
+    by one, so the error names the first bad line.  "line N" counts CSV
+    records, the header being line 1, also for a record the csv module cannot
+    parse; a quoted field that spans physical lines is one record.
+    """
+    plain = _read_plain(path, parse_plain, check)
+    if plain is not None:
+        return plain
+
+    def convert(cells):
+        return check(parse_cells(cells))
+
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -212,10 +262,22 @@ def _binary_labels(cells) -> np.ndarray:
     return ones.astype(np.int8)
 
 
-def _finite(cells, what: str = "score") -> np.ndarray:
+def _plain_labels(rests, c) -> np.ndarray:
+    """Labels from rows that are each exactly ``[01](,[01])*``; else ValueError."""
+    pairs = np.frombuffer((",".join(rests) + ",").encode("ascii"), dtype=np.uint8)
+    if pairs.size != 2 * len(rests) * c:
+        raise ValueError("not a plain label body")
+    pairs = pairs.reshape(len(rests), c, 2)
+    ones = pairs[..., 0] == ord("1")
+    if not ((ones | (pairs[..., 0] == ord("0"))).all() and (pairs[..., 1] == ord(",")).all()):
+        raise ValueError("not a plain label body")
+    return ones.astype(np.int8)
+
+
+def _floats(cells) -> np.ndarray:
     """float() of every cell, so exactly Python's float spellings are accepted."""
     try:
-        values = cells.astype(np.float64)
+        return cells.astype(np.float64)
     except ValueError:
         for tok in cells.flat:
             try:
@@ -223,13 +285,20 @@ def _finite(cells, what: str = "score") -> np.ndarray:
             except ValueError:
                 raise ValueError(f"bad number {tok!r}") from None
         raise
+
+
+def _plain_floats(rests, c) -> np.ndarray:
+    return np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _finite(values, what: str = "score") -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite {what}")
     return values
 
 
-def _probabilities(cells) -> np.ndarray:
-    values = _finite(cells)
+def _probabilities(values) -> np.ndarray:
+    values = _finite(values)
     if ((values < 0.0) | (values > 1.0)).any():
         raise ValueError("probability out of range")
     return values
@@ -279,7 +348,7 @@ def write_json(path, payload) -> None:
 
 def load_labels(path) -> LabelMatrix:
     """Parse a labels CSV into a LabelMatrix.  Entries must be exactly 0 or 1."""
-    ids, class_names, values = _read_matrix(path, _binary_labels)
+    ids, class_names, values = _read_matrix(path, _binary_labels, _plain_labels)
     return LabelMatrix(ids=ids, values=values, class_names=class_names)
 
 
@@ -291,8 +360,8 @@ def load_scores(path, kind: str) -> ScoreMatrix:
     """Parse a scores CSV.  kind='probabilities' enforces entries in [0, 1]."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    convert = _probabilities if kind == "probabilities" else _finite
-    ids, class_names, values = _read_matrix(path, convert)
+    check = _probabilities if kind == "probabilities" else _finite
+    ids, class_names, values = _read_matrix(path, _floats, _plain_floats, check)
     return ScoreMatrix(ids=ids, values=values, kind=kind, class_names=class_names)
 
 
@@ -320,7 +389,8 @@ def load_embeddings(path) -> EmbeddingSet:
     # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
     if b"\x00" in head:
         raise ValueError(f"{path}: bad magic {head!r}")
-    ids, _, vectors = _read_matrix(path, partial(_finite, what="embedding entry"))
+    check = partial(_finite, what="embedding entry")
+    ids, _, vectors = _read_matrix(path, _floats, _plain_floats, check)
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 

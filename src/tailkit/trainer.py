@@ -64,6 +64,14 @@ class LinearModel:
         )
 
 
+def _check_integers(obj, *names) -> None:
+    """Each named field of ``obj`` must be an integer; bool and float are rejected."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass
 class SynthSpec:
     n_samples: int
@@ -75,10 +83,7 @@ class SynthSpec:
     head_frequency: float = DEFAULT_HEAD_FREQUENCY
 
     def __post_init__(self):
-        for name in ("n_samples", "n_classes", "feature_dim", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        _check_integers(self, "n_samples", "n_classes", "feature_dim", "seed")
         if self.n_samples < 1:
             raise ValueError("cannot place one positive per class with no samples")
         if self.n_classes < 1 or self.feature_dim < 1:
@@ -105,6 +110,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_finite_non_negative("learning_rate", self.learning_rate)
+        _check_integers(self, "epochs", "batch_size")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.loss not in ("db", "plain-bce"):

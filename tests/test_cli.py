@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailkit import cli
 from tailkit.cli import build_parser, main
@@ -597,6 +603,18 @@ class TestMalformedInputs:
         argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
         self.assert_fails_naming(margins, argv, capsys)
 
+    @pytest.mark.parametrize("margin, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    def test_margin_not_finite_and_non_negative(self, tmp_path, capsys, margin, shown):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 4}))
+        margins = tmp_path / "margins.csv"
+        margins.write_text(f"class,margin\nc0,0.1\nc1,{margin}\n", encoding="utf-8")
+        argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {margins}: bad margin for class 'c1': {shown} is not finite and >= 0\n"
+        assert not (tmp_path / "m.json").exists()
+
 
 def assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field):
     """Exit 1 and one `error:` line naming `field`, no warning and no output file."""
@@ -781,3 +799,62 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tailkit" in proc.stdout
+
+
+# the CSV inputs of the refine chain: labels, two probability files and three logit views
+FUZZ_FILES = {
+    "y.csv": "id,Normal,a,b\ns0,1,0,1\ns1,0,1,0\ns2,1,1,0\ns3,0,0,1\n",
+    "p.csv": "id,Normal,a,b\ns2,0.5,0.25,1\ns0,0.125,0,0.75\ns3,1e-3,0.9,0.5\ns1,0.6,0.4,0.3\n",
+    "q.csv": "id,Normal,a,b\ns0,0.1,0.2,0.3\ns1,0.4,0.5,0.6\ns2,0.7,0.8,0.9\ns3,1,0,0.5\n",
+    "v1.csv": "id,Normal,a,b\ns0,1.5,-2,0.25\ns1,-0.5,3,1e1\ns2,0,0,0\ns3,2,-1,-3\n",
+    "v2.csv": "id,Normal,a,b\ns3,1,1,1\ns2,-1,-1,-1\ns1,0.5,0.5,0.5\ns0,-2.5,4,0\n",
+    "v3.csv": "id,Normal,a,b\ns1,0.75,-0.75,2\ns0,1,2,3\ns3,-1,-2,-3\ns2,0,1,0\n",
+}
+# subcommand -> (arguments before the output flag, the input files it reads)
+FUZZ_COMMANDS = {
+    "merge-tta": (["--in", "v1.csv", "v2.csv", "v3.csv"], ["v1.csv", "v2.csv", "v3.csv"]),
+    "ensemble": (["--in", "p.csv", "q.csv", "--weights", "1", "2"], ["p.csv", "q.csv"]),
+    "gate": (["--in", "p.csv"], ["p.csv"]),
+    "eval": (["--scores", "p.csv", "--labels", "y.csv"], ["p.csv", "y.csv"]),
+    "weights": (["--labels", "y.csv"], ["y.csv"]),
+    "sample": (["--labels", "y.csv", "--epochs", "2"], ["y.csv"]),
+}
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` truncated, with a byte flipped, or with a NUL or CR inserted, once to three times."""
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        k = draw(st.integers(min_value=0, max_value=len(raw)))
+        how = draw(st.sampled_from(["truncate", "flip", "nul", "cr"]))
+        if how == "truncate":
+            raw = raw[:k]
+        elif how == "flip" and k < len(raw):
+            raw = raw[:k] + bytes([raw[k] ^ draw(st.integers(min_value=1, max_value=255))]) + raw[k + 1 :]
+        elif how in ("nul", "cr"):
+            raw = raw[:k] + (b"\x00" if how == "nul" else b"\r") + raw[k:]
+    return raw
+
+
+@pytest.mark.parametrize("subcommand", sorted(FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_csv_inputs_exit_cleanly(subcommand, data):
+    """Exit 0, 1 or 2 on a damaged input, never a traceback; a failure ends in an error line."""
+    args, inputs = FUZZ_COMMANDS[subcommand]
+    victim = data.draw(st.sampled_from(inputs))
+    raw = data.draw(damaged(FUZZ_FILES[victim].encode("ascii")))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in FUZZ_FILES.items():
+            (tmp / name).write_bytes(raw if name == victim else text.encode("ascii"))
+        argv = [subcommand] + [str(tmp / a) if a in FUZZ_FILES else a for a in args] + ["--out", str(tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert err.endswith("\n")
+        assert err.splitlines()[-1].startswith(("error: ", "io error: "))

@@ -1,13 +1,16 @@
 import csv
 import math
 import re
+import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailkit import data
 from tailkit.data import (
     _NORM_BLOCK_ROWS,
     EmbeddingSet,
@@ -178,14 +181,15 @@ SPELLED = {
 SPELLED["embeddings"] = SPELLED["logits"]
 
 
-def _number_token(kind):
+def _written_number(kind):
     # not near the float maximum, where a 4-digit spelling rounds up to inf
     lo, hi = (0.0, 1.0) if kind == "probabilities" else (-1e300, 1e300)
     number = st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
-    written = number.flatmap(
-        lambda v: st.sampled_from([repr(v), f"{v:.9g}", f"{v:.3e}", f"{v:f}"])
-    )
-    return st.one_of(written, st.sampled_from(SPELLED[kind]))
+    return number.flatmap(lambda v: st.sampled_from([repr(v), f"{v:.9g}", f"{v:.3e}", f"{v:f}"]))
+
+
+def _number_token(kind):
+    return st.one_of(_written_number(kind), st.sampled_from(SPELLED[kind]))
 
 
 def _cell(kind):
@@ -407,6 +411,150 @@ def test_line_numbers_count_records(tmp_path, last_record, message):
     with pytest.raises(ValueError) as info:
         load_labels(path)
     assert str(info.value).startswith(f"{path}: line 3: {message}")
+
+
+# ---------------------------------------------------------------------------
+# Plain files: printable ASCII ones are parsed by np.loadtxt (labels by a byte
+# compare), every other file by the csv module.  Both must give what the
+# per-token oracles give, bytes and messages alike.
+# ---------------------------------------------------------------------------
+
+# the bytes on which float() and np.loadtxt, or csv and a plain split, part ways
+_ODD_TEXT = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x00", '"', "_", "#", "\r"]
+_SOMETIMES = st.sampled_from([False, False, True])
+
+
+@st.composite
+def ascii_files(draw, kind):
+    """The text of an ``id``-first CSV: plain, or with a few odd bytes, bad cells or broken lines."""
+    odd = draw(st.lists(st.sampled_from(_ODD_TEXT), max_size=2, unique=True)) if draw(_SOMETIMES) else []
+    if kind == "labels":
+        core = st.sampled_from(["0", "1"])
+    else:
+        ascii_spelled = [t for t in SPELLED[kind] if t.isascii() and "_" not in t]
+        core = st.one_of(_written_number(kind), st.sampled_from(ascii_spelled))
+    pad = st.sampled_from(["", " ", "\t"] + odd) if draw(st.booleans()) else st.just("")
+    cell = st.tuples(pad, core, pad).map("".join)
+    if draw(_SOMETIMES):
+        junk = st.one_of(
+            st.text(st.sampled_from(list("0123456789.eE+- \t") + odd), max_size=6),
+            st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-NaN", "1e999", "0x1", "2", "01", "1.0"]),
+            st.sampled_from(SPELLED.get(kind, ["1_0", "١"])),
+        )
+        cell = st.one_of(cell, cell, junk)
+    n = draw(st.integers(min_value=1, max_value=5))
+    c = draw(st.integers(min_value=1, max_value=4))
+    name = st.text(st.sampled_from(list("ab01 .#\t") + odd), max_size=3)
+    unique = not draw(_SOMETIMES)
+    names = draw(st.lists(name, min_size=c, max_size=c, unique=unique))
+    ids = draw(st.lists(name, min_size=n, max_size=n, unique=unique))
+    lines = [",".join(["id"] + names)] + [",".join([i] + draw(st.lists(cell, min_size=c, max_size=c))) for i in ids]
+    for _ in range(draw(st.integers(min_value=1, max_value=2)) if draw(_SOMETIMES) else 0):
+        k = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        damage = draw(st.sampled_from(["blank", "longer", "shorter"]))
+        if damage == "blank":
+            lines.insert(k, "")
+        elif damage == "longer":
+            lines[k] += "," + draw(cell)
+        else:
+            lines[k] = lines[k].rpartition(",")[0]
+    end = draw(st.sampled_from(["\r\n", ""])) if draw(_SOMETIMES) else "\n"
+    return "\r\n".join(lines) + end if end == "\r\n" else "\n".join(lines) + end
+
+
+_RAGGED = re.compile(r": (ragged row|header mismatch \(ragged row\)|dimension mismatch)$")
+
+
+def _outcome(load, path):
+    """(ids, names, dtype, value bytes) of a load, or its error message."""
+    try:
+        got = load(path)
+    except csv.Error as exc:  # the oracles leave csv's own errors unwrapped
+        return f"csv: {exc}"
+    except ValueError as exc:
+        return _RAGGED.sub(": ragged row (dimension mismatch with header)", str(exc))
+    values = got.vectors if isinstance(got, EmbeddingSet) else got.values
+    return got.ids, getattr(got, "class_names", None), values.dtype.str, values.shape, values.tobytes()
+
+
+def _assert_loads_as_oracle(kind, path):
+    load, oracle = LOADERS[kind]
+    got, want = _outcome(load, path), _outcome(oracle, path)
+    head = path.read_bytes()[:4]
+    if kind == "embeddings" and b"\x00" in head:  # taken for a corrupt EMB1 file
+        assert got == f"{path}: bad magic {head!r}"
+        return
+    if not isinstance(want, str):
+        assert got == want
+        return
+    # a rejected file is never parsed by the plain path: the csv path names the fault
+    with mock.patch.object(data, "_read_plain", return_value=None):
+        assert got == _outcome(load, path)
+    if want.startswith("csv: "):
+        assert re.fullmatch(rf"{re.escape(str(path))}: line \d+: {re.escape(want[5:])}", got)
+    else:
+        # the same line; in a row with several faults the oracle names the first
+        # by column, the library the first cell float() rejects
+        assert re.search(r": line \d+: ", got).group() == re.search(r": line \d+: ", want).group()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)).flatmap(lambda k: st.tuples(st.just(k), ascii_files(k))))
+def test_plain_files_load_as_the_oracles_do(tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.mktemp("plain") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_as_oracle(kind, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "id,a,b\nx,0,1,0\ny,1\n",  # a long and a short row with the right number of cells in all
+        "id,a,b\nx,1,0\n\ny,0,1\n",  # a blank line
+        "id,a\nx,1\ny,0",  # no final LF
+        "id,a\nx,\n",  # an empty cell, which np.loadtxt would skip with a warning
+        "id,a\nx,\x1c1\n",  # float() rejects the byte, np.loadtxt strips it
+        "id,a\nx,1_0\n",  # float() reads 10, np.loadtxt rejects it
+        "id,a\nx,1\nx,0\n",  # a duplicate id
+        "id,a,a\nx,1,0\n",  # a duplicate column name
+        "id,a\n x,1\n\tx,0\n",  # ids that differ only in padding
+        "id\nx\n",  # no columns
+        "id,a\n",  # no rows
+        'id,a\n"x",1\n',  # a quoted id
+    ],
+)
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_plain_looking_files_load_as_the_oracles_do(tmp_path, kind, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_loads_as_oracle(kind, path)
+
+
+def test_refine_sized_files_take_the_plain_path(tmp_path, monkeypatch):
+    n, c = 10_000, 20
+    rng = np.random.default_rng(0)
+    ids = [f"s{i:06d}" for i in range(n)]
+    header = ",".join(["id", "Normal"] + [f"c{j}" for j in range(1, c)])
+    labels = (rng.random((n, c)) < 0.2).astype(np.int8)
+    scores = rng.random((n, c))  # in [0, 1], and repr() reads back exactly
+    for name, table, cell in [("y.csv", labels, str), ("p.csv", scores, repr)]:
+        rows = [f"{i},{','.join(map(cell, row))}" for i, row in zip(ids, table.tolist())]
+        (tmp_path / name).write_text("\n".join([header] + rows) + "\n", encoding="ascii")
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("a plain file went to csv.reader")
+
+    monkeypatch.setattr(csv, "reader", no_csv)
+    got = [load_labels(tmp_path / "y.csv")]
+    got += [load_scores(tmp_path / "p.csv", kind) for kind in ("logits", "probabilities")]
+    got += [load_embeddings(tmp_path / "p.csv")]
+    for matrix, want in zip(got, [labels, scores, scores, scores]):
+        values = matrix.vectors if isinstance(matrix, EmbeddingSet) else matrix.values
+        assert matrix.ids == ids
+        assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
 
 
 class TestLoadLabels:

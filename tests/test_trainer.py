@@ -226,6 +226,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr, epochs=1, batch_size=1)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_integer_fields_reject_float_and_bool(self, field, value):
+        fields = {"learning_rate": 0.1, "epochs": 2, "batch_size": 8, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            TrainConfig(**fields)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_margin_override_rejected_before_training(self, bad):
         features, labels = generate_synthetic(small_spec(4))
