@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    _read_json,
     class_stats,
     csv_writer,
     load_embeddings,
@@ -56,7 +57,7 @@ from .trainer import (
     save_model,
     train,
 )
-from .zeroshot import ZsConfig, load_prompt_manifest, score_batch, unit_normalize
+from .zeroshot import ZsConfig, _load_unit, load_prompt_manifest, score_batch
 
 
 class UsageError(Exception):
@@ -153,8 +154,7 @@ def cmd_sample(args):
 
 
 def _load_synth_spec(path, seed_override=None) -> SynthSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: synthetic spec must be a JSON object")
     if seed_override is not None:
@@ -270,7 +270,10 @@ def cmd_zeroshot(args):
     if prompts_path.is_dir():
         prompts_path = prompts_path / "manifest.json"
     bank = load_prompt_manifest(prompts_path)
-    images = unit_normalize(load_embeddings(args.images))
+    images = _load_unit(args.images)
+    if images.dim != bank.dim:
+        dims = f"{images.dim} differs from {bank.dim} in {prompts_path}"
+        raise ValueError(f"{args.images}: embedding dimension {dims}")
     scores = score_batch(images, bank, cfg)
     save_scores(scores, args.out)
     counts = dict(images=len(images.ids), classes=len(bank.class_names))

@@ -11,7 +11,12 @@ Pins the conventions that matter for bit-reproducibility:
   sampling and zero fill for out-of-bounds source samples,
 * odd crop/pad remainders put the extra pixel at the bottom/right.
 
-All operations are pure functions over float64 grids in [0, 1].
+All operations are pure functions over float64 grids in [0, 1].  Bilinear
+resize and rotation fill their output over strips of ``_STRIP_ROWS`` rows, and
+the channel normalization fills one channel at a time, so no temporary spans
+the whole frame.  Each output value goes through the same float operations in
+the same order as in a whole-frame computation, so outputs do not depend on
+the strip height.
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,10 @@ IMAGENET_MEAN = (0.485, 0.456, 0.406)
 IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
+
+# output rows per strip in resize_bilinear and _rotate: each float64 temporary
+# of a 1024-pixel-wide output then takes 256 KiB
+_STRIP_ROWS = 32
 
 
 @dataclass
@@ -117,10 +126,10 @@ def load_pgm(path) -> Raster:
     else:
         values = []
         for tok, _ in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"{path}: bad ascii pixel {tok!r}") from None
+            # decimal digits only: int() would also take a sign or an underscore
+            if not tok.isdigit():
+                raise ValueError(f"{path}: bad ascii pixel {tok!r}")
+            values.append(int(tok))
             if len(values) == count:
                 break
         if len(values) < count:
@@ -174,10 +183,27 @@ def resize_bilinear(grid, out_h: int, out_w: int):
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
     wy = (src_y - y0)[:, None]
-    wx = (src_x - x0)[None, :]
-    top = grid[np.ix_(y0, x0)] * (1 - wx) + grid[np.ix_(y0, x1)] * wx
-    bottom = grid[np.ix_(y1, x0)] * (1 - wx) + grid[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+    wx = src_x - x0
+    not_wy, not_wx = 1 - wy, 1 - wx
+    out = np.empty((out_h, out_w))
+    for start in range(0, out_h, _STRIP_ROWS):
+        rows = slice(start, start + _STRIP_ROWS)
+        top = _lerp_columns(grid[y0[rows]], x0, x1, not_wx, wx)
+        bottom = _lerp_columns(grid[y1[rows]], x0, x1, not_wx, wx)
+        np.multiply(top, not_wy[rows], out=out[rows])
+        bottom *= wy[rows]
+        out[rows] += bottom
+    return out
+
+
+def _lerp_columns(lines, x0, x1, not_wx, wx):
+    """``lines[:, x0] * (1 - wx) + lines[:, x1] * wx``, computed in the gathered columns."""
+    left = lines[:, x0]
+    left *= not_wx
+    right = lines[:, x1]
+    right *= wx
+    left += right
+    return left
 
 
 def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
@@ -189,7 +215,11 @@ def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
         raise ValueError("mean and std must have 3 entries")
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
-    return (grid[None, :, :] - mean[:, None, None]) / std[:, None, None]
+    out = np.empty((3,) + grid.shape)
+    for k in range(3):
+        np.subtract(grid, mean[k], out=out[k])
+        out[k] /= std[k]
+    return out
 
 
 def _rotate(grid, degrees: float):
@@ -204,26 +234,38 @@ def _rotate(grid, degrees: float):
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
+    xs = np.arange(w) - cx
+    ys = (np.arange(h) - cy)[:, None]
     # inverse map: rotate output coordinates by -theta back into the source
-    src_x = cos_t * xx + sin_t * yy + cx
-    src_y = -sin_t * xx + cos_t * yy + cy
-    floor_x = np.floor(src_x)
-    floor_y = np.floor(src_y)
-    fx = src_x - floor_x
-    fy = src_y - floor_y
+    x_of_x, x_of_y = cos_t * xs, sin_t * ys
+    y_of_x, y_of_y = -sin_t * xs, cos_t * ys
     stride = w + 4
     padded = np.zeros((h + 4, stride))
     padded[2 : h + 2, 2 : w + 2] = grid
     flat = padded.ravel()
-    rows = np.clip(floor_y, -2, h).astype(np.int64) + 2
-    cols = np.clip(floor_x, -2, w).astype(np.int64) + 2
-    corner = rows * stride + cols
     out = np.zeros_like(grid)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
-            out += weight * flat[corner + (dy * stride + dx)]
+    for start in range(0, h, _STRIP_ROWS):
+        rows = slice(start, start + _STRIP_ROWS)
+        src_x = x_of_x + x_of_y[rows]
+        src_x += cx
+        src_y = y_of_x + y_of_y[rows]
+        src_y += cy
+        floor_x = np.floor(src_x)
+        floor_y = np.floor(src_y)
+        fx = np.subtract(src_x, floor_x, out=src_x)
+        fy = np.subtract(src_y, floor_y, out=src_y)
+        # flat index of the top-left tap in the padded copy
+        corner = np.clip(floor_y, -2, h, out=floor_y).astype(np.int64)
+        corner += 2
+        corner *= stride
+        corner += np.clip(floor_x, -2, w, out=floor_x).astype(np.int64)
+        corner += 2
+        taps = out[rows]
+        for dy in (0, 1):
+            for dx in (0, 1):
+                weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
+                weight *= flat[corner + (dy * stride + dx)]
+                taps += weight
     return out
 
 

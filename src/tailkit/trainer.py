@@ -9,7 +9,6 @@ class-aware sampler or a uniform shuffle.  Everything is deterministic
 given the configured seeds.
 """
 
-import json
 import math
 import numbers
 import warnings
@@ -17,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, write_json
+from .data import LabelMatrix, ScoreMatrix, _read_json, write_json
 from .loss import (
     DbLossParams,
     _check_finite_non_negative,
@@ -363,8 +362,7 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     try:
         return LinearModel.from_json_dict(payload)
     except (KeyError, TypeError) as exc:  # a missing field, or a payload of the wrong shape

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _row_norms, load_embeddings
+from .data import EmbeddingSet, ScoreMatrix, _read_json, _row_norms, load_embeddings
 from .loss import stable_sigmoid
 
 
@@ -108,20 +108,43 @@ def load_prompt_manifest(path) -> PromptBank:
     files may be EMB1 binary or CSV; rows are unit-normalized on load.
     """
     path = Path(path)
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest = _read_json(path)
     entries = manifest.get("classes") if isinstance(manifest, dict) else None
     if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no classes")
     class_names, embeddings, texts = [], {}, {}
     for entry in entries:
-        if not isinstance(entry, dict) or not entry.get("name") or not entry.get("embeddings"):
+        fields = entry if isinstance(entry, dict) else {}
+        name, emb_path = fields.get("name"), fields.get("embeddings")
+        if not (isinstance(name, str) and isinstance(emb_path, str) and name and emb_path):
             raise ValueError(f"{path}: each class needs 'name' and 'embeddings'")
-        name, emb_path = entry["name"], entry["embeddings"]
         if name in embeddings:
             raise ValueError(f"{path}: duplicate class {name!r}")
-        emb = unit_normalize(load_embeddings(path.parent / emb_path))
+        emb_file = path.parent / emb_path
+        emb = _load_unit(emb_file)
+        if not emb.ids:
+            raise ValueError(f"{emb_file}: no prompt embeddings for class {name!r}")
+        if not class_names:
+            first_file, dim = emb_file, emb.dim
+        elif emb.dim != dim:
+            raise ValueError(f"{emb_file}: embedding dimension {emb.dim} differs from {dim} in {first_file}")
         class_names.append(name)
         embeddings[name] = emb.vectors
         if "prompts" in entry:
-            texts[name] = list(entry["prompts"])
-    return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings)
+            prompts = entry["prompts"]
+            if not isinstance(prompts, list) or not all(isinstance(t, str) for t in prompts):
+                raise ValueError(f"{path}: 'prompts' of class {name!r} must be a list of strings")
+            texts[name] = prompts
+    try:
+        return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_unit(path) -> EmbeddingSet:
+    """``unit_normalize(load_embeddings(path))``; a zero-norm row's error names the file."""
+    emb = load_embeddings(path)
+    try:
+        return unit_normalize(emb)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

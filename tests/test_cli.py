@@ -589,6 +589,70 @@ class TestMalformedInputs:
         argv = ["zeroshot", "--images", images, "--prompts", prompts, "--out", tmp_path / "zs.csv"]
         self.assert_fails_naming(sidecar, argv, capsys)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b'{"classes": [', "not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+            (b"\xff{}", "not valid UTF-8 text"),
+            (b"[" * 100_000 + b"]" * 100_000, "not valid JSON: nested too deeply"),
+        ],
+        ids=["empty", "truncated", "not-utf8", "too-deep"],
+    )
+    @pytest.mark.parametrize("kind", ["ids-sidecar", "prompt-manifest", "spec", "model"])
+    def test_undecodable_json_names_the_file(self, tmp_path, capsys, kind, raw, message):
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), images)
+        prompts = write_one_class_prompts(tmp_path)
+        spec, model, out = tmp_path / "spec.json", tmp_path / "m.json", tmp_path / "out"
+        spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 2}))
+        save_model(LinearModel(np.ones((1, 2)), np.zeros(1), ["a"]), model)
+        zeroshot = ["zeroshot", "--images", images, "--prompts", prompts, "--out", out]
+        victim, argv = {
+            "ids-sidecar": (tmp_path / "img.emb.ids.json", zeroshot),
+            "prompt-manifest": (prompts, zeroshot),
+            "spec": (spec, ["train", "--synth-spec", spec, "--model-out", out]),
+            "model": (model, ["predict", "--model", model, "--features", images, "--out", out]),
+        }[kind]
+        victim.write_bytes(raw)
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {victim}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "prompt_rows, entries, shown",
+        [
+            ([[1.0, 0.0, 0.0]], None, "img.emb: embedding dimension 2 differs from 3 in {manifest}"),
+            (np.zeros((0, 2)), None, "g.emb: no prompt embeddings for class 'g'"),
+            ([[0.0, 0.0]], None, "g.emb: zero-norm embedding row (id '0')"),
+            ([[1.0, 0.0]], [{"name": "w", "embeddings": "w.emb"}], "w.emb: embedding dimension 3 differs from 2 in {g}"),
+            ([[1.0, 0.0]], [{"name": 7, "embeddings": "h.emb"}], "manifest.json: each class needs 'name' and 'embeddings'"),
+            ([[1.0, 0.0]], [{"name": "h", "embeddings": "h.emb", "prompts": 5}], "manifest.json: 'prompts' of class 'h' must be a list of strings"),
+            ([[1.0, 0.0]], [{"name": "h", "embeddings": "h.emb", "prompts": ["an h"]}], "manifest.json: class 'g' has no prompt text"),
+        ],
+        ids=["images-dim", "no-rows", "zero-row", "class-dim", "name-not-str", "prompts-not-list", "no-text"],
+    )
+    def test_prompt_bank_faults_name_the_file(self, tmp_path, capsys, prompt_rows, entries, shown):
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), images)
+        save_embeddings_binary(EmbeddingSet([str(i) for i in range(len(prompt_rows))], prompt_rows), tmp_path / "g.emb")
+        (tmp_path / "g.emb.ids.json").unlink()
+        save_embeddings_binary(EmbeddingSet(["h0"], [[0.0, 1.0]]), tmp_path / "h.emb")
+        save_embeddings_binary(EmbeddingSet(["w0"], [[0.0, 1.0, 0.0]]), tmp_path / "w.emb")
+        manifest = tmp_path / "manifest.json"
+        classes = [{"name": "g", "embeddings": "g.emb"}] + (entries or [])
+        manifest.write_text(json.dumps({"classes": classes}), encoding="utf-8")
+        argv = ["zeroshot", "--images", images, "--prompts", manifest, "--out", tmp_path / "zs.csv"]
+        assert main([str(a) for a in argv]) == 1
+        shown = shown.format(manifest=manifest, g=tmp_path / "g.emb")
+        assert capsys.readouterr().err == f"error: {tmp_path}/{shown}\n"
+
+    @pytest.mark.parametrize("token", ["-31", "+5", "1_0"])
+    def test_ascii_pgm_pixel_must_be_digits(self, tmp_path, capsys, token):
+        pgm = tmp_path / "scan.pgm"
+        pgm.write_text(f"P2\n2 1\n65535\n7 {token}\n", encoding="ascii")
+        assert main(["preprocess", str(pgm), "--size", "2", "--out-dir", str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err == f"error: {pgm}: bad ascii pixel {token.encode()!r}\n"
+
     def test_spec_list_with_seed_override(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps([60, 2, 4]), encoding="utf-8")
@@ -836,19 +900,17 @@ def damaged(draw, raw: bytes) -> bytes:
     return raw
 
 
-@pytest.mark.parametrize("subcommand", sorted(FUZZ_COMMANDS))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_damaged_csv_inputs_exit_cleanly(subcommand, data):
-    """Exit 0, 1 or 2 on a damaged input, never a traceback; a failure ends in an error line."""
-    args, inputs = FUZZ_COMMANDS[subcommand]
-    victim = data.draw(st.sampled_from(inputs))
-    raw = data.draw(damaged(FUZZ_FILES[victim].encode("ascii")))
+def run_on_damaged(files, args, victim, raw):
+    """Run ``args`` and an output path with ``files`` written out and ``victim`` replaced by ``raw``.
+
+    Asserts exit 0, 1 or 2, no traceback, and that a failure ends in an error
+    line; returns (exit code, stderr, the victim's path).
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, text in FUZZ_FILES.items():
-            (tmp / name).write_bytes(raw if name == victim else text.encode("ascii"))
-        argv = [subcommand] + [str(tmp / a) if a in FUZZ_FILES else a for a in args] + ["--out", str(tmp / "out")]
+        for name, content in files.items():
+            (tmp / name).write_bytes(raw if name == victim else content)
+        argv = [str(tmp / a) if a in files else a for a in args] + [str(tmp / "out")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -858,3 +920,63 @@ def test_damaged_csv_inputs_exit_cleanly(subcommand, data):
     if code:
         assert err.endswith("\n")
         assert err.splitlines()[-1].startswith(("error: ", "io error: "))
+    return code, err, str(tmp / victim)
+
+
+@pytest.mark.parametrize("subcommand", sorted(FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_csv_inputs_exit_cleanly(subcommand, data):
+    """Exit 0, 1 or 2 on a damaged input, never a traceback; a failure ends in an error line."""
+    args, inputs = FUZZ_COMMANDS[subcommand]
+    victim = data.draw(st.sampled_from(inputs))
+    raw = data.draw(damaged(FUZZ_FILES[victim].encode("ascii")))
+    files = {name: text.encode("ascii") for name, text in FUZZ_FILES.items()}
+    run_on_damaged(files, [subcommand] + args + ["--out"], victim, raw)
+
+
+def _emb1(rows) -> bytes:
+    vectors = np.asarray(rows, dtype="<f4")
+    return b"EMB1" + np.asarray(vectors.shape, dtype="<u4").tobytes() + vectors.tobytes()
+
+
+_PIXELS = np.arange(20).reshape(4, 5) * 3000 + 7
+# the inputs of preprocess and zeroshot: PGMs, EMB1 files, an ids sidecar and a prompt manifest
+BINARY_FUZZ_FILES = {
+    "p5.pgm": b"P5\n5 4\n65535\n" + _PIXELS.astype(">u2").tobytes(),
+    "p2.pgm": b"P2\n# scan\n5 4\n255\n" + "\n".join(" ".join(map(str, row % 256)) for row in _PIXELS).encode() + b"\n",
+    "images.emb": _emb1([[1, 0.5, -2], [0, 3, 1], [-1, -1, 0.25]]),
+    "images.emb.ids.json": b'["i0", "i1", "i2"]',
+    "manifest.json": json.dumps(
+        {
+            "classes": [
+                {"name": "Goiter", "embeddings": "g.emb", "prompts": ["a goiter", "an enlarged thyroid"]},
+                {"name": "Bulla", "embeddings": "b.emb", "prompts": ["a bulla"]},
+            ]
+        }
+    ).encode(),
+    "g.emb": _emb1([[1, 2, 0], [0.5, -1, 1]]),
+    "b.emb": _emb1([[0, 0, 2]]),
+}
+# case -> (arguments up to the output flag, the input files it may damage)
+BINARY_FUZZ_COMMANDS = {
+    "preprocess-p5": (["preprocess", "p5.pgm", "--size", "7", "--tta", *TTA_TRANSFORMS, "--out-dir"], ["p5.pgm"]),
+    "preprocess-p2": (["preprocess", "p2.pgm", "--task", "2", "--size", "6", "--out-dir"], ["p2.pgm"]),
+    "zeroshot": (
+        ["zeroshot", "--images", "images.emb", "--prompts", "manifest.json", "--out"],
+        ["images.emb", "images.emb.ids.json", "manifest.json", "g.emb"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINARY_FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_image_and_embedding_inputs_exit_cleanly(case, data):
+    """As for CSV inputs, and an exit 1 names the damaged file."""
+    args, inputs = BINARY_FUZZ_COMMANDS[case]
+    victim = data.draw(st.sampled_from(inputs))
+    raw = data.draw(damaged(BINARY_FUZZ_FILES[victim]))
+    code, err, victim_path = run_on_damaged(BINARY_FUZZ_FILES, args, victim, raw)
+    if code == 1:
+        assert victim_path in err

@@ -557,6 +557,45 @@ def test_refine_sized_files_take_the_plain_path(tmp_path, monkeypatch):
         assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
 
 
+def test_underscored_ids_take_the_plain_path(tmp_path, monkeypatch):
+    # PadChest-style image ids, and a class name with an underscore
+    files = {
+        "labels": "id,Normal,pleural_effusion\nimg_0001,1,0\nimg_0002,0,1\n",
+        "probabilities": "id,Normal,pleural_effusion\nimg_0001,0.25,1\nimg_0002,0,0.5\n",
+    }
+    paths = {kind: tmp_path / f"{kind}.csv" for kind in files}
+    for kind, text in files.items():
+        paths[kind].write_text(text, encoding="ascii")
+    want = {kind: _outcome(LOADERS[kind][1], paths[kind]) for kind in files}
+
+    def no_csv(*args, **kwargs):
+        raise AssertionError("a plain file went to csv.reader")
+
+    monkeypatch.setattr(csv, "reader", no_csv)
+    for kind in files:
+        got = _outcome(LOADERS[kind][0], paths[kind])
+        assert got == want[kind] and got[0] == ["img_0001", "img_0002"]
+
+
+def test_underscore_in_a_cell_reads_through_csv(tmp_path):
+    # np.loadtxt declines the digit separator that float() reads, so csv reads the file
+    with pytest.raises(ValueError):
+        np.loadtxt(["1_0"], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    path = tmp_path / "s.csv"
+    path.write_text("id,a\nimg_1,1_0\n", encoding="ascii")
+    assert data._read_plain(path, data._plain_floats, data._finite) is None
+    assert load_scores(path, "logits").values.tolist() == [[10.0]]
+
+
+@pytest.mark.parametrize("load", [load_labels, load_embeddings, lambda p: load_scores(p, "logits")])
+def test_non_utf8_csv_names_the_file(tmp_path, load):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"id,a\nx,\xff1\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not valid UTF-8 text"
+
+
 class TestLoadLabels:
     def test_basic_parse(self, write_csv):
         path = write_csv("y.csv", ["id", "a", "b"], [["x1", "1", "0"]])
@@ -642,6 +681,33 @@ class TestEmbeddings:
         path.write_bytes(b"NO\x00P" + b"\x00" * 16)
         with pytest.raises(ValueError, match="bad magic"):
             load_embeddings(path)
+
+    def test_damaged_magic_names_the_file(self, tmp_path):
+        # no NUL in the first 4 bytes, so the file is read as text and is not UTF-8
+        path = tmp_path / "e.bin"
+        save_embeddings_binary(EmbeddingSet(["a"], [[1.0, -2.0]]), path)
+        path.write_bytes(b"EMB\xb1" + path.read_bytes()[4:])
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: not valid UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'["a", "b"', "not valid JSON: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+            (b"", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b'["\xff", "b"]', "not valid UTF-8 text"),
+        ],
+        ids=["truncated", "empty", "not-utf8"],
+    )
+    def test_bad_ids_sidecar_names_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "e.bin"
+        save_embeddings_binary(EmbeddingSet(["a", "b"], [[1.0], [2.0]]), path)
+        sidecar = tmp_path / "e.bin.ids.json"
+        sidecar.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{sidecar}: {message}"
 
     def test_emb1_magic_truncated(self, tmp_path):
         path = tmp_path / "e.bin"

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from tailkit.raster import (
     CLIP_MEAN,
+    CLIP_STD,
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
@@ -31,8 +32,9 @@ FIXED_PCTS = (0.0, 1.0, 37.5, 99.0, 100.0)
 
 
 # ---------------------------------------------------------------------------
-# Reference kernels: the sort and clip + np.where code that the histogram
-# read and the padded gather replaced.  Those must agree byte for byte.
+# Reference kernels: the sort, clip + np.where and whole-frame code that the
+# histogram read, the padded gather and the row strips replaced.  Those must
+# agree byte for byte.
 # ---------------------------------------------------------------------------
 
 
@@ -79,6 +81,29 @@ def rotate_oracle(grid, degrees: float):
     return out
 
 
+def resize_bilinear_oracle(grid, out_h, out_w):
+    grid = np.asarray(grid, dtype=np.float64)
+    in_h, in_w = grid.shape
+    src_y = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    src_x = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    y0 = np.floor(src_y).astype(np.int64)
+    x0 = np.floor(src_x).astype(np.int64)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = (src_y - y0)[:, None]
+    wx = (src_x - x0)[None, :]
+    top = grid[np.ix_(y0, x0)] * (1 - wx) + grid[np.ix_(y0, x1)] * wx
+    bottom = grid[np.ix_(y1, x0)] * (1 - wx) + grid[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def to_tensor3_oracle(grid, mean, std):
+    grid = np.asarray(grid, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
+    return (grid[None, :, :] - mean[:, None, None]) / std[:, None, None]
+
+
 @st.composite
 def rasters(draw):
     """8- or 16-bit rasters up to 12x12, a third of them constant."""
@@ -95,6 +120,16 @@ def rasters(draw):
 # signed grids with -0.0 drawn as often as any other value
 signed_cells = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
 ROTATION_ANGLES = (5.0, -5.0, 33.0, 90.0, 180.0)
+
+# heights on either side of one and two 32-row strips, and odd widths
+STRIP_HEIGHTS = (1, 31, 32, 33, 65)
+ODD_WIDTHS = (1, 3, 17, 33)
+
+
+def strip_grids(heights=STRIP_HEIGHTS, widths=ODD_WIDTHS):
+    """Signed grids whose height sits at a strip boundary, with an odd width."""
+    shapes = st.tuples(st.sampled_from(heights), st.sampled_from(widths))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=signed_cells))
 
 
 class TestLoadPgm:
@@ -275,6 +310,25 @@ class TestResizeBilinear:
         assert out.max() <= grid.max() + 1e-12
 
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        strip_grids(heights=(1, 2, 31, 32, 33, 65, 70)),
+        st.sampled_from(STRIP_HEIGHTS),
+        st.sampled_from(ODD_WIDTHS + (2, 64)),
+    )
+    def test_strips_match_whole_frame_oracle(self, grid, out_h, out_w):
+        # drawn input heights above and below the output's cover up- and downscaling
+        out = resize_bilinear(grid, out_h, out_w)
+        assert out.shape == (out_h, out_w)
+        assert out.tobytes() == resize_bilinear_oracle(grid, out_h, out_w).tobytes()
+
+    def test_benchmark_sized_resizes_match_whole_frame_oracle(self):
+        grid = np.random.default_rng(13).random((300, 257))
+        for out_h, out_w in [(97, 129), (330, 283), (271, 231), (300, 257), (1, 5)]:
+            out = resize_bilinear(grid, out_h, out_w)
+            assert out.tobytes() == resize_bilinear_oracle(grid, out_h, out_w).tobytes()
+
+
 class TestToTensor3:
     def test_identity_normalization(self):
         grid = np.random.default_rng(3).random((4, 4))
@@ -297,6 +351,16 @@ class TestToTensor3:
 
     def test_clip_constants_are_three_channel(self):
         assert len(CLIP_MEAN) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strip_grids(),
+        st.sampled_from([(IMAGENET_MEAN, IMAGENET_STD), (CLIP_MEAN, CLIP_STD)]),
+    )
+    def test_matches_whole_frame_oracle(self, grid, mean_std):
+        tensor = to_tensor3(grid, *mean_std)
+        assert tensor.dtype == np.float64 and tensor.shape == (3,) + grid.shape
+        assert tensor.tobytes() == to_tensor3_oracle(grid, *mean_std).tobytes()
 
 
 class TestTta:
@@ -351,6 +415,11 @@ class TestTta:
         st.one_of(st.sampled_from(ROTATION_ANGLES), st.floats(-360.0, 360.0)),
     )
     def test_rotate_matches_clip_where_oracle(self, grid, degrees):
+        assert _rotate(grid, degrees).tobytes() == rotate_oracle(grid, degrees).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(strip_grids(), st.one_of(st.sampled_from(ROTATION_ANGLES), st.floats(-360.0, 360.0)))
+    def test_rotate_strips_match_clip_where_oracle(self, grid, degrees):
         assert _rotate(grid, degrees).tobytes() == rotate_oracle(grid, degrees).tobytes()
 
     def test_rotate_1024_matches_clip_where_oracle(self):
