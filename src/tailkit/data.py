@@ -11,6 +11,7 @@ The structures are plain mutable dataclasses, validated only at construction.
 
 import csv
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ SCORE_KINDS = ("logits", "probabilities")
 
 EMB_MAGIC = b"EMB1"
 
-# rows per np.linalg.norm call in _row_norms: bounds its squared temporary at 4 MiB for D = 512
+# rows per block of _row_norms, the EMB1 reader and the finiteness check: 4 MiB of float64 at D = 512
 _NORM_BLOCK_ROWS = 1024
 
 
@@ -117,7 +118,9 @@ class EmbeddingSet:
 
     Held in float64 so downstream arithmetic keeps full precision; the
     binary file format is float32, applied at write time (exact for data
-    that came from a file, since float32 -> float64 is lossless).
+    that came from a file, since float32 -> float64 is lossless).  A float64
+    ``vectors`` is kept as given, not copied; the loaders hand over one that
+    nothing else holds, and the zero-shot loader normalizes it in place.
     """
 
     ids: list
@@ -131,7 +134,8 @@ class EmbeddingSet:
             raise ValueError("embedding vectors must be a 2-D matrix")
         if self.vectors.shape[0] != len(self.ids):
             raise ValueError("embedding count does not match ids")
-        if not np.isfinite(self.vectors).all():
+        starts = range(0, len(self.vectors), _NORM_BLOCK_ROWS)
+        if not all(np.isfinite(self.vectors[i : i + _NORM_BLOCK_ROWS]).all() for i in starts):
             raise ValueError("non-finite embedding entry")
         if self.normalized:
             norms = _row_norms(self.vectors)
@@ -414,16 +418,23 @@ def load_embeddings(path) -> EmbeddingSet:
 
 
 def _load_embeddings_binary(path: Path) -> EmbeddingSet:
-    raw = path.read_bytes()
-    if len(raw) < 12:
-        raise ValueError(f"{path}: truncated header")
-    count, dim = struct.unpack_from("<II", raw, 4)
-    expected = 12 + 4 * count * dim
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    vectors = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
-    if not np.isfinite(vectors).all():
-        raise ValueError(f"{path}: non-finite embedding entry")
+    with open(path, "rb") as fh:
+        size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
+        if len(head) < 12:
+            raise ValueError(f"{path}: truncated header")
+        count, dim = struct.unpack_from("<II", head, 4)
+        expected = 12 + 4 * count * dim
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+        vectors = np.empty((count, dim))
+        buffer = np.empty((min(count, _NORM_BLOCK_ROWS), dim), dtype="<f4")
+        for start in range(0, count, _NORM_BLOCK_ROWS):
+            rows = buffer[: count - start]
+            if fh.readinto(rows) != rows.nbytes:
+                raise ValueError(f"{path}: truncated data")
+            if not np.isfinite(rows).all():
+                raise ValueError(f"{path}: non-finite embedding entry")
+            vectors[start : start + len(rows)] = rows
     sidecar = path.with_name(path.name + ".ids.json")
     if sidecar.exists():
         ids = _read_json(sidecar)

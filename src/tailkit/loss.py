@@ -21,6 +21,7 @@ evaluated in the order written, with the sigmoid as in `stable_sigmoid`.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ class DbLossResult:
 def _check_finite_non_negative(name: str, value) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _check_integers(obj, *names) -> None:
+    """Each named field of ``obj`` must be an integer; bool and float are rejected."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 def stable_sigmoid(z):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabelMatrix, ScoreMatrix
+from .loss import _check_integers
 from .pipeline import _align_to
 
 
@@ -32,6 +33,7 @@ class EceConfig:
     n_bins: int = 15
 
     def __post_init__(self):
+        _check_integers(self, "n_bins")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
 
@@ -118,11 +120,13 @@ def ece(scores, labels, cfg: EceConfig) -> float:
     idx = np.clip(idx, 0, n_bins - 1)
     total = 0.0
     n = scores.size
-    for b in range(n_bins):
+    # occupied bins only, in ascending order: the same terms in the same order as a loop
+    # over every bin that skips the empty ones, but bounded by the sample count.  Not
+    # np.unique: on numpy 2.4 its first call imports numpy.ma, 1.3 MB more in each process
+    ordered = np.sort(idx)
+    for b in np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])):
         mask = idx == b
         count = int(mask.sum())
-        if count == 0:
-            continue
         confidence = scores[mask].mean()
         positive_rate = (labels[mask] == 1).mean()
         total += (count / n) * abs(confidence - positive_rate)

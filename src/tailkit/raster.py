@@ -102,9 +102,12 @@ def load_pgm(path) -> Raster:
         raise ValueError(f"{path}: not a PGM (magic {magic!r})")
     try:
         (w_tok, _), (h_tok, _), (max_tok, max_end) = next(tokens), next(tokens), next(tokens)
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except (StopIteration, ValueError):
+    except StopIteration:
         raise ValueError(f"{path}: malformed header") from None
+    # decimal digits only, as for P2 pixels: int() would also take a sign or an underscore
+    if not (w_tok + h_tok + max_tok).isdigit():
+        raise ValueError(f"{path}: malformed header")
+    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval not in (255, 65535):

@@ -20,6 +20,7 @@ from .data import LabelMatrix, ScoreMatrix, _read_json, write_json
 from .loss import (
     DbLossParams,
     _check_finite_non_negative,
+    _check_integers,
     _check_terms,
     class_weights,
     db_loss_fused,
@@ -61,14 +62,6 @@ class LinearModel:
             bias=np.asarray(payload["bias"], dtype=np.float64),
             class_names=list(payload["class_names"]),
         )
-
-
-def _check_integers(obj, *names) -> None:
-    """Each named field of ``obj`` must be an integer; bool and float are rejected."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass
@@ -364,6 +357,11 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     payload = _read_json(path)
     try:
-        return LinearModel.from_json_dict(payload)
+        model = LinearModel.from_json_dict(payload)
     except (KeyError, TypeError) as exc:  # a missing field, or a payload of the wrong shape
         raise ValueError(f"{path}: not a model file: {exc!r}") from None
+    # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf
+    for name in ("weights", "bias"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"{path}: non-finite value in model field {name!r}")
+    return model

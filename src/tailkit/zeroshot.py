@@ -68,11 +68,16 @@ def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
 
     The result is a new float64 matrix; ``emb`` is left unchanged.
     """
+    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / _nonzero_norms(emb), normalized=True)
+
+
+def _nonzero_norms(emb: EmbeddingSet) -> np.ndarray:
+    """The row norms as an N x 1 column; a zero-norm row's error names its id."""
     norms = _row_norms(emb.vectors)
     if (norms == 0).any():
         bad = int(np.nonzero(norms == 0)[0][0])
         raise ValueError(f"zero-norm embedding row (id {emb.ids[bad]!r})")
-    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / norms[:, None], normalized=True)
+    return norms[:, None]
 
 
 def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreMatrix:
@@ -142,9 +147,13 @@ def load_prompt_manifest(path) -> PromptBank:
 
 
 def _load_unit(path) -> EmbeddingSet:
-    """``unit_normalize(load_embeddings(path))``; a zero-norm row's error names the file."""
+    """``unit_normalize(load_embeddings(path))``, bit for bit; a zero-norm row's error names the file.
+
+    The loaded array is this call's own, so it is divided in place, not copied.
+    """
     emb = load_embeddings(path)
     try:
-        return unit_normalize(emb)
+        emb.vectors /= _nonzero_norms(emb)
+        return EmbeddingSet(ids=emb.ids, vectors=emb.vectors, normalized=True)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -549,6 +549,15 @@ class TestMalformedInputs:
         argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
         self.assert_fails_naming(model, argv, capsys)
 
+    def test_model_with_nan_weight(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text('{"class_names": ["a"], "weights": [[NaN, 1.0]], "bias": [0.0]}', encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0, 2.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {model}: non-finite value in model field 'weights'\n"
+
     @pytest.mark.parametrize(
         "manifest",
         [[{"name": "g", "embeddings": "g.emb"}], {"classes": ["g.emb"]}],

@@ -1,6 +1,8 @@
 import csv
 import math
+import os
 import re
+import struct
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -742,6 +744,77 @@ def test_row_norms_match_one_norm_call(n, d, seed):
     vectors = rng.standard_normal((n, d)) * rng.choice([1e-150, 1.0, 1e150], size=(n, 1))
     vectors[rng.random(vectors.shape) < 0.1] = -0.0
     assert _row_norms(vectors).tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
+
+
+def oracle_load_emb1(path):
+    """The EMB1 reader before block-wise loading: the whole file's bytes, then one frombuffer."""
+    raw = path.read_bytes()
+    if len(raw) < 12:
+        raise ValueError(f"{path}: truncated header")
+    count, dim = struct.unpack_from("<II", raw, 4)
+    expected = 12 + 4 * count * dim
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
+    vectors = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{path}: non-finite embedding entry")
+    return vectors.astype(np.float64)
+
+
+def outcome(load, path):
+    """(float64 bytes, None) of a load, or (None, its ValueError message)."""
+    try:
+        return np.asarray(load(path), dtype=np.float64).tobytes(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# counts on either side of one and two reader blocks, and none at all
+EMB1_COUNTS = (0, 1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EMB1_COUNTS),
+    st.integers(1, 5),
+    st.sampled_from(["intact", "nan", "inf", "-inf", "one byte short", "one byte long"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_emb1_reader_matches_whole_file_oracle(tmp_path_factory, count, dim, damage, seed):
+    """Same values or the same message; a bad value lands in the last, often partial, block."""
+    rng = np.random.default_rng(seed)
+    vectors = (rng.standard_normal((count, dim)) * rng.choice([1e-30, 1.0, 1e30], size=(count, 1))).astype("<f4")
+    if damage in ("nan", "inf", "-inf") and count:
+        last_block = (count - 1) // _NORM_BLOCK_ROWS * _NORM_BLOCK_ROWS
+        vectors[rng.integers(last_block, count), rng.integers(dim)] = float(damage)
+    raw = data.EMB_MAGIC + struct.pack("<II", count, dim) + vectors.tobytes()
+    raw = {"one byte short": raw[:-1], "one byte long": raw + b"\x00"}.get(damage, raw)
+    path = tmp_path_factory.mktemp("emb1") / "e.emb"
+    path.write_bytes(raw)
+    got = outcome(lambda p: load_embeddings(p).vectors, path)
+    assert got == outcome(oracle_load_emb1, path)
+    if damage == "intact":
+        assert got[0] == vectors.astype(np.float64).tobytes()
+
+
+def test_emb1_read_that_ends_early_is_truncated(tmp_path, monkeypatch):
+    """A file that loses bytes after its length is checked fails as truncated data."""
+    path = tmp_path / "e.emb"
+    save_embeddings_binary(EmbeddingSet(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    real_fstat = os.fstat
+    monkeypatch.setattr(data.os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 1))
+    with pytest.raises(ValueError) as info:
+        load_embeddings(path)
+    assert str(info.value) == f"{path}: truncated data"
+
+
+@pytest.mark.parametrize("count", [1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1])
+def test_embedding_set_finds_non_finite_entry_in_last_block(count):
+    vectors = np.ones((count, 3))
+    vectors[-1, -1] = np.inf
+    with pytest.raises(ValueError, match="^non-finite embedding entry$"):
+        EmbeddingSet([str(i) for i in range(count)], vectors)
 
 
 def test_score_matrix_rejects_bad_probability():

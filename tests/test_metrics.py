@@ -184,6 +184,22 @@ class TestF1:
         assert f1_at_threshold([0.5], [1], 0.5) == 1.0
 
 
+def ece_every_bin_oracle(scores, labels, n_bins):
+    """ECE by a loop over every bin, skipping the empty ones (the loop before occupied bins)."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    idx = np.ceil(scores * n_bins).astype(np.int64) - 1
+    idx[scores == 0.0] = 0
+    idx = np.clip(idx, 0, n_bins - 1)
+    total = 0.0
+    for b in range(n_bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        total += (count / scores.size) * abs(scores[mask].mean() - (labels[mask] == 1).mean())
+    return float(total)
+
+
 class TestEce:
     def test_perfect_calibration(self):
         assert ece([0.0, 1.0, 1.0, 0.0], [0, 1, 1, 0], EceConfig(15)) == 0.0
@@ -228,6 +244,33 @@ class TestEce:
         coarse = ece(scores, labels, EceConfig(n_bins))
         fine = ece(scores, labels, EceConfig(2 * n_bins))
         assert fine >= coarse - 1.0 / n_bins
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_occupied_bins_match_every_bin_loop(self, n_bins, seed):
+        """Bit for bit, with scores on bin edges, at 0 and 1, bins left empty and no scores at all."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        edges = rng.integers(0, n_bins + 1, n) / n_bins
+        scores = np.where(rng.random(n) < 0.5, edges, rng.random(n) ** 4)
+        labels = rng.integers(0, 2, n)
+        assert ece(scores, labels, EceConfig(n_bins)) == ece_every_bin_oracle(scores, labels, n_bins)
+
+    def test_huge_bin_count_finishes(self):
+        # 10**11 bins put each of these distinct scores in a bin of its own, so ECE is
+        # the mean |score - label| summed in ascending score order
+        rng = np.random.default_rng(4)
+        scores = np.sort(rng.permutation(10**6)[:300] / 10**6 + 1e-7)
+        labels = rng.integers(0, 2, scores.size)
+        expected = 0.0
+        for s, y in zip(scores, labels):
+            expected += (1 / scores.size) * abs(s - float(y))
+        assert ece(scores, labels, EceConfig(10**11)) == expected
+
+    @pytest.mark.parametrize("n_bins", [2.5, 15.0, True, "15"])
+    def test_n_bins_must_be_an_integer(self, n_bins):
+        with pytest.raises(ValueError, match="^n_bins must be an integer$"):
+            EceConfig(n_bins=n_bins)
 
 
 class TestRankInvariance:

@@ -173,6 +173,18 @@ class TestLoadPgm:
         with pytest.raises(ValueError, match="truncated"):
             load_pgm(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n+2 1_0\n255\n", b"P5\n2 1\n+255\n", b"P2\n2 -1\n255\n", b"P2\n2_0 1\n255\n"],
+    )
+    def test_header_numbers_must_be_digits(self, tmp_path, header):
+        # int() takes a sign or an underscore; the header, like a P2 pixel, does not
+        path = tmp_path / "s.pgm"
+        path.write_bytes(header + b"7 8" + bytes(40))
+        with pytest.raises(ValueError) as info:
+            load_pgm(path)
+        assert str(info.value) == f"{path}: malformed header"
+
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "h.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

@@ -331,6 +331,17 @@ class TestModelSerialization:
         assert payload["bias"] == [5.0, 6.0]
         assert payload["class_names"] == ["x", "y"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["weights", "bias"])
+    def test_non_finite_field_names_the_file(self, tmp_path, field, literal):
+        weights = f"[[{literal}, 2.0]]" if field == "weights" else "[[1.0, 2.0]]"
+        bias = f"[{literal}]" if field == "bias" else "[0.5]"
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"class_names": ["a"], "weights": {weights}, "bias": {bias}}}', encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: non-finite value in model field {field!r}"
+
 
 def test_run_comparison_shares_config_across_arms():
     spec = SynthSpec(n_samples=600, n_classes=6, feature_dim=12, power_law_exponent=1.0, seed=3)

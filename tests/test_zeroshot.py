@@ -1,16 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tailkit.data import EmbeddingSet, save_embeddings_binary
+from tailkit.data import _NORM_BLOCK_ROWS, EmbeddingSet, load_embeddings, save_embeddings_binary, save_embeddings_csv
 from tailkit.metrics import average_precision
 from tailkit.zeroshot import (
     PromptBank,
     ZsConfig,
     default_prompt_texts,
     load_prompt_manifest,
+    _load_unit,
     score_batch,
     unit_normalize,
 )
@@ -64,6 +66,24 @@ class TestUnitNormalize:
         assert not emb.normalized
         assert out.vectors.dtype == np.float64
         assert not np.shares_memory(out.vectors, emb.vectors)
+
+    @pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
+    def test_load_unit_divides_in_place_bit_for_bit(self, tmp_path, save):
+        rng = np.random.default_rng(5)
+        rows = _NORM_BLOCK_ROWS + 3
+        vectors = rng.standard_normal((rows, 6)) * rng.choice([1e-20, 1.0, 1e20], size=(rows, 1))
+        path = tmp_path / "e.emb"
+        save(EmbeddingSet([str(i) for i in range(rows)], vectors.astype(np.float32)), path)
+        got = _load_unit(path)
+        assert got.normalized
+        assert got.vectors.tobytes() == unit_normalize(load_embeddings(path)).vectors.tobytes()
+
+    def test_load_unit_zero_row_names_the_file(self, tmp_path):
+        path = tmp_path / "e.emb"
+        save_embeddings_binary(EmbeddingSet(["a", "z"], [[1.0, 0.0], [0.0, 0.0]]), path)
+        with pytest.raises(ValueError) as info:
+            _load_unit(path)
+        assert str(info.value) == f"{path}: zero-norm embedding row (id 'z')"
 
 
 class TestClassSimilarity:
@@ -241,3 +261,25 @@ class TestDefaultPromptTexts:
         out = score_batch(images, bank, ZsConfig(scale=5.0))
         assert out.class_names == list(texts)
         assert ((out.values > 0) & (out.values < 1)).all()
+
+
+def test_load_unit_peak_stays_near_one_float64_array(tmp_path):
+    """Loading and normalizing an EMB1 file holds one N x D float64 array plus small change.
+
+    A second full copy (the file's bytes, a cast or a normalized twin) adds 0.5x or
+    1x.  The ids (about 0.06x here) and one block's temporaries (1/16 of the rows
+    squared) stay under 0.25x once the file holds 16 blocks: with 4 blocks, one
+    block's square alone is 0.25x.
+    """
+    rows, dim = 16 * _NORM_BLOCK_ROWS, 128
+    rng = np.random.default_rng(0)
+    path = tmp_path / "images.emb"
+    save_embeddings_binary(EmbeddingSet([f"img{i:05d}" for i in range(rows)], rng.standard_normal((rows, dim))), path)
+    tracemalloc.start()
+    try:
+        emb = _load_unit(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.normalized and emb.vectors.shape == (rows, dim)
+    assert peak <= 1.25 * emb.vectors.nbytes
