@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    _check_int,
     _read_json,
     class_stats,
     csv_writer,
@@ -93,9 +94,7 @@ def _finish(args, target, inputs, event: str, seed=None, **fields) -> int:
     the seed and the tool version.
     """
     target = Path(target)
-    path = target / "manifest.json" if target.is_dir() else target.with_name(
-        target.name + ".manifest.json"
-    )
+    path = target / "manifest.json" if target.is_dir() else Path(f"{target}.manifest.json")
     manifest = {
         "subcommand": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k not in ("func", "json_logs")},
@@ -133,8 +132,7 @@ def cmd_weights(args):
 
 
 def cmd_sample(args):
-    if args.epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    _check_int("epochs", args.epochs, 1)
     labels = load_labels(args.labels)
     stats = class_stats(labels)
     cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
@@ -206,9 +204,7 @@ def cmd_train(args):
     )
     params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=spec.seed)
-    margin_override = (
-        _load_margin_file(args.margins, labels.class_names) if args.margins else None
-    )
+    margin_override = _load_margin_file(args.margins, labels.class_names) if args.margins else None
     model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
     for epoch, value in enumerate(trace):
         _emit(args, "epoch", index=epoch, loss=round(value, 6))
@@ -220,14 +216,17 @@ def cmd_train(args):
 def cmd_predict(args):
     model = load_model(args.model)
     emb = load_embeddings(args.features)
-    logits = forward(model, emb.vectors)
     kind = "probabilities" if args.probabilities else "logits"
-    # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
-    values = stable_sigmoid(logits) if args.probabilities else logits
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
+        logits = forward(model, emb.vectors)
+        # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
+        values = stable_sigmoid(logits) if args.probabilities else logits
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
     scores = ScoreMatrix(ids=emb.ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, args.out)
     inputs = [args.model, args.features]
-    return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=scores.kind)
+    return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
 
 
 def cmd_merge_tta(args):
@@ -487,8 +486,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ The structures are plain mutable dataclasses, validated only at construction.
 
 import csv
 import json
+import math
+import numbers
 import os
 import re
 import struct
@@ -27,6 +29,31 @@ EMB_MAGIC = b"EMB1"
 
 # rows per block of _row_norms, the EMB1 reader and the finiteness check: 4 MiB of float64 at D = 512
 _NORM_BLOCK_ROWS = 1024
+
+
+def _check_real(name: str, value, interval: str) -> None:
+    """``value`` must be a real number in ``interval``, spelled as in the message: ``"(0, inf]"``.
+
+    bool and non-numbers fail; NaN and an int past the float range lie in no interval.
+    """
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    above = low <= x if interval[0] == "[" else low < x
+    below = x <= high if interval[-1] == "]" else x < high
+    if not (above and below):
+        raise ValueError(f"{name} must be a number in {interval}")
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """``value`` must be an integer, not bool or float, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass

@@ -20,11 +20,11 @@ in caller-owned buffers.  Both give the same bits as the formulas above
 evaluated in the order written, with the sigmoid as in `stable_sigmoid`.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import _check_real
 
 
 @dataclass
@@ -34,29 +34,15 @@ class DbLossParams:
     margin_scale: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        _check_finite_non_negative("alpha", self.alpha)
-        _check_finite_non_negative("margin_scale", self.margin_scale)
+        _check_real("beta", self.beta, "[0, 1)")
+        _check_real("alpha", self.alpha, "[0, inf)")
+        _check_real("margin_scale", self.margin_scale, "[0, inf)")
 
 
 @dataclass
 class DbLossResult:
     loss: float
     grad_z: np.ndarray
-
-
-def _check_finite_non_negative(name: str, value) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0")
-
-
-def _check_integers(obj, *names) -> None:
-    """Each named field of ``obj`` must be an integer; bool and float are rejected."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer")
 
 
 def stable_sigmoid(z):
@@ -71,8 +57,7 @@ def effective_numbers(counts, beta: float) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 1).any():
         raise ValueError("zero-count class: drop or smooth it before weighting")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1)")
+    _check_real("beta", beta, "[0, 1)")
     if beta == 0.0:
         return np.ones(counts.shape, dtype=np.float64)
     return (1.0 - beta) / (1.0 - np.power(beta, counts.astype(np.float64)))
@@ -83,9 +68,13 @@ def class_weights(eff, alpha: float) -> np.ndarray:
     eff = np.asarray(eff, dtype=np.float64)
     if (eff <= 0).any():
         raise ValueError("effective numbers must be positive")
-    _check_finite_non_negative("alpha", alpha)
-    raw = np.power(eff, alpha)
-    return raw * (raw.size / raw.sum())
+    _check_real("alpha", alpha, "[0, inf)")
+    with np.errstate(all="ignore"):  # a weight of 0 or inf fails below
+        raw = np.power(eff, alpha)
+        w = raw * (raw.size / raw.sum())
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError(f"alpha {alpha} takes a class weight to 0 or inf")
+    return w
 
 
 def margins(counts, kappa: float) -> np.ndarray:
@@ -93,9 +82,12 @@ def margins(counts, kappa: float) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 1).any():
         raise ValueError("zero-count class has no defined margin")
-    _check_finite_non_negative("kappa", kappa)
-    n_max = counts.max()
-    return kappa * np.log(n_max / counts.astype(np.float64))
+    _check_real("kappa", kappa, "[0, inf)")
+    with np.errstate(over="ignore"):  # an infinite margin fails below
+        m = kappa * np.log(counts.max() / counts.astype(np.float64))
+    if not np.isfinite(m).all():
+        raise ValueError(f"kappa {kappa} takes a margin to inf")
+    return m
 
 
 def _check_terms(w, m) -> None:

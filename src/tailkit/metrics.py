@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix
-from .loss import _check_integers
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real
 from .pipeline import _align_to
 
 
@@ -33,9 +32,9 @@ class EceConfig:
     n_bins: int = 15
 
     def __post_init__(self):
-        _check_integers(self, "n_bins")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
+        _check_int("n_bins", self.n_bins, 1)
+        if self.n_bins > 2**53:  # so n_bins is exact as a float64 and no bin index overflows int64
+            raise ValueError(f"n_bins must be <= {2**53}")
 
 
 @dataclass
@@ -140,8 +139,7 @@ def macro_report(
     ece_cfg: EceConfig = None,
 ) -> MetricReport:
     """Per-class AP/AUC/F1/ECE plus macro means over the defined classes."""
-    if np.isnan(threshold):
-        raise ValueError("F1 threshold must not be NaN")
+    _check_real("threshold", threshold, "[-inf, inf]")
     if ece_cfg is None:
         ece_cfg = EceConfig()
     if scores.kind != "probabilities":

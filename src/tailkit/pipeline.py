@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real
 from .loss import stable_sigmoid
 
 
@@ -50,10 +50,8 @@ class GateConfig:
     exponent: float = 0.5
 
     def __post_init__(self):
-        if not (self.exponent >= 0):
-            raise ValueError("gate exponent must be >= 0")
-        if self.normal_class_index < 0:
-            raise ValueError("normal class index must be >= 0")
+        _check_int("normal_class_index", self.normal_class_index, 0)
+        _check_real("exponent", self.exponent, "[0, inf]")
 
 
 def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.ndarray:

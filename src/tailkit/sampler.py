@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix
+from .data import LabelMatrix, _check_real
 from .rng import BLOCK_BOUND_LIMIT, GOLDEN_GAMMA, MASK64, bounded_block, float_block, splitmix64_block
 
 
@@ -31,10 +31,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError("threshold must be in (0, 1]")
-        if not (self.r_max >= 1.0):
-            raise ValueError("r_max must be >= 1")
+        _check_real("threshold", self.threshold, "(0, 1]")
+        _check_real("r_max", self.r_max, "[1, inf]")
 
 
 @dataclass

@@ -10,17 +10,14 @@ given the configured seeds.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _read_json, write_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _read_json, write_json
 from .loss import (
     DbLossParams,
-    _check_finite_non_negative,
-    _check_integers,
     _check_terms,
     class_weights,
     db_loss_fused,
@@ -75,20 +72,12 @@ class SynthSpec:
     head_frequency: float = DEFAULT_HEAD_FREQUENCY
 
     def __post_init__(self):
-        _check_integers(self, "n_samples", "n_classes", "feature_dim", "seed")
-        if self.n_samples < 1:
-            raise ValueError("cannot place one positive per class with no samples")
-        if self.n_classes < 1 or self.feature_dim < 1:
-            raise ValueError("need at least one class and one feature")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for name in ("power_law_exponent", "noise_std"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number")
-            _check_finite_non_negative(name, value)
-        if not 0.0 < self.head_frequency <= 1.0:
-            raise ValueError("head_frequency must be in (0, 1]")
+        for name in ("n_samples", "n_classes", "feature_dim"):
+            _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
+        _check_real("power_law_exponent", self.power_law_exponent, "[0, inf)")
+        _check_real("noise_std", self.noise_std, "[0, inf)")
+        _check_real("head_frequency", self.head_frequency, "(0, 1]")
 
 
 @dataclass
@@ -101,10 +90,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite_non_negative("learning_rate", self.learning_rate)
-        _check_integers(self, "epochs", "batch_size")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        _check_real("learning_rate", self.learning_rate, "[0, inf)")
+        _check_int("epochs", self.epochs, 1)
+        _check_int("batch_size", self.batch_size, 1)
         if self.loss not in ("db", "plain-bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.sampler not in ("cas", "uniform"):
@@ -228,19 +216,19 @@ def train(
                 np.matmul(x_b, model.weights.T, out=z)
                 z += model.bias
                 if not np.isfinite(z, out=mask).all():
-                    raise ValueError(f"training diverged at epoch {epoch}")
+                    raise ValueError(f"training diverged at epoch {epoch}: lower learning_rate")
                 scale = scale_rows[:k] if k == cfg.batch_size else weights / (k * c)
                 loss = db_loss_fused(
                     z, y_all[batch], w_rows[:k], m_rows[:k], scale, grad, work_buf[:k], mask
                 )
                 if not math.isfinite(loss):
-                    raise ValueError(f"training diverged at epoch {epoch}")
+                    raise ValueError(f"training diverged at epoch {epoch}: lower learning_rate or margins")
                 model.weights -= cfg.learning_rate * (grad.T @ x_b)
                 model.bias -= cfg.learning_rate * grad.sum(axis=0)
                 loss_sum += loss * k
         trace.append(loss_sum / plan.epoch_len)
     if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-        raise ValueError("training diverged: non-finite parameters")
+        raise ValueError("training diverged: non-finite parameters; lower learning_rate")
     return model, trace
 
 

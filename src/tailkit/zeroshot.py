@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _read_json, _row_norms, load_embeddings
+from .data import EmbeddingSet, ScoreMatrix, _check_real, _read_json, _row_norms, load_embeddings
 from .loss import stable_sigmoid
 
 
@@ -24,8 +24,7 @@ class ZsConfig:
     scale: float = 5.0
 
     def __post_init__(self):
-        if not (0 < self.scale < np.inf):
-            raise ValueError("scale must be finite and > 0")
+        _check_real("scale", self.scale, "(0, inf)")
 
 
 @dataclass

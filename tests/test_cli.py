@@ -558,6 +558,19 @@ class TestMalformedInputs:
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {model}: non-finite value in model field 'weights'\n"
 
+    def test_model_overflowing_on_finite_features(self, tmp_path, capsys):
+        # runs under pytest's error::RuntimeWarning, so an overflow warning would fail it
+        model = tmp_path / "m.json"
+        model.write_text('{"class_names": ["a"], "weights": [[1e308, 1e308]], "bias": [0.0]}', encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[10.0, 10.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        self.assert_fails_naming(model, argv, capsys)
+        assert not (tmp_path / "s.csv").exists()
+        # the logit is +inf, whose probability is 1
+        assert main([str(a) for a in argv[:-2]] + ["--probabilities", "--out", str(tmp_path / "p.csv")]) == 0
+        assert load_scores(tmp_path / "p.csv", kind="probabilities").values.tolist() == [[1.0]]
+
     @pytest.mark.parametrize(
         "manifest",
         [[{"name": "g", "embeddings": "g.emb"}], {"classes": ["g.emb"]}],
@@ -761,6 +774,10 @@ def test_out_of_range_number_names_its_field(tmp_path, capsys, subcommand, flag,
         ("seed", 1.5),
         ("power_law_exponent", math.nan),
         ("noise_std", math.nan),
+        ("noise_std", 10**400),
+        ("head_frequency", "0.5"),
+        ("head_frequency", True),
+        ("head_frequency", 0),
     ],
 )
 def test_bad_synthetic_spec_names_its_field(tmp_path, capsys, field, value):
@@ -777,8 +794,27 @@ def test_bad_synthetic_spec_names_its_field(tmp_path, capsys, field, value):
 def test_demo_nan_noise_names_the_field(tmp_path, capsys):
     argv = ["demo", "--noise-std", "nan", "--epochs", "1", "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: bad synthetic spec: noise_std must be finite and >= 0\n"
+    assert capsys.readouterr().err == "error: bad synthetic spec: noise_std must be a number in [0, inf)\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "callee, argv, shown",
+    [
+        ("resize_bilinear", ["preprocess", "img.pgm", "--size", "100000", "--out-dir", "out"], "Unable to allocate 74.5 GiB"),
+        ("run_comparison", ["demo", "--n-samples", "100000000000000", "--out-dir", "out"], ""),
+    ],
+)
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch, callee, argv, shown):
+    # the callee raises instead of allocating, since an overcommitting host may grant the memory
+    def fail(*args, **kwargs):
+        raise MemoryError(shown)
+
+    monkeypatch.setattr(cli, callee, fail)
+    (tmp_path / "img.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([0, 50, 100, 200]))
+    argv = [str(tmp_path / a) if a in ("img.pgm", "out") else a for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {shown or 'MemoryError'}\n"
 
 
 class TestManifestAndLogs:
@@ -989,3 +1025,80 @@ def test_damaged_image_and_embedding_inputs_exit_cleanly(case, data):
     code, err, victim_path = run_on_damaged(BINARY_FUZZ_FILES, args, victim, raw)
     if code == 1:
         assert victim_path in err
+
+
+FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", str(10**30)]
+INTS = ["-1", "0", "1", str(10**30)]
+# subcommand -> (arguments up to the output flag, {numeric flag: (values, count, fields its error may name)}).
+# --epochs never gets a huge value: each epoch is real work
+NUMERIC_FLAG_COMMANDS = {
+    "weights": (
+        ["weights", "--labels", "y.csv", "--out"],
+        {"--beta": (FLOATS, 1, ["beta"]), "--alpha": (FLOATS, 1, ["alpha"]), "--kappa": (FLOATS, 1, ["kappa"])},
+    ),
+    "sample": (
+        ["sample", "--labels", "y.csv", "--out"],
+        {
+            "--threshold": (FLOATS, 1, ["threshold"]),
+            "--rmax": (FLOATS, 1, ["r_max"]),
+            "--seed": (INTS, 1, ["seed"]),
+            "--epochs": (["-1", "0", "2"], 1, ["epochs"]),
+        },
+    ),
+    # argparse reads "-inf" after --weights as an option, and "--weights=-inf" gives one value only
+    "ensemble": (
+        ["ensemble", "--in", "p.csv", "q.csv", "--out"],
+        {"--weights": ([v for v in FLOATS if v != "-inf"], 2, ["weights"])},
+    ),
+    "gate": (
+        ["gate", "--in", "p.csv", "--out"],
+        {"--alpha-ng": (FLOATS, 1, ["exponent"]), "--normal-class": (INTS, 1, ["normal class", "normal_class_index"])},
+    ),
+    "eval": (
+        ["eval", "--scores", "p.csv", "--labels", "y.csv", "--out"],
+        {"--threshold": (FLOATS, 1, ["threshold"]), "--ece-bins": (INTS, 1, ["n_bins"])},
+    ),
+    "zeroshot": (
+        ["zeroshot", "--images", "images.emb", "--prompts", "manifest.json", "--out"],
+        {"--scale": (FLOATS, 1, ["scale"])},
+    ),
+    "train": (
+        ["train", "--synth-spec", "spec.json", "--epochs", "1", "--model-out"],
+        {
+            "--lr": (FLOATS, 1, ["learning_rate"]),
+            "--batch-size": (INTS, 1, ["batch_size"]),
+            "--seed": (INTS, 1, ["seed"]),
+            "--beta": (FLOATS, 1, ["beta"]),
+            "--alpha": (FLOATS, 1, ["alpha"]),
+            "--kappa": (FLOATS, 1, ["margin_scale", "kappa", "margins"]),
+            "--threshold": (FLOATS, 1, ["threshold"]),
+            "--rmax": (FLOATS, 1, ["r_max"]),
+        },
+    ),
+}
+NUMERIC_FLAG_FILES = {
+    **{name: text.encode("ascii") for name, text in FUZZ_FILES.items()},
+    **BINARY_FUZZ_FILES,
+    "spec.json": b'{"n_samples": 60, "n_classes": 3, "feature_dim": 4, "seed": 2}',
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(NUMERIC_FLAG_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_cleanly(subcommand, data):
+    """NaN, +-inf, negative, zero, fractional and huge flags: exit 0, or exit 1 naming a flag's field."""
+    args, flags = NUMERIC_FLAG_COMMANDS[subcommand]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3, unique=True))
+    extra = []
+    for flag in chosen:
+        values, count, _ = flags[flag]
+        drawn = data.draw(st.lists(st.sampled_from(values), min_size=count, max_size=count))
+        extra += [f"{flag}={drawn[0]}"] if count == 1 else [flag, *drawn]
+    # every input intact: y.csv is "damaged" into its own bytes
+    argv = args[:-1] + extra + args[-1:]
+    code, err, _ = run_on_damaged(NUMERIC_FLAG_FILES, argv, "y.csv", NUMERIC_FLAG_FILES["y.csv"])
+    assert code in (0, 1) and "Warning" not in err
+    if code:
+        assert err.count("\n") == 1
+        assert any(field in err for flag in chosen for field in flags[flag][2]), err

@@ -26,6 +26,8 @@ from tailkit.data import (
     save_embeddings_csv,
     save_labels,
     save_scores,
+    _check_int,
+    _check_real,
     _row_norms,
 )
 
@@ -866,3 +868,65 @@ def test_score_round_trip_nine_digits(tmp_path_factory, n, c, seed):
     back = load_scores(path, kind="logits")
     # 9 significant digits of formatting precision
     assert np.allclose(back.values, scores.values, rtol=5e-9, atol=1e-300)
+
+
+# interval -> (values inside, values outside), each end hit, just inside and just outside
+_BELOW_ONE, _ABOVE_ONE = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+_TINY, _HUGE = math.nextafter(0.0, 1.0), np.finfo(np.float64).max
+REAL_CASES = {
+    "[0, 1)": ([0, 0.0, -0.0, _TINY, 0.5, _BELOW_ONE], [-_TINY, -1, 1, 1.0, _ABOVE_ONE]),
+    "(0, 1]": ([_TINY, 0.5, _BELOW_ONE, 1, 1.0], [0, 0.0, -0.0, -_TINY, _ABOVE_ONE, 2]),
+    "[0, inf)": ([0, 0.0, _TINY, 1e308, _HUGE, 10**308], [-_TINY, -1, math.inf]),
+    "(0, inf)": ([_TINY, 5, _HUGE], [0, 0.0, -_TINY, math.inf]),
+    "[0, inf]": ([0, 0.0, _TINY, _HUGE, math.inf], [-_TINY, -1, -math.inf]),
+    "[1, inf]": ([1, 1.0, _ABOVE_ONE, _HUGE, math.inf], [_BELOW_ONE, 0, -math.inf]),
+    "[-inf, inf]": ([-math.inf, -_HUGE, 0, _HUGE, math.inf], []),
+}
+# no interval holds these: NaN, bool, non-numbers and an int past the float range
+NOT_IN_ANY_INTERVAL = [math.nan, np.float64("nan"), True, False, "0.5", None, [0.5], 10**400, -(10**400)]
+
+
+@pytest.mark.parametrize(
+    "interval, value, inside",
+    [(i, v, True) for i, (ins, _) in REAL_CASES.items() for v in ins]
+    + [(i, v, False) for i, (_, outs) in REAL_CASES.items() for v in outs]
+    + [(i, v, False) for i in REAL_CASES for v in NOT_IN_ANY_INTERVAL]
+    + [("[0, 1)", t(0.5), True) for t in (np.float32, np.float64, np.int64)]
+    + [("(0, 1]", t(0), False) for t in (np.float32, np.float64, np.int64)]
+    + [("[0, inf]", np.float32("inf"), True), ("(0, inf)", np.float32("inf"), False)],
+)
+def test_check_real(interval, value, inside):
+    if inside:
+        _check_real("x_field", value, interval)
+    else:
+        with pytest.raises(ValueError, match=rf"^x_field must be a number in {re.escape(interval)}$"):
+            _check_real("x_field", value, interval)
+
+
+@pytest.mark.parametrize(
+    "value, low, message",
+    [
+        (0, 0, None),
+        (1, 1, None),
+        (10**400, 1, None),
+        (np.int64(3), 1, None),
+        (-1, 0, "must be >= 0"),
+        (0, 1, "must be >= 1"),
+        (np.int64(0), 1, "must be >= 1"),
+        (-(10**400), 0, "must be >= 0"),
+        (True, 0, "must be an integer"),
+        (False, 0, "must be an integer"),
+        (1.0, 0, "must be an integer"),
+        (np.float64(1.0), 0, "must be an integer"),
+        (np.float32(1.0), 0, "must be an integer"),
+        (math.nan, 0, "must be an integer"),
+        ("1", 0, "must be an integer"),
+        (None, 0, "must be an integer"),
+    ],
+)
+def test_check_int(value, low, message):
+    if message is None:
+        _check_int("k_field", value, low)
+    else:
+        with pytest.raises(ValueError, match=f"^k_field {message}$"):
+            _check_int("k_field", value, low)

@@ -226,6 +226,23 @@ def test_non_finite_or_negative_parameters_rejected(bad):
 
 
 @pytest.mark.parametrize(
+    "eff, alpha",
+    [([0.5, 0.5], 1e308), ([1.0, 0.5], 1e308), ([1e-300, 1e-300], 2.0), ([1e300, 1.0], 2.0), ([1e300, 1e300], 2.0)],
+    ids=["all-underflow", "one-underflows", "sum-underflows", "one-overflows", "sum-overflows"],
+)
+def test_class_weights_out_of_float_range_name_alpha(eff, alpha):
+    # under pytest's error::RuntimeWarning: no overflow or divide warning escapes either
+    with pytest.raises(ValueError, match=r"^alpha \S+ takes a class weight to 0 or inf$"):
+        class_weights(np.array(eff), alpha)
+
+
+def test_margin_past_float_range_names_kappa():
+    assert margins([2, 1], 1e308)[1] == 1e308 * math.log(2)
+    with pytest.raises(ValueError, match=r"^kappa 1e\+308 takes a margin to inf$"):
+        margins([100, 1], 1e308)
+
+
+@pytest.mark.parametrize(
     "w, m, field",
     [
         ([1.0, math.nan], [0.0, 0.0], "weights"),

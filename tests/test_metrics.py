@@ -272,6 +272,13 @@ class TestEce:
         with pytest.raises(ValueError, match="^n_bins must be an integer$"):
             EceConfig(n_bins=n_bins)
 
+    def test_n_bins_at_most_two_to_the_53(self):
+        # past 2^53 not every bin count is a float64, and past 2^63 the int64 bin index wraps
+        assert EceConfig(n_bins=2**53).n_bins == 2**53
+        for n_bins in (2**53 + 1, 10**19, 10**30):
+            with pytest.raises(ValueError, match="^n_bins must be <= 9007199254740992$"):
+                EceConfig(n_bins=n_bins)
+
 
 class TestRankInvariance:
     @settings(max_examples=30, deadline=None)
