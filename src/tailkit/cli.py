@@ -20,9 +20,10 @@ import numpy as np
 from . import __version__
 from .data import (
     _check_int,
+    _check_real,
     _read_json,
+    _write_matrix,
     class_stats,
-    csv_writer,
     load_embeddings,
     load_labels,
     load_scores,
@@ -121,12 +122,9 @@ def cmd_weights(args):
     eff = effective_numbers(stats.counts, args.beta)
     weights = class_weights(eff, args.alpha)
     margin_vec = margins(stats.counts, args.kappa)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_writer(fh)
-        writer.writerow(["class", "count", "frequency", "effective_number", "weight", "margin"])
-        for j, name in enumerate(labels.class_names):
-            cells = (stats.frequencies[j], eff[j], weights[j], margin_vec[j])
-            writer.writerow([name, int(stats.counts[j])] + [f"{v:.9g}" for v in cells])
+    header = ["class", "count", "frequency", "effective_number", "weight", "margin"]
+    table = np.column_stack([stats.counts, stats.frequencies, eff, weights, margin_vec])
+    _write_matrix(args.out, header, labels.class_names, table)
     classes = len(labels.class_names)
     return _finish(args, args.out, [args.labels], "weights_written", out=args.out, classes=classes)
 
@@ -182,8 +180,7 @@ def _load_margin_file(path, class_names):
     except ValueError as exc:
         raise ValueError(f"{path}: bad margin: {exc}") from None
     for name, margin in by_class.items():
-        if not (np.isfinite(margin) and margin >= 0):
-            raise ValueError(f"{path}: bad margin for class {name!r}: {margin} is not finite and >= 0")
+        _check_real(f"{path}: margin of class {name!r}", margin, "[0, inf)")
     missing = [name for name in class_names if name not in by_class]
     if missing:
         raise ValueError(f"{path}: no margin for class(es) {', '.join(missing)}")

@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -340,39 +339,30 @@ def _probabilities(values) -> np.ndarray:
     return values
 
 
-def csv_writer(fh):
-    r"""csv.writer with LF line endings that quotes fields holding a ``\r``.
+# a field that csv.writer's minimal quoting quotes: it holds a delimiter, quote or line break
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
-    Under ``lineterminator="\n"`` the writer leaves a lone ``\r`` bare, and the
-    field reads back as two records.  It quotes it under ``"\r\n"``, so rows
-    are written that way and each ending is cut back to ``\n``; fields without
-    ``\r`` are quoted the same under both.
+
+def _csv_field(value) -> str:
+    """``value`` as one CSV field: ``None`` is empty, any other ``str(value)``, quoted if special."""
+    text = "" if value is None else str(value)
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_matrix(path, header, ids, values) -> None:
+    """Write ``header``, then per row its id and each value to 9 significant digits.
+
+    Fields are quoted by ``_csv_field``; a row that is one empty field is written
+    ``""``, so it does not read back as a blank line.  ``"%.9g" % v == f"{v:.9g}"``.
     """
-    lf_lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
-    return csv.writer(lf_lines, lineterminator="\r\n")
-
-
-# an id csv.writer may quote or reject: it holds a delimiter, quote, line-break or NUL
-_CSV_SPECIAL = re.compile(r'[,"\r\n\x00]')
-
-
-def _write_matrix(path, ids, names, values) -> None:
-    """Write an ``id``-first CSV with 9 significant digits per value.
-
-    A row whose id is a string ``csv.writer`` writes bare is formatted with one
-    ``%`` call (``"%.9g" % v == f"{v:.9g}"``).  Every other row goes through
-    ``csv_writer`` for its quoting rules, and so does every row of a matrix
-    without columns, where an empty id is a lone field and is written ``""``.
-    """
-    fmt = ",".join(["%.9g"] * len(names))
+    fmt = ",%.9g" * values.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv_writer(fh)
-        writer.writerow(["id"] + names)
+        fh.write(",".join(map(_csv_field, header)) + "\n")
         for sample_id, row in zip(ids, values.tolist()):
-            if fmt and type(sample_id) is str and not _CSV_SPECIAL.search(sample_id):
-                fh.write(f"{sample_id},{fmt % tuple(row)}\n")
-            else:
-                writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
+            line = _csv_field(sample_id) + fmt % tuple(row)
+            fh.write((line or '""') + "\n")
 
 
 def write_json(path, payload) -> None:
@@ -403,7 +393,7 @@ def load_labels(path) -> LabelMatrix:
 
 
 def save_labels(labels: LabelMatrix, path) -> None:
-    _write_matrix(path, labels.ids, labels.class_names, labels.values)
+    _write_matrix(path, ["id"] + labels.class_names, labels.ids, labels.values)
 
 
 def load_scores(path, kind: str) -> ScoreMatrix:
@@ -417,7 +407,7 @@ def load_scores(path, kind: str) -> ScoreMatrix:
 
 def save_scores(scores: ScoreMatrix, path) -> None:
     """Write a scores CSV with 9 significant digits per value."""
-    _write_matrix(path, scores.ids, scores.class_names, scores.values)
+    _write_matrix(path, ["id"] + scores.class_names, scores.ids, scores.values)
 
 
 def class_stats(labels: LabelMatrix) -> ClassConfig:
@@ -493,4 +483,4 @@ def save_embeddings_binary(emb: EmbeddingSet, path) -> None:
 
 
 def save_embeddings_csv(emb: EmbeddingSet, path) -> None:
-    _write_matrix(path, emb.ids, [f"d{j}" for j in range(emb.dim)], emb.vectors)
+    _write_matrix(path, ["id"] + [f"d{j}" for j in range(emb.dim)], emb.ids, emb.vectors)

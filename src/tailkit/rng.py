@@ -18,8 +18,8 @@ The state after k steps is therefore the closed form
 so output k depends only on seed and k.  ``splitmix64_block`` uses this to
 produce outputs 1..count in bulk with numpy ``uint64`` wrap-around, and
 ``bounded_block`` applies the multiply-shift bound below to a whole block.
-Both give exactly the stream of the scalar ``SplitMix64`` class, which stays
-the reference implementation.
+Both give exactly the stream of the recipe run one output at a time; the
+tests keep that scalar version as their oracle.
 
 Derived draws, in the exact order consumed:
 
@@ -47,35 +47,8 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _S11, _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
 
 
-class SplitMix64:
-    """Seeded 64-bit generator with a portable, documented stream."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def next_below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        return (self.next_u64() * n) >> 64
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-
 def splitmix64_block(state: int, count: int) -> np.ndarray:
-    """Outputs 1..count of ``SplitMix64(state).next_u64()`` as a uint64 array."""
+    """Outputs 1..count of the SplitMix64 stream seeded with ``state``, as a uint64 array."""
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= _GAMMA
     z += np.uint64(state & MASK64)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, _check_real
+from .data import LabelMatrix, _check_int, _check_real
 from .rng import BLOCK_BOUND_LIMIT, GOLDEN_GAMMA, MASK64, bounded_block, float_block, splitmix64_block
 
 
@@ -33,6 +33,7 @@ class SamplerConfig:
     def __post_init__(self):
         _check_real("threshold", self.threshold, "(0, 1]")
         _check_real("r_max", self.r_max, "[1, inf]")
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from tailkit import cli
 from tailkit.cli import build_parser, main
-from tailkit.data import EmbeddingSet, load_scores, save_embeddings_binary
+from tailkit.data import EmbeddingSet, class_stats, load_labels, load_scores, save_embeddings_binary
+from tailkit.loss import class_weights, effective_numbers, margins
 from tailkit.raster import (
     IMAGENET_MEAN,
     IMAGENET_STD,
@@ -82,6 +84,47 @@ class TestWeightsCommand:
         rc = main(["weights", "--labels", str(labels), "--out", str(tmp_path / "w.csv")])
         assert rc == 1
         assert "zero positives" in capsys.readouterr().err
+
+
+def oracle_weights_csv(path, labels, beta, alpha, kappa):
+    """The per-cell csv.writer loop `weights` wrote its table with before it shared the matrix writer."""
+    stats = class_stats(labels)
+    eff = effective_numbers(stats.counts, beta)
+    weights = class_weights(eff, alpha)
+    margin_vec = margins(stats.counts, kappa)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        lf_lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+        writer = csv.writer(lf_lines, lineterminator="\r\n")
+        writer.writerow(["class", "count", "frequency", "effective_number", "weight", "margin"])
+        for j, name in enumerate(labels.class_names):
+            cells = (stats.frequencies[j], eff[j], weights[j], margin_vec[j])
+            writer.writerow([name, int(stats.counts[j])] + [f"{v:.9g}" for v in cells])
+
+
+# class names from the characters csv quotes, plus ASCII and non-ASCII letters
+_CLASS_NAMES = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9", "\u4e2d"]), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(_CLASS_NAMES, min_size=1, max_size=4, unique=True),
+    bits=st.lists(st.lists(st.integers(0, 1), min_size=4, max_size=4), max_size=6),
+    beta=st.sampled_from(["0", "0.9", "0.9999"]),
+    kappa=st.sampled_from(["0", "0.1", "2.5"]),
+)
+def test_weights_csv_matches_per_cell_writer(names, bits, beta, kappa):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # every class has a positive in the first row; CRLF rows send the file through csv.reader
+        rows = [[f"s{i}"] + [str(b) for b in row[: len(names)]] for i, row in enumerate([[1] * 4] + bits)]
+        with open(tmp / "y.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\r\n").writerows([["id"] + names] + rows)
+        argv = ["weights", "--labels", tmp / "y.csv", "--beta", beta, "--kappa", kappa, "--out", tmp / "w.csv"]
+        assert main([str(a) for a in argv]) == 0
+        labels = load_labels(tmp / "y.csv")
+        assert labels.class_names == names
+        oracle_weights_csv(tmp / "want.csv", labels, float(beta), 1.0, float(kappa))
+        assert (tmp / "w.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 class TestSampleCommand:
@@ -698,7 +741,7 @@ class TestMalformedInputs:
         argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
         assert main([str(a) for a in argv]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {margins}: bad margin for class 'c1': {shown} is not finite and >= 0\n"
+        assert err == f"error: {margins}: margin of class 'c1' must be a number in [0, inf)\n"
         assert not (tmp_path / "m.json").exists()
 
 

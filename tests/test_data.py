@@ -351,23 +351,33 @@ def test_writer_matches_per_cell_writer(tmp_path_factory, n, c, data):
     "ids", [["a\x00b"], ["x", "\x00"], [7, 8.5, None, True]], ids=["nul-inner", "nul-alone", "not-str"]
 )
 def test_unusual_ids_written_as_per_cell_writer(tmp_path, ids):
-    # csv.writer rejects NUL on Python 3.10 and writes it bare from 3.11 on;
-    # it writes a non-string id as str(), and None as an empty field
+    # csv.writer writes a non-string id as str(), and None as an empty field; it
+    # writes NUL bare from Python 3.11 on and rejects it on 3.10, where the
+    # expected bytes are those that 3.11 and later write
     scores = ScoreMatrix(ids, np.full((len(ids), 2), 0.5), "logits", ["p", "q"])
-    writers = [
-        lambda path: save_scores(scores, path),
-        lambda path: oracle_write_matrix(path, scores.ids, scores.class_names, scores.values),
-    ]
-    outcomes = []
-    for k, write in enumerate(writers):
-        path = tmp_path / f"{k}.csv"
-        try:
-            write(path)
-        except csv.Error as exc:
-            outcomes.append(type(exc))
-        else:
-            outcomes.append(path.read_bytes())
-    assert outcomes[0] == outcomes[1]
+    save_scores(scores, tmp_path / "got.csv")
+    try:
+        oracle_write_matrix(tmp_path / "want.csv", scores.ids, scores.class_names, scores.values)
+        want = (tmp_path / "want.csv").read_bytes()
+    except csv.Error:
+        want = "".join(f"{i},0.5,0.5\n" for i in ["id,p,q"] + ids).encode("utf-8")
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+# every kind of id the writer meets, with the bytes it writes for each on every Python
+GOLDEN_IDS = ["", None, 7, "a,b", 'q"x', "r\rz", "n\ny", "z\x00", "\u00e9"]
+GOLDEN_FIELDS = [b"", b"", b"7", b'"a,b"', b'"q""x"', b'"r\rz"', b'"n\ny"', b"z\x00", b"\xc3\xa9"]
+
+
+def test_writer_golden_bytes(tmp_path):
+    # a row that is one empty field is written "" so that it is not a blank line
+    path = tmp_path / "s.csv"
+    save_scores(ScoreMatrix(GOLDEN_IDS, np.zeros((len(GOLDEN_IDS), 0)), "logits", []), path)
+    assert path.read_bytes() == b"id\n" + b"".join((f or b'""') + b"\n" for f in GOLDEN_FIELDS)
+    values = np.tile([1 / 3, -0.0, 1e16], (len(GOLDEN_IDS), 1))
+    save_scores(ScoreMatrix(GOLDEN_IDS, values, "logits", ["p", 'q"', "r,\n"]), path)
+    rows = b"".join(f + b",0.333333333,-0,1e+16\n" for f in GOLDEN_FIELDS)
+    assert path.read_bytes() == b'id,p,"q""","r,\n"\n' + rows
 
 
 @settings(max_examples=100, deadline=None)

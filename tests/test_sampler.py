@@ -8,13 +8,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.data import LabelMatrix
-from tailkit.rng import GOLDEN_GAMMA, MASK64, SplitMix64, bounded_block, float_block, splitmix64_block
+from tailkit.rng import GOLDEN_GAMMA, MASK64, bounded_block, float_block, splitmix64_block
 from tailkit.sampler import (
     SamplerConfig,
     build_epoch,
     class_repeat_factors,
     sample_repeat_factors,
 )
+
+
+class SplitMix64:
+    """Oracle: the documented SplitMix64 recipe (see ``tailkit.rng``), one scalar draw at a time."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GOLDEN_GAMMA) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def next_below(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("bound must be positive")
+        return (self.next_u64() * n) >> 64
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def scalar_sample_repeat_factors(labels, r, cfg):
@@ -287,3 +314,7 @@ def test_config_validation():
         SamplerConfig(r_max=math.nan)
     with pytest.raises(ValueError, match="threshold"):
         SamplerConfig(threshold=math.nan)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        SamplerConfig(seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer$"):
+        SamplerConfig(seed=1.5)
