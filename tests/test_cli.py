@@ -732,8 +732,8 @@ class TestMalformedInputs:
         argv = ["train", "--synth-spec", spec, "--margins", margins, "--model-out", tmp_path / "m.json"]
         self.assert_fails_naming(margins, argv, capsys)
 
-    @pytest.mark.parametrize("margin, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
-    def test_margin_not_finite_and_non_negative(self, tmp_path, capsys, margin, shown):
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1"], ids=["nan-nan", "inf-inf", "-1--1.0"])
+    def test_margin_not_finite_and_non_negative(self, tmp_path, capsys, margin):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 4}))
         margins = tmp_path / "margins.csv"

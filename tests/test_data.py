@@ -360,7 +360,7 @@ def test_unusual_ids_written_as_per_cell_writer(tmp_path, ids):
         oracle_write_matrix(tmp_path / "want.csv", scores.ids, scores.class_names, scores.values)
         want = (tmp_path / "want.csv").read_bytes()
     except csv.Error:
-        want = "".join(f"{i},0.5,0.5\n" for i in ["id,p,q"] + ids).encode("utf-8")
+        want = ("id,p,q\n" + "".join(f"{i},0.5,0.5\n" for i in ids)).encode("utf-8")
     assert (tmp_path / "got.csv").read_bytes() == want
 
 
