@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 IO error.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .data import (
     _check_int,
-    _check_real,
+    _load_margins,
     _read_json,
     _write_matrix,
     class_stats,
@@ -165,28 +164,6 @@ def _synth_spec(fields: dict, where: str = "") -> SynthSpec:
         raise ValueError(f"{where}bad synthetic spec: {exc}") from None
 
 
-def _load_margin_file(path, class_names):
-    """Per-class margins from a CSV with `class` and `margin` columns."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows or "class" not in rows[0] or "margin" not in rows[0]:
-        raise ValueError(f"{path}: need 'class' and 'margin' columns")
-    try:
-        by_class = {row["class"]: float(row["margin"]) for row in rows}
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad margin: {exc}") from None
-    for name, margin in by_class.items():
-        _check_real(f"{path}: margin of class {name!r}", margin, "[0, inf)")
-    missing = [name for name in class_names if name not in by_class]
-    if missing:
-        raise ValueError(f"{path}: no margin for class(es) {', '.join(missing)}")
-    return np.array([by_class[name] for name in class_names])
-
-
 def cmd_train(args):
     spec = _load_synth_spec(args.synth_spec, args.seed)
     features, labels = generate_synthetic(spec)
@@ -201,7 +178,7 @@ def cmd_train(args):
     )
     params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=spec.seed)
-    margin_override = _load_margin_file(args.margins, labels.class_names) if args.margins else None
+    margin_override = _load_margins(args.margins, labels.class_names) if args.margins else None
     model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
     for epoch, value in enumerate(trace):
         _emit(args, "epoch", index=epoch, loss=round(value, 6))
@@ -213,6 +190,9 @@ def cmd_train(args):
 def cmd_predict(args):
     model = load_model(args.model)
     emb = load_embeddings(args.features)
+    if emb.dim != model.weights.shape[1]:
+        dims = f"{emb.dim} differs from {model.weights.shape[1]} in {args.model}"
+        raise ValueError(f"{args.features}: feature dimension {dims}")
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
         logits = forward(model, emb.vectors)
@@ -403,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     _add_loss_args(p)
     _add_sampler_args(p)
-    p.add_argument("--margins", default=None, help="CSV with class,margin columns; bypasses the margin generator")
+    p.add_argument("--margins", help="class-first CSV with a margin column, e.g. weights.csv; bypasses the margin generator")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -1,9 +1,9 @@
 """Shared data model and portable file formats.
 
 CSV is the canonical text format: UTF-8, LF line endings, header row with
-``id`` first and class (or dimension) names after.  Embeddings additionally
-have a binary format: magic ``EMB1``, u32-LE count, u32-LE dim, then
-count*dim float32-LE values row-major, with ids in a JSON sidecar
+``id`` (``class`` in a margins file) first and column names after.  Embeddings
+additionally have a binary format: magic ``EMB1``, u32-LE count, u32-LE dim,
+then count*dim float32-LE values row-major, with ids in a JSON sidecar
 ``<file>.ids.json``.
 
 The structures are plain mutable dataclasses, validated only at construction.
@@ -192,13 +192,13 @@ def _row_norms(vectors) -> np.ndarray:
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
 
 
-def _read_plain(path, parse, check):
+def _read_plain(path, parse, check, key="id"):
     """(ids, column names, values) of a plain file, or None to leave it to csv.
 
     A plain file holds only ``_PLAIN_BYTES``, ends in LF, has no line longer
-    than ``csv.field_size_limit()``, an ``id`` header with unique column names
-    and at least one, one or more body rows with one cell per column, and
-    unique ids.  csv.reader splits such a file at every LF and comma, and on
+    than ``csv.field_size_limit()``, a ``key``-first header with unique column
+    names and at least one, one or more body rows with one cell per column,
+    and unique ids.  csv.reader splits such a file at every LF and comma, and on
     its cells np.loadtxt's C reader yields the same doubles as float(): both
     parse with PyOS_string_to_double (the bytes 0x1c-0x1f, which loadtxt strips
     as whitespace and float() rejects, are not plain).  The one spelling
@@ -215,7 +215,7 @@ def _read_plain(path, parse, check):
     head = lines[0].split(",")
     names, c = head[1:], len(head) - 1
     body = lines[1:]
-    if head[0] != "id" or not names or len(set(names)) != c or not body:
+    if head[0] != key or not names or len(set(names)) != c or not body:
         return None
     if max(map(len, lines)) > csv.field_size_limit() or any(line.count(",") != c for line in body):
         return None
@@ -230,19 +230,21 @@ def _read_plain(path, parse, check):
     return (list(ids), names, values) if values.shape == (len(body), c) else None
 
 
-def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values):
-    """Parse an ``id``-first CSV into (ids, column names, checked values).
+def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values, key="id"):
+    """Parse a ``key``-first CSV into (ids, column names, checked values).
 
+    ``key`` is ``"id"``, or ``"class"`` for a margins file; messages use it.
     A plain file (see ``_read_plain``) is parsed from its text by
     ``parse_plain``.  Any other goes through csv.reader, and ``parse_cells``
     maps an object array of its cell strings to values, raising ValueError for
     a cell it rejects.  It and ``check`` run on the whole body at once; only if
     they or the row-length/duplicate-id check fail are the rows rescanned one
-    by one, so the error names the first bad line.  "line N" counts CSV
-    records, the header being line 1, also for a record the csv module cannot
-    parse; a quoted field that spans physical lines is one record.
+    by one, and a bad row's cells left to right, so the error names the first
+    bad line and its leftmost bad cell.  "line N" counts CSV records, the
+    header being line 1, also for a record the csv module cannot parse; a
+    quoted field that spans physical lines is one record.
     """
-    plain = _read_plain(path, parse_plain, check)
+    plain = _read_plain(path, parse_plain, check, key)
     if plain is not None:
         return plain
 
@@ -260,8 +262,8 @@ def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values):
     if not rows:
         raise ValueError(f"{path}: empty file")
     header, body = rows[0], rows[1:]
-    if not header or header[0] != "id":
-        raise ValueError(f"{path}: line 1: header must start with 'id'")
+    if not header or header[0] != key:
+        raise ValueError(f"{path}: line 1: header must start with '{key}'")
     names = header[1:]
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: line 1: duplicate column name")
@@ -279,12 +281,16 @@ def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values):
         if len(row) != width:
             raise ValueError(f"{path}: line {lineno}: ragged row (dimension mismatch with header)")
         if row[0] in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {row[0]!r}")
+            raise ValueError(f"{path}: line {lineno}: duplicate {key} {row[0]!r}")
         seen.add(row[0])
         try:
             convert(np.array([row[1:]], dtype=object))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError:
+            for cell in row[1:]:
+                try:
+                    convert(np.array([[cell]], dtype=object))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
     raise AssertionError(f"{path}: bulk conversion failed but every row converts")
 
 
@@ -408,6 +414,20 @@ def load_scores(path, kind: str) -> ScoreMatrix:
 def save_scores(scores: ScoreMatrix, path) -> None:
     """Write a scores CSV with 9 significant digits per value."""
     _write_matrix(path, ["id"] + scores.class_names, scores.ids, scores.values)
+
+
+def _load_margins(path, class_names) -> np.ndarray:
+    """The ``margin`` column of a ``class``-first CSV such as ``weights.csv``, in ``class_names`` order."""
+    names, columns, values = _read_matrix(path, _floats, _plain_floats, key="class")
+    if "margin" not in columns:
+        raise ValueError(f"{path}: need 'class' and 'margin' columns")
+    by_class = dict(zip(names, values[:, columns.index("margin")].tolist()))
+    for name, margin in by_class.items():
+        _check_real(f"{path}: margin of class {name!r}", margin, "[0, inf)")
+    missing = [name for name in class_names if name not in by_class]
+    if missing:
+        raise ValueError(f"{path}: no margin for class(es) {', '.join(missing)}")
+    return np.array([by_class[name] for name in class_names])
 
 
 def class_stats(labels: LabelMatrix) -> ClassConfig:

@@ -19,6 +19,7 @@ the same order as in a whole-frame computation, so outputs do not depend on
 the strip height.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +72,13 @@ class TtaSpec:
             raise ValueError("duplicate transform in TTA spec")
 
 
+# a # comment runs to the end of its line; a token stops at whitespace or a #
+_PGM_TOKEN = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
+
+
 def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments; track offset."""
-    i = 0
-    while i < len(data):
-        ch = data[i : i + 1]
-        if ch in b" \t\r\n":
-            i += 1
-        elif ch == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-        else:
-            j = i
-            while j < len(data) and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            yield data[i:j], j
-            i = j
+    """The tokens of ``data``, each with the offset where it ends, skipping # comments."""
+    return ((m.group(), m.end()) for m in _PGM_TOKEN.finditer(data) if m.group()[:1] != b"#")
 
 
 def load_pgm(path) -> Raster:

@@ -45,21 +45,6 @@ class LinearModel:
         if len(self.class_names) != self.weights.shape[0]:
             raise ValueError("class_names must match weight rows")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "weights": [[float(v) for v in row] for row in self.weights],
-            "bias": [float(v) for v in self.bias],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "LinearModel":
-        return cls(
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=np.asarray(payload["bias"], dtype=np.float64),
-            class_names=list(payload["class_names"]),
-        )
-
 
 @dataclass
 class SynthSpec:
@@ -339,14 +324,20 @@ def run_comparison(
 
 
 def save_model(model: LinearModel, path) -> None:
-    write_json(path, model.to_json_dict())
+    """Write ``model`` as JSON: ``class_names``, C x D ``weights`` and C ``bias``."""
+    payload = {
+        "class_names": list(model.class_names),
+        "weights": model.weights.tolist(),
+        "bias": model.bias.tolist(),
+    }
+    write_json(path, payload)
 
 
 def load_model(path) -> LinearModel:
     payload = _read_json(path)
     try:
-        model = LinearModel.from_json_dict(payload)
-    except (KeyError, TypeError) as exc:  # a missing field, or a payload of the wrong shape
+        model = LinearModel(payload["weights"], payload["bias"], list(payload["class_names"]))
+    except (KeyError, TypeError, ValueError) as exc:  # a missing field, a bad value or a wrong shape
         raise ValueError(f"{path}: not a model file: {exc!r}") from None
     # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf
     for name in ("weights", "bias"):

@@ -8,15 +8,24 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit import cli
+from tailkit import cli, trainer
 from tailkit.cli import build_parser, main
-from tailkit.data import EmbeddingSet, class_stats, load_labels, load_scores, save_embeddings_binary
+from tailkit.data import (
+    EmbeddingSet,
+    _load_margins,
+    class_stats,
+    load_labels,
+    load_scores,
+    save_embeddings_binary,
+    save_labels,
+)
 from tailkit.loss import class_weights, effective_numbers, margins
 from tailkit.raster import (
     IMAGENET_MEAN,
@@ -28,7 +37,7 @@ from tailkit.raster import (
     resize_bilinear,
     to_tensor3,
 )
-from tailkit.trainer import LinearModel, save_model
+from tailkit.trainer import LinearModel, SynthSpec, generate_synthetic, save_model
 
 
 def write_csv_file(path, header, rows):
@@ -294,6 +303,67 @@ class TestTrainMarginOverride:
         )
         assert rc == 1
         assert "no margin" in capsys.readouterr().err
+
+    @staticmethod
+    def train_with_margins(tmp_path, raw):
+        """Run `train` on a 2-class spec with ``raw`` as the margins file; return (exit code, its path)."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 4}), encoding="utf-8")
+        margins_csv = tmp_path / "margins.csv"
+        margins_csv.write_bytes(raw)
+        argv = ["train", "--synth-spec", spec, "--margins", margins_csv, "--epochs", "1", "--model-out", tmp_path / "m.json"]
+        return main([str(a) for a in argv]), margins_csv
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"margin,class\n0.1,c0\n0.2,c1\n", "line 1: header must start with 'class'"),
+            (b"class,margin,note\nc0,0.1,x\nc1,0.2,y\n", "line 2: bad number 'x'"),
+            (b"class,margin\nc0,0.2\nc1,0.2\nc1,5\n", "line 4: duplicate class 'c1'"),
+            (b"class,margin\nc0,0.1,9\nc1,0.2\n", "line 2: ragged row (dimension mismatch with header)"),
+            (b"class,margin\nc0,0.1\nc1,0.2\n\n", "line 4: ragged row (dimension mismatch with header)"),
+            (b"class,margin\nc0,0.1\nc1,0.2\xff\n", "not valid UTF-8 text"),
+            (b"class,margin\n", "no margin for class(es) c0, c1"),
+            (b"class,weight\nc0,1\nc1,2\n", "need 'class' and 'margin' columns"),
+        ],
+        ids=["class-not-first", "text-column", "duplicate-class", "extra-cell", "blank-line", "not-utf8", "no-rows", "no-margin"],
+    )
+    def test_margin_file_faults_name_file_and_line(self, tmp_path, capsys, raw, message):
+        code, margins_csv = self.train_with_margins(tmp_path, raw)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {margins_csv}: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_quoted_crlf_margins_in_any_column_after_class(self, tmp_path):
+        raw = b'class,note,margin\r\n"c1",1,0.25\r\n"c0",2e0,0\r\n'
+        assert self.train_with_margins(tmp_path, raw)[0] == 0
+        assert _load_margins(tmp_path / "margins.csv", ["c0", "c1"]).tolist() == [0.0, 0.25]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    names=st.lists(_CLASS_NAMES, min_size=3, max_size=3, unique=True),
+    kappa=st.sampled_from(["0", "1e-7", "0.1", "2.5"]),
+)
+def test_weights_csv_is_a_margins_file(names, kappa):
+    """`weights` then `train --margins` on its weights.csv: train gets loss.margins to 9 significant digits."""
+    spec = {"n_samples": 60, "n_classes": 3, "feature_dim": 4, "seed": 4}
+    features, labels = generate_synthetic(SynthSpec(**spec))
+    labels.class_names = names  # train's labels, renamed to names that need quoting
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_labels(labels, tmp / "y.csv")
+        (tmp / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        weights = ["weights", "--labels", tmp / "y.csv", "--kappa", kappa, "--out", tmp / "w.csv"]
+        train = ["train", "--synth-spec", tmp / "spec.json", "--margins", tmp / "w.csv", "--epochs", "1"]
+        with mock.patch.object(cli, "generate_synthetic", return_value=(features, labels)), mock.patch.object(
+            cli, "train", wraps=trainer.train
+        ) as spy:
+            assert main([str(a) for a in weights]) == 0
+            assert main([str(a) for a in train + ["--model-out", tmp / "m.json"]]) == 0
+    got = spy.call_args.args[5]
+    want = margins(class_stats(labels).counts, float(kappa))
+    assert [f"{v:.9g}" for v in got] == [f"{v:.9g}" for v in want]
 
 
 class TestScorePipelineCommands:
@@ -600,6 +670,33 @@ class TestMalformedInputs:
         argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {model}: non-finite value in model field 'weights'\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"class_names": ["a"], "weights": [["x", 1.0]], "bias": [0.0]},
+            {"class_names": ["a", "b"], "weights": [[1.0, 2.0], [3.0]], "bias": [0.0, 0.0]},
+            {"class_names": ["a"], "weights": [[1.0, 2.0], [3.0, 4.0]], "bias": [0.0, 0.0]},
+        ],
+        ids=["string-weight", "ragged-weights", "class-names-not-rows"],
+    )
+    def test_model_value_faults_name_the_file(self, tmp_path, capsys, payload):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0, 2.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {model}: not a model file: ValueError(")
+
+    def test_model_and_features_of_other_dimensions(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_model(LinearModel([[1.0, 2.0, 3.0]], [0.0], ["a"]), model)
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0, 2.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {feats}: feature dimension 2 differs from 3 in {model}\n"
 
     def test_model_overflowing_on_finite_features(self, tmp_path, capsys):
         # runs under pytest's error::RuntimeWarning, so an overflow warning would fail it
@@ -1066,6 +1163,42 @@ def test_damaged_image_and_embedding_inputs_exit_cleanly(case, data):
     victim = data.draw(st.sampled_from(inputs))
     raw = data.draw(damaged(BINARY_FUZZ_FILES[victim]))
     code, err, victim_path = run_on_damaged(BINARY_FUZZ_FILES, args, victim, raw)
+    if code == 1:
+        assert victim_path in err
+
+
+def _compact_json(payload) -> bytes:
+    # no spaces, so a flipped byte cannot lengthen a number: the spec stays small enough to train at once
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
+# the inputs of train and predict: a synthetic spec, a margins file with a margin for up to ten
+# classes (a flipped digit in the spec's n_classes still finds its margins), and a model
+MODEL_FUZZ_FILES = {
+    "spec.json": _compact_json({"n_samples": 30, "n_classes": 3, "feature_dim": 3, "seed": 2}),
+    "margins.csv": b"class,count,margin\n" + b"".join(b"c%d,%d,0.%d5\n" % (j, 20 - j, j) for j in range(10)),
+    "model.json": _compact_json({"class_names": ["a", "b"], "weights": [[1, 0.5, -2], [0.25, -1, 3]], "bias": [0.1, -0.2]}),
+    "features.emb": _emb1([[1, 0.5, -2], [0, 3, 1]]),
+}
+# case -> (arguments up to the output flag, the input files it may damage)
+MODEL_FUZZ_COMMANDS = {
+    "train": (
+        ["train", "--synth-spec", "spec.json", "--margins", "margins.csv", "--epochs", "2", "--model-out"],
+        ["spec.json", "margins.csv"],
+    ),
+    "predict": (["predict", "--model", "model.json", "--features", "features.emb", "--out"], ["model.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_FUZZ_COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_spec_margin_and_model_inputs_exit_cleanly(case, data):
+    """As for image and embedding inputs: an exit 1 names the damaged file."""
+    args, inputs = MODEL_FUZZ_COMMANDS[case]
+    victim = data.draw(st.sampled_from(inputs))
+    raw = data.draw(damaged(MODEL_FUZZ_FILES[victim]))
+    code, err, victim_path = run_on_damaged(MODEL_FUZZ_FILES, args, victim, raw)
     if code == 1:
         assert victim_path in err
 

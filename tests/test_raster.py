@@ -14,6 +14,7 @@ from tailkit.raster import (
     TtaSpec,
     apply_transform,
     _nearest_rank_values,
+    _pgm_tokens,
     _rotate,
     load_pgm,
     normalize_clip_style,
@@ -104,6 +105,24 @@ def to_tensor3_oracle(grid, mean, std):
     return (grid[None, :, :] - mean[:, None, None]) / std[:, None, None]
 
 
+def pgm_tokens_oracle(data: bytes):
+    """The byte-by-byte PGM header scanner that the one regex replaced."""
+    i = 0
+    while i < len(data):
+        ch = data[i : i + 1]
+        if ch in b" \t\r\n":
+            i += 1
+        elif ch == b"#":
+            j = data.find(b"\n", i)
+            i = len(data) if j < 0 else j + 1
+        else:
+            j = i
+            while j < len(data) and data[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            yield data[i:j], j
+            i = j
+
+
 @st.composite
 def rasters(draw):
     """8- or 16-bit rasters up to 12x12, a third of them constant."""
@@ -184,6 +203,12 @@ class TestLoadPgm:
         with pytest.raises(ValueError) as info:
             load_pgm(path)
         assert str(info.value) == f"{path}: malformed header"
+
+    # the separators, comment and line bytes, and bytes that are token text though they look like space
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(list(b" \t\r\n#09Pa\x00\x0b\x0c")), max_size=40).map(bytes))
+    def test_tokens_match_the_scanning_oracle(self, data):
+        assert list(_pgm_tokens(data)) == list(pgm_tokens_oracle(data))
 
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "h.pgm"
