@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ from . import __version__
 from .data import (
     _check_int,
     _load_margins,
+    _map_rows,
     _read_json,
     _write_matrix,
     class_stats,
-    load_embeddings,
     load_labels,
     load_scores,
     save_scores,
@@ -45,7 +46,7 @@ from .raster import (
     normalize_clip_style,
     percentile_clip_rescale,
     resize_bilinear,
-    to_tensor3,
+    tensor3_channels,
 )
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 from .trainer import (
@@ -58,7 +59,7 @@ from .trainer import (
     save_model,
     train,
 )
-from .zeroshot import ZsConfig, _load_unit, load_prompt_manifest, score_batch
+from .zeroshot import ZsConfig, load_prompt_manifest, score_file
 
 
 class UsageError(Exception):
@@ -189,18 +190,18 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
-    emb = load_embeddings(args.features)
-    if emb.dim != model.weights.shape[1]:
-        dims = f"{emb.dim} differs from {model.weights.shape[1]} in {args.model}"
-        raise ValueError(f"{args.features}: feature dimension {dims}")
+    dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        logits = forward(model, emb.vectors)
+        ids, found, logits = _map_rows(args.features, partial(forward, model, rowwise=True), classes, dim)
+        if found != dim:
+            dims = f"{found} differs from {dim} in {args.model}"
+            raise ValueError(f"{args.features}: feature dimension {dims}")
         # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
         values = stable_sigmoid(logits) if args.probabilities else logits
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
-    scores = ScoreMatrix(ids=emb.ids, values=values, kind=kind, class_names=model.class_names)
+    scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, args.out)
     inputs = [args.model, args.features]
     return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
@@ -246,13 +247,12 @@ def cmd_zeroshot(args):
     if prompts_path.is_dir():
         prompts_path = prompts_path / "manifest.json"
     bank = load_prompt_manifest(prompts_path)
-    images = _load_unit(args.images)
-    if images.dim != bank.dim:
-        dims = f"{images.dim} differs from {bank.dim} in {prompts_path}"
+    ids, dim, values = score_file(args.images, bank, cfg)
+    if dim != bank.dim:
+        dims = f"{dim} differs from {bank.dim} in {prompts_path}"
         raise ValueError(f"{args.images}: embedding dimension {dims}")
-    scores = score_batch(images, bank, cfg)
-    save_scores(scores, args.out)
-    counts = dict(images=len(images.ids), classes=len(bank.class_names))
+    save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), args.out)
+    counts = dict(images=len(ids), classes=len(bank.class_names))
     return _finish(args, args.out, [args.images, prompts_path], "zeroshot_scored", **counts)
 
 
@@ -268,13 +268,13 @@ def cmd_eval(args):
 
 
 def cmd_preprocess(args):
-    raster = load_pgm(args.image)
     size = args.size if args.size is not None else (512 if args.task == 1 else 224)
+    # no name holds the raster, so its pixels are freed once the grid is made
     if args.task == 1:
-        grid = percentile_clip_rescale(raster, args.clip_lo, args.clip_hi)
+        grid = percentile_clip_rescale(load_pgm(args.image), args.clip_lo, args.clip_hi)
         mean, std = IMAGENET_MEAN, IMAGENET_STD
     else:
-        grid = normalize_clip_style(raster)
+        grid = normalize_clip_style(load_pgm(args.image))
         mean, std = CLIP_MEAN, CLIP_STD
     grid = resize_bilinear(grid, size, size)
     spec = TtaSpec(tuple(args.tta))
@@ -282,14 +282,11 @@ def cmd_preprocess(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
-        tensor = to_tensor3(apply_transform(grid, name), mean, std).astype("<f4")
-        tensor.tofile(out_dir / f"{stem}__{name}.raw")
-        sidecar = {
-            "transform": name,
-            "shape": list(tensor.shape),
-            "dtype": "<f4",
-            "source": str(args.image),
-        }
+        view = apply_transform(grid, name)
+        with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
+            for channel in tensor3_channels(view, mean, std):
+                channel.astype("<f4").tofile(fh)
+        sidecar = {"transform": name, "shape": [3, *view.shape], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)
     return _finish(
         args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size

@@ -55,6 +55,11 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
+def _check_unique(items, what: str) -> None:
+    if len(set(items)) != len(items):
+        raise ValueError(f"duplicate {what}")
+
+
 @dataclass
 class LabelMatrix:
     """N x C binary ground-truth labels."""
@@ -72,8 +77,8 @@ class LabelMatrix:
         n, c = self.values.shape
         if n != len(self.ids) or c != len(self.class_names):
             raise ValueError("label matrix shape does not match ids/class names")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate id in label matrix")
+        _check_unique(self.ids, "id in label matrix")
+        _check_unique(self.class_names, "class name in label matrix")
         if not np.isin(self.values, (0, 1)).all():
             raise ValueError("non-binary label value")
 
@@ -106,8 +111,8 @@ class ScoreMatrix:
         n, c = self.values.shape
         if n != len(self.ids) or c != len(self.class_names):
             raise ValueError("score matrix shape does not match ids/class names")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate id in score matrix")
+        _check_unique(self.ids, "id in score matrix")
+        _check_unique(self.class_names, "class name in score matrix")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite score entry")
         if self.kind == "probabilities":
@@ -146,7 +151,7 @@ class EmbeddingSet:
     binary file format is float32, applied at write time (exact for data
     that came from a file, since float32 -> float64 is lossless).  A float64
     ``vectors`` is kept as given, not copied; the loaders hand over one that
-    nothing else holds, and the zero-shot loader normalizes it in place.
+    nothing else holds.
     """
 
     ids: list
@@ -441,29 +446,34 @@ def class_stats(labels: LabelMatrix) -> ClassConfig:
 
 def load_embeddings(path) -> EmbeddingSet:
     """Load an embedding file, binary (EMB1 magic) or CSV, with normalized=False."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == EMB_MAGIC:
-        return _load_embeddings_binary(path)
-    # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
-    if b"\x00" in head:
-        raise ValueError(f"{path}: bad magic {head!r}")
-    check = partial(_finite, what="embedding entry")
-    ids, _, vectors = _read_matrix(path, _floats, _plain_floats, check)
+    ids, _, vectors = _map_rows(path)
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
-def _load_embeddings_binary(path: Path) -> EmbeddingSet:
+def _embedding_blocks(path):
+    """Yield an embedding file's (count, dim), then its rows in float64 blocks, then its ids.
+
+    A CSV file is parsed and checked whole first.  EMB1 rows pass ``_NORM_BLOCK_ROWS`` at a
+    time through one buffer; faults come in file order: header and length, each block, sidecar."""
+    path = Path(path)
     with open(path, "rb") as fh:
         size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
+        if head[:4] != EMB_MAGIC:
+            # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
+            if b"\x00" in head[:4]:
+                raise ValueError(f"{path}: bad magic {head[:4]!r}")
+            check = partial(_finite, what="embedding entry")
+            ids, _, vectors = _read_matrix(path, _floats, _plain_floats, check)
+            starts = range(0, len(ids), _NORM_BLOCK_ROWS)
+            yield from [vectors.shape, *(vectors[s : s + _NORM_BLOCK_ROWS] for s in starts), ids]
+            return
         if len(head) < 12:
             raise ValueError(f"{path}: truncated header")
         count, dim = struct.unpack_from("<II", head, 4)
         expected = 12 + 4 * count * dim
         if size != expected:
             raise ValueError(f"{path}: expected {expected} bytes, found {size}")
-        vectors = np.empty((count, dim))
+        yield count, dim
         buffer = np.empty((min(count, _NORM_BLOCK_ROWS), dim), dtype="<f4")
         for start in range(0, count, _NORM_BLOCK_ROWS):
             rows = buffer[: count - start]
@@ -471,7 +481,7 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
                 raise ValueError(f"{path}: truncated data")
             if not np.isfinite(rows).all():
                 raise ValueError(f"{path}: non-finite embedding entry")
-            vectors[start : start + len(rows)] = rows
+            yield rows.astype(np.float64)
     sidecar = path.with_name(path.name + ".ids.json")
     if sidecar.exists():
         ids = _read_json(sidecar)
@@ -487,7 +497,32 @@ def _load_embeddings_binary(path: Path) -> EmbeddingSet:
             seen.add(key)
     else:
         ids = [str(i) for i in range(count)]
-    return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
+    yield ids
+
+
+def _map_rows(path, fn=None, width=None, dim=None, unit=False):
+    """(ids, the file's dim, N x ``width`` array, by default N x D): ``fn`` of each row block.
+
+    ``unit`` first divides each block by its row norms; a zero-norm row's error, naming file
+    and id, follows the file's own faults.  ``fn`` runs only before such a row and, if ``dim``
+    is given, when the file's dim is ``dim``; the caller names a mismatch."""
+    blocks = _embedding_blocks(path)
+    count, found = next(blocks)
+    out, zero = np.empty((count, width or found)), None
+    for start in range(0, count, _NORM_BLOCK_ROWS):
+        block = next(blocks)
+        if unit:
+            norms = np.linalg.norm(block, axis=1)[:, None]
+            if zero is None and not norms.all():
+                zero = start + int(np.argmin(norms))
+            if zero is None:
+                block /= norms
+        if zero is None and dim in (None, found):
+            out[start : start + len(block)] = block if fn is None else fn(block)
+    ids = next(blocks)
+    if zero is not None:
+        raise ValueError(f"{path}: zero-norm embedding row (id {ids[zero]!r})")
+    return ids, found, out
 
 
 def save_embeddings_binary(emb: EmbeddingSet, path) -> None:

@@ -13,8 +13,8 @@ Pins the conventions that matter for bit-reproducibility:
 
 All operations are pure functions over float64 grids in [0, 1].  Bilinear
 resize and rotation fill their output over strips of ``_STRIP_ROWS`` rows, and
-the channel normalization fills one channel at a time, so no temporary spans
-the whole frame.  Each output value goes through the same float operations in
+the channel normalization makes one channel at a time, so no temporary spans
+all three.  Each output value goes through the same float operations in
 the same order as in a whole-frame computation, so outputs do not depend on
 the strip height.
 """
@@ -109,15 +109,10 @@ def load_pgm(path) -> Raster:
 
     if magic == b"P5":
         # exactly one whitespace byte separates maxval from the pixel bytes
-        start = max_end + 1
-        bytes_per = 1 if depth == 8 else 2
-        raw = data[start : start + count * bytes_per]
-        if len(raw) < count * bytes_per:
+        start, dtype = max_end + 1, np.dtype(np.uint8 if depth == 8 else ">u2")
+        if len(data) - start < count * dtype.itemsize:
             raise ValueError(f"{path}: truncated pixel data")
-        if depth == 8:
-            pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
-        else:
-            pixels = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
+        pixels = np.frombuffer(data, dtype, count=count, offset=start)
     else:
         values = []
         for tok, _ in tokens:
@@ -201,8 +196,8 @@ def _lerp_columns(lines, x0, x1, not_wx, wx):
     return left
 
 
-def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
-    """Replicate to 3 channels and normalize channelwise: (grid - mean) / std."""
+def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
+    """Yield the 3 channels of ``to_tensor3(grid, mean, std)``, each made when it is asked for."""
     grid = np.asarray(grid, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
@@ -210,11 +205,15 @@ def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
         raise ValueError("mean and std must have 3 entries")
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
-    out = np.empty((3,) + grid.shape)
     for k in range(3):
-        np.subtract(grid, mean[k], out=out[k])
-        out[k] /= std[k]
-    return out
+        channel = grid - mean[k]
+        channel /= std[k]
+        yield channel
+
+
+def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
+    """Replicate to 3 channels and normalize channelwise: (grid - mean) / std."""
+    return np.stack(list(tensor3_channels(grid, mean, std)))
 
 
 def _rotate(grid, degrees: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _read_json, write_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _read_json, write_json
 from .loss import (
     DbLossParams,
     _check_terms,
@@ -44,6 +44,7 @@ class LinearModel:
             raise ValueError("weights must be C x D with a C-vector bias")
         if len(self.class_names) != self.weights.shape[0]:
             raise ValueError("class_names must match weight rows")
+        _check_unique(self.class_names, "class name in model")
 
 
 @dataclass
@@ -111,11 +112,13 @@ def generate_synthetic(spec: SynthSpec):
     return features, label_matrix
 
 
-def forward(model: LinearModel, x) -> np.ndarray:
+def forward(model: LinearModel, x, rowwise: bool = False) -> np.ndarray:
+    """Logits ``x @ W.T + b``; ``rowwise`` sums by einsum, so a row's do not depend on the other rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ValueError("feature batch does not match model dimensions")
-    return x @ model.weights.T + model.bias
+    product = np.einsum("nd,cd->nc", x, model.weights) if rowwise else x @ model.weights.T
+    return product + model.bias
 
 
 def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, margin_override=None):

@@ -4,8 +4,8 @@ The image/text encoder is external: this module consumes unit-normalized
 image embeddings and a per-class bank of prompt embeddings, computes mean
 cosine similarity per class, and maps it to a probability with a scaled
 sigmoid p = sigmoid(scale * s).  Because the mean of inner products is the
-inner product with the mean, the batched path is a single matrix multiply
-against the per-class mean prompt vectors.
+inner product with the mean, the batched path is a single product (an
+einsum) with the per-class mean prompt vectors.
 """
 
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _check_real, _read_json, _row_norms, load_embeddings
+from .data import EmbeddingSet, ScoreMatrix, _check_real, _read_json, _map_rows, _row_norms
 from .loss import stable_sigmoid
 
 
@@ -67,31 +67,33 @@ def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
 
     The result is a new float64 matrix; ``emb`` is left unchanged.
     """
-    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / _nonzero_norms(emb), normalized=True)
-
-
-def _nonzero_norms(emb: EmbeddingSet) -> np.ndarray:
-    """The row norms as an N x 1 column; a zero-norm row's error names its id."""
     norms = _row_norms(emb.vectors)
-    if (norms == 0).any():
-        bad = int(np.nonzero(norms == 0)[0][0])
-        raise ValueError(f"zero-norm embedding row (id {emb.ids[bad]!r})")
-    return norms[:, None]
+    if not norms.all():
+        raise ValueError(f"zero-norm embedding row (id {emb.ids[int(np.argmin(norms))]!r})")
+    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / norms[:, None], normalized=True)
 
 
 def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreMatrix:
-    """Probability matrix for all images x classes via one matrix multiply."""
+    """Probabilities of all images x classes by one einsum, so no image's depend on the others."""
     if not images.normalized:
         raise ValueError("image embeddings must be unit-normalized first")
     if images.dim != bank.dim:
         raise ValueError("embedding dimension mismatch between images and prompts")
-    similarities = images.vectors @ bank.mean_prompt_matrix().T
+    similarities = np.einsum("nd,cd->nc", images.vectors, bank.mean_prompt_matrix())
     return ScoreMatrix(
         ids=images.ids,
         values=stable_sigmoid(cfg.scale * similarities),
         kind="probabilities",
         class_names=bank.class_names,
     )
+
+
+def score_file(path, bank: PromptBank, cfg: ZsConfig):
+    """(ids, the file's dim, N x C probabilities): ``score_batch`` of each unit-normalized block
+    of embedding file ``path`` (see ``data._map_rows``), under placeholder ids."""
+    def score(block):
+        return score_batch(EmbeddingSet(range(len(block)), block, normalized=True), bank, cfg).values
+    return _map_rows(path, score, len(bank.class_names), bank.dim, unit=True)
 
 
 def default_prompt_texts() -> dict:
@@ -146,13 +148,6 @@ def load_prompt_manifest(path) -> PromptBank:
 
 
 def _load_unit(path) -> EmbeddingSet:
-    """``unit_normalize(load_embeddings(path))``, bit for bit; a zero-norm row's error names the file.
-
-    The loaded array is this call's own, so it is divided in place, not copied.
-    """
-    emb = load_embeddings(path)
-    try:
-        emb.vectors /= _nonzero_norms(emb)
-        return EmbeddingSet(ids=emb.ids, vectors=emb.vectors, normalized=True)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    """``unit_normalize(load_embeddings(path))``, bit for bit; a zero-norm row's error names the file."""
+    ids, _, vectors = _map_rows(path, unit=True)
+    return EmbeddingSet(ids=ids, vectors=vectors, normalized=True)

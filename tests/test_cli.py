@@ -28,11 +28,14 @@ from tailkit.data import (
 )
 from tailkit.loss import class_weights, effective_numbers, margins
 from tailkit.raster import (
+    CLIP_MEAN,
+    CLIP_STD,
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
     apply_transform,
     load_pgm,
+    normalize_clip_style,
     percentile_clip_rescale,
     resize_bilinear,
     to_tensor3,
@@ -537,6 +540,20 @@ class TestPreprocessCommand:
             expected = tensor.astype("<f4").tobytes()
             assert (out_dir / f"scan__{name}.raw").read_bytes() == expected, name
 
+    @pytest.mark.parametrize("task, maxval", [(1, 255), (1, 65535), (2, 255), (2, 65535)])
+    def test_views_written_by_channel_equal_the_whole_tensor(self, tmp_path, write_pgm, task, maxval):
+        """Every view of either task, at an odd size, is the float32 bytes of ``to_tensor3``."""
+        pgm = write_pgm("scan.pgm", np.random.default_rng(task).integers(0, maxval + 1, (31, 26)), maxval=maxval)
+        argv = ["preprocess", str(pgm), "--task", str(task), "--size", "13", "--tta", *TTA_TRANSFORMS]
+        assert main(argv + ["--out-dir", str(tmp_path / "views")]) == 0
+        rescale = percentile_clip_rescale if task == 1 else normalize_clip_style
+        grid = resize_bilinear(rescale(load_pgm(pgm)), 13, 13)
+        mean_std = (IMAGENET_MEAN, IMAGENET_STD) if task == 1 else (CLIP_MEAN, CLIP_STD)
+        for name in TTA_TRANSFORMS:
+            expected = to_tensor3(apply_transform(grid, name), *mean_std).astype("<f4").tobytes()
+            assert (tmp_path / "views" / f"scan__{name}.raw").read_bytes() == expected, name
+            assert json.loads((tmp_path / "views" / f"scan__{name}.json").read_text())["shape"] == [3, 13, 13]
+
     def test_task2_divides_by_maxval(self, tmp_path, write_pgm):
         pgm = write_pgm("flat.pgm", np.full((4, 4), 65535), maxval=65535)
         out_dir = tmp_path / "pre2"
@@ -689,6 +706,18 @@ class TestMalformedInputs:
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: not a model file: ValueError(")
 
+    def test_model_with_duplicate_class_names(self, tmp_path, capsys):
+        # a scores CSV with a repeated column name would be rejected by every reader
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"class_names": ["a", "a"], "weights": [[1.0], [2.0]], "bias": [0.0, 0.0]}))
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        message = "not a model file: ValueError('duplicate class name in model')"
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_model_and_features_of_other_dimensions(self, tmp_path, capsys):
         model = tmp_path / "m.json"
         save_model(LinearModel([[1.0, 2.0, 3.0]], [0.0], ["a"]), model)
@@ -728,12 +757,14 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "ids, shown", [(["a", "a"], "'a'"), ([1, "1"], "'1'")], ids=["same", "int-and-str"]
     )
-    def test_sidecar_duplicate_ids_fail_before_scoring(self, tmp_path, capsys, monkeypatch, ids, shown):
+    def test_sidecar_duplicate_ids_fail_before_the_score_matrix(self, tmp_path, capsys, monkeypatch, ids, shown):
+        # blocks are scored as they are read, before the sidecar; its fault, which names
+        # the file, must still come before a score matrix is built from its ids
         images = tmp_path / "img.emb"
         save_embeddings_binary(EmbeddingSet(["i0", "i1"], [[1.0, 0.0], [0.0, 1.0]]), images)
         sidecar = tmp_path / "img.emb.ids.json"
         sidecar.write_text(json.dumps(ids), encoding="utf-8")
-        monkeypatch.setattr(cli, "score_batch", lambda *a: pytest.fail("scored a bad input"))
+        monkeypatch.setattr(cli, "ScoreMatrix", lambda *a: pytest.fail("built scores of a bad input"))
         argv = ["zeroshot", "--images", images, "--prompts", write_one_class_prompts(tmp_path)]
         assert main([str(a) for a in argv + ["--out", tmp_path / "zs.csv"]]) == 1
         assert capsys.readouterr().err == f"error: {sidecar}: duplicate id {shown}\n"

@@ -859,6 +859,13 @@ def test_score_matrix_rejects_nan():
         ScoreMatrix(["a"], [[np.nan]], "logits", ["c"])
 
 
+def test_matrices_reject_duplicate_class_names():
+    with pytest.raises(ValueError, match="^duplicate class name in score matrix$"):
+        ScoreMatrix(["a"], [[0.5, 0.5]], "probabilities", ["c", "c"])
+    with pytest.raises(ValueError, match="^duplicate class name in label matrix$"):
+        LabelMatrix(["a"], [[0, 1]], ["c", "c"])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8),

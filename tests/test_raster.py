@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -222,6 +224,33 @@ class TestLoadPgm:
             back = load_pgm(write_pgm(f"rt{binary}.pgm", pixels, maxval=65535, binary=binary))
             assert (back.width, back.height, back.depth) == (5, 3, 16)
             assert np.array_equal(back.pixels, pixels)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_p5_keeps_its_bits_and_one_byte_short_is_truncated(self, tmp_path, write_pgm, maxval):
+        pixels = np.random.default_rng(maxval).integers(0, maxval + 1, (37, 23))
+        path = write_pgm("p.pgm", pixels, maxval=maxval)
+        raster = load_pgm(path)
+        assert raster.pixels.dtype == np.uint16 and raster.pixels.tobytes() == pixels.astype(np.uint16).tobytes()
+        short = tmp_path / "short.pgm"
+        short.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError) as info:
+            load_pgm(short)
+        assert str(info.value) == f"{short}: truncated pixel data"
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_p5_load_copies_the_pixels_once(self, write_pgm, maxval):
+        """The file's bytes plus one uint16 cast: 1.5x (8-bit) or 2x (16-bit) the raster's pixels.
+
+        A slice of the bytes and a second cast took 3x and 4x.
+        """
+        path = write_pgm("big.pgm", np.random.default_rng(2).integers(0, maxval + 1, (384, 512)), maxval=maxval)
+        tracemalloc.start()
+        try:
+            raster = load_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * raster.pixels.nbytes
 
 
 class TestPercentileClip:

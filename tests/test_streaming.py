@@ -1,0 +1,177 @@
+"""The streamed scoring path of `zeroshot` and `predict`.
+
+EMB1 rows are read, checked and scored one block at a time.  Pinned here:
+a row's scores do not depend on the other rows of its file; no N x D matrix
+is held; and a damaged file reports the same fault as the whole-file loaders.
+"""
+
+import json
+import struct
+import tracemalloc
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailkit.cli import main
+from tailkit.data import _NORM_BLOCK_ROWS, EMB_MAGIC, EmbeddingSet, _map_rows, save_embeddings_binary
+from tailkit.trainer import LinearModel, forward, save_model
+from tailkit.zeroshot import PromptBank, ZsConfig, score_batch, score_file, unit_normalize
+
+B = _NORM_BLOCK_ROWS
+
+
+@st.composite
+def subsets(draw, max_rows=2100):
+    """(n, rows): a file of n rows, and a subset of them, a slice or scattered in any order."""
+    n = draw(st.one_of(st.sampled_from([1, B - 1, B, B + 1]), st.integers(1, max_rows)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        return n, np.arange(start, draw(st.integers(start + 1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, rng.choice(n, draw(st.integers(1, n)), replace=False)
+
+
+def bank_of(rng, classes, dim):
+    rows = {f"k{j}": rng.standard_normal((3, dim)) for j in range(classes)}
+    return PromptBank(list(rows), {}, {k: v / np.linalg.norm(v, axis=1, keepdims=True) for k, v in rows.items()})
+
+
+# D = 64 and 200 take several BLAS kernel paths; with them x @ M.T fails these tests
+dims = st.sampled_from([3, 64, 200])
+
+
+@settings(max_examples=25, deadline=None)
+@given(subsets(), dims, st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_score_batch_row_does_not_depend_on_other_rows(drawn, dim, classes, seed):
+    (n, rows), rng = drawn, np.random.default_rng(seed)
+    images = unit_normalize(EmbeddingSet(range(n), rng.standard_normal((n, dim))))
+    bank, cfg = bank_of(rng, classes, dim), ZsConfig(scale=5.0)
+    whole = score_batch(images, bank, cfg).values
+    part = score_batch(EmbeddingSet(rows, images.vectors[rows], normalized=True), bank, cfg).values
+    assert part.tobytes() == whole[rows].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(subsets(), dims, st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_rowwise_forward_row_does_not_depend_on_other_rows(drawn, dim, classes, seed):
+    (n, rows), rng = drawn, np.random.default_rng(seed)
+    model = LinearModel(rng.standard_normal((classes, dim)), rng.standard_normal(classes), list(range(classes)))
+    x = rng.standard_normal((n, dim))
+    whole = forward(model, x, rowwise=True)
+    assert forward(model, x[rows], rowwise=True).tobytes() == whole[rows].tobytes()
+
+
+def write_emb1(path, vectors, ids):
+    save_embeddings_binary(EmbeddingSet(ids, np.asarray(vectors, dtype=np.float32)), path)
+    return path
+
+
+@settings(max_examples=12, deadline=None)
+@given(subsets(), dims, st.integers(0, 2**32 - 1))
+def test_cli_scores_of_a_row_do_not_depend_on_other_rows(tmp_path_factory, drawn, dim, seed):
+    """`zeroshot` and `predict` on EMB1: a subset file gives its rows the bits they get in the whole file."""
+    (n, rows), rng = drawn, np.random.default_rng(seed)
+    tmp = tmp_path_factory.mktemp("rows")
+    vectors, ids = rng.standard_normal((n, dim)).astype(np.float32), [f"r{i}" for i in range(n)]
+    whole = write_emb1(tmp / "whole.emb", vectors, ids)
+    part = write_emb1(tmp / "part.emb", vectors[rows], [ids[i] for i in rows])
+    bank = bank_of(rng, 3, dim)
+    entries = []
+    for name in bank.class_names:
+        write_emb1(tmp / f"{name}.emb", bank.embeddings[name], [f"{name}-{i}" for i in range(3)])
+        entries.append({"name": name, "embeddings": f"{name}.emb"})
+    (tmp / "manifest.json").write_text(json.dumps({"classes": entries}), encoding="utf-8")
+    model = LinearModel(rng.standard_normal((4, dim)), rng.standard_normal(4), list("abcd"))
+    save_model(model, tmp / "model.json")
+    zeroshot = partial(score_file, bank=bank, cfg=ZsConfig(scale=5.0))
+    predict = partial(_map_rows, fn=partial(forward, model, rowwise=True), width=4, dim=dim)
+    for score, argv in [
+        (zeroshot, ["zeroshot", "--prompts", tmp / "manifest.json", "--images"]),
+        (predict, ["predict", "--model", tmp / "model.json", "--features"]),
+    ]:
+        assert score(part)[2].tobytes() == score(whole)[2][rows].tobytes()
+        lines = {}
+        for path in (whole, part):
+            assert main([str(a) for a in argv + [path, "--out", tmp / f"{path.stem}.csv"]]) == 0
+            lines[path] = (tmp / f"{path.stem}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[part] == [lines[whole][0]] + [lines[whole][1 + i] for i in rows]
+
+
+def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):
+    """16 blocks of 128-dim rows with a sidecar: the peak stays under a quarter of the N x D float64 array.
+
+    Loading the file whole would take 1x; the ids take about 0.06x and one block 1/16.
+    """
+    rows, dim = 16 * B, 128
+    rng = np.random.default_rng(0)
+    path = write_emb1(tmp_path / "images.emb", rng.standard_normal((rows, dim)), [f"img{i:05d}" for i in range(rows)])
+    bank, cfg = bank_of(rng, 6, dim), ZsConfig(scale=5.0)
+    tracemalloc.start()
+    try:
+        ids, found, values = score_file(path, bank, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(ids), found, values.shape) == (rows, dim, (rows, 6))
+    assert peak <= 0.25 * rows * dim * 8
+
+
+N, ZERO_ROW = 2 * B + 5, B + 7  # three blocks; the zero row lies in the second
+# the order in which the whole-file loaders report faults
+FAULTS = ("truncated", "nan", "sidecar", "zero", "dim")
+
+
+def damaged_inputs(tmp_path, faults):
+    """Images of N rows carrying ``faults``, a one-class prompt manifest and a model, both 2-dim."""
+    dim = 3 if "dim" in faults else 2
+    vectors = np.random.default_rng(4).standard_normal((N, dim)).astype("<f4")
+    if "nan" in faults:
+        vectors[-1, 0] = np.nan
+    if "zero" in faults:
+        vectors[ZERO_ROW] = 0.0
+    raw = EMB_MAGIC + struct.pack("<II", N, dim) + vectors.tobytes()
+    images = tmp_path / "img.emb"
+    images.write_bytes(raw[:-1] if "truncated" in faults else raw)
+    ids = [f"r{i}" for i in range(N)]
+    sidecar = tmp_path / "img.emb.ids.json"
+    sidecar.write_text(json.dumps(ids[:-1] if "sidecar" in faults else ids), encoding="utf-8")
+    write_emb1(tmp_path / "g.emb", [[1.0, 0.0]], ["g0"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"classes": [{"name": "g", "embeddings": "g.emb"}]}), encoding="utf-8")
+    model = tmp_path / "model.json"
+    save_model(LinearModel([[1.0, -1.0]], [0.5], ["a"]), model)
+    messages = {
+        "truncated": f"{images}: expected {len(raw)} bytes, found {len(raw) - 1}",
+        "nan": f"{images}: non-finite embedding entry",
+        "sidecar": f"{sidecar}: ids sidecar does not match count {N}",
+        "zero": f"{images}: zero-norm embedding row (id 'r{ZERO_ROW}')",
+    }
+    zeroshot = messages | {"dim": f"{images}: embedding dimension 3 differs from 2 in {manifest}"}
+    # a zero row is no fault for a linear model
+    predict = messages | {"zero": None, "dim": f"{images}: feature dimension 3 differs from 2 in {model}"}
+    return [
+        (["zeroshot", "--images", images, "--prompts", manifest], zeroshot),
+        (["predict", "--model", model, "--features", images], predict),
+    ]
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(f,) for f in FAULTS] + [(a, b) for i, a in enumerate(FAULTS) for b in FAULTS[i + 1 :]],
+    ids=lambda faults: "+".join(faults),
+)
+def test_streamed_faults_come_in_the_loaders_order(tmp_path, capsys, faults):
+    """Each fault alone, and each pair, through both commands: the earlier fault in FAULTS wins."""
+    for argv, messages in damaged_inputs(tmp_path, faults):
+        out = tmp_path / f"{argv[0]}.csv"
+        shown = next((messages[f] for f in FAULTS if f in faults and messages[f]), None)
+        code = main([str(a) for a in argv + ["--out", out]])
+        err = capsys.readouterr().err
+        if shown is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"error: {shown}\n"), argv[0]
+            assert not out.exists()
