@@ -43,8 +43,7 @@ from .raster import (
     TtaSpec,
     apply_transform,
     load_pgm,
-    normalize_clip_style,
-    percentile_clip_rescale,
+    percentile_window,
     resize_bilinear,
     tensor3_channels,
 )
@@ -269,24 +268,25 @@ def cmd_eval(args):
 
 def cmd_preprocess(args):
     size = args.size if args.size is not None else (512 if args.task == 1 else 224)
-    # no name holds the raster, so its pixels are freed once the grid is made
+    raster = load_pgm(args.image)
     if args.task == 1:
-        grid = percentile_clip_rescale(load_pgm(args.image), args.clip_lo, args.clip_hi)
+        window = percentile_window(raster, args.clip_lo, args.clip_hi)
         mean, std = IMAGENET_MEAN, IMAGENET_STD
     else:
-        grid = normalize_clip_style(load_pgm(args.image))
-        mean, std = CLIP_MEAN, CLIP_STD
-    grid = resize_bilinear(grid, size, size)
+        window, mean, std = (0, raster.maxval), CLIP_MEAN, CLIP_STD
+    # the rescale runs inside the resize strips; the raster is deleted and no name
+    # holds a view, so each frame is freed before the next one is made
+    grid = resize_bilinear(raster.pixels, size, size, window=window)
+    del raster
     spec = TtaSpec(tuple(args.tta))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
-        view = apply_transform(grid, name)
         with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
-            for channel in tensor3_channels(view, mean, std):
-                channel.astype("<f4").tofile(fh)
-        sidecar = {"transform": name, "shape": [3, *view.shape], "dtype": "<f4", "source": str(args.image)}
+            for strip in tensor3_channels(apply_transform(grid, name), mean, std):
+                strip.astype("<f4").tofile(fh)
+        sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)
     return _finish(
         args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size

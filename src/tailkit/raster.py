@@ -12,11 +12,11 @@ Pins the conventions that matter for bit-reproducibility:
 * odd crop/pad remainders put the extra pixel at the bottom/right.
 
 All operations are pure functions over float64 grids in [0, 1].  Bilinear
-resize and rotation fill their output over strips of ``_STRIP_ROWS`` rows, and
-the channel normalization makes one channel at a time, so no temporary spans
-all three.  Each output value goes through the same float operations in
-the same order as in a whole-frame computation, so outputs do not depend on
-the strip height.
+resize, rotation and the channel normalization work in strips of
+``_STRIP_ROWS`` rows, and a resize given a rescale window rescales only the
+raw pixel rows each strip reads.  Each output value goes through the same
+float operations in the same order as in a whole-frame computation, so
+outputs do not depend on the strip height.
 """
 
 import re
@@ -31,9 +31,11 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 
-# output rows per strip in resize_bilinear and _rotate: each float64 temporary
-# of a 1024-pixel-wide output then takes 256 KiB
+# output rows per strip in resize_bilinear, _rotate and tensor3_channels: each
+# float64 temporary of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
+# pixels per np.bincount call in _nearest_rank_values: each casts a 512 KiB intp block
+_HIST_BLOCK = 1 << 16
 
 
 @dataclass
@@ -125,8 +127,8 @@ def load_pgm(path) -> Raster:
         if len(values) < count:
             raise ValueError(f"{path}: truncated pixel data")
         pixels = np.asarray(values, dtype=np.int64)
-    if (pixels > maxval).any():
-        raise ValueError(f"{path}: pixel exceeds maxval")
+        if (pixels > maxval).any():
+            raise ValueError(f"{path}: pixel exceeds maxval")
     return Raster(width=width, height=height, depth=depth, pixels=pixels.astype(np.uint16))
 
 
@@ -135,34 +137,48 @@ def _nearest_rank_values(pixels, pcts) -> list:
     max(1, ceil(pct/100 * n)) of the sorted population.
 
     Read from the histogram: that value is the smallest intensity whose
-    cumulative count reaches the rank.
+    cumulative count reaches the rank.  The histogram is summed over blocks of
+    ``_HIST_BLOCK`` pixels, so no intp copy of the whole raster is made.
     """
-    cumulative = np.cumsum(np.bincount(pixels.ravel()))
+    flat = pixels.ravel()
+    counts = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
+    for start in range(0, flat.size, _HIST_BLOCK):
+        counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=counts.size)
     ranks = [max(1, int(np.ceil(pct / 100.0 * pixels.size))) for pct in pcts]
-    return [float(v) for v in np.searchsorted(cumulative, ranks)]
+    return [float(v) for v in np.searchsorted(np.cumsum(counts), ranks)]
+
+
+def percentile_window(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0) -> tuple:
+    """The nearest-rank (lo, hi) intensities that ``percentile_clip_rescale`` maps to 0 and 1."""
+    if not 0.0 <= lo_pct < hi_pct <= 100.0:
+        raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
+    return tuple(_nearest_rank_values(raster.pixels, (lo_pct, hi_pct)))
 
 
 def percentile_clip_rescale(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0):
     """Clip to the [lo, hi] percentile window, then rescale to [0, 1]."""
-    if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
-    q_lo, q_hi = _nearest_rank_values(raster.pixels, (lo_pct, hi_pct))
-    if q_hi == q_lo:
-        return np.zeros(raster.pixels.shape)
-    grid = raster.pixels.astype(np.float64)
-    grid -= q_lo
-    grid /= q_hi - q_lo
-    return np.clip(grid, 0.0, 1.0, out=grid)
+    return _rescale(raster.pixels, *percentile_window(raster, lo_pct, hi_pct))
 
 
 def normalize_clip_style(raster: Raster):
-    """Divide by the depth's maxval (255 or 65535)."""
-    return raster.pixels.astype(np.float64) / float(raster.maxval)
+    """Divide by the depth's maxval (255 or 65535): the (0, maxval) window, with the same bits."""
+    return _rescale(raster.pixels, 0, raster.maxval)
 
 
-def resize_bilinear(grid, out_h: int, out_w: int):
-    """Bilinear resize with half-pixel-centered sampling and edge clamping."""
-    grid = np.asarray(grid, dtype=np.float64)
+def _rescale(pixels, lo, hi):
+    """``(pixels - lo) / (hi - lo)`` clipped to [0, 1] in float64; all zeros when hi == lo."""
+    if hi == lo:
+        return np.zeros(pixels.shape)
+    grid = pixels.astype(np.float64)
+    grid -= lo
+    grid /= hi - lo
+    return np.clip(grid, 0.0, 1.0, out=grid)
+
+
+def resize_bilinear(grid, out_h: int, out_w: int, *, window=None):
+    """Bilinear resize with half-pixel-centered sampling and edge clamping; with
+    ``window=(lo, hi)``, ``grid`` holds raw pixels and each strip rescales the rows it reads."""
+    grid = np.asarray(grid, dtype=np.float64 if window is None else None)
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be at least 1x1")
     in_h, in_w = grid.shape
@@ -175,11 +191,12 @@ def resize_bilinear(grid, out_h: int, out_w: int):
     wy = (src_y - y0)[:, None]
     wx = src_x - x0
     not_wy, not_wx = 1 - wy, 1 - wx
+    source_rows = grid.__getitem__ if window is None else lambda ys: _rescale(grid[ys], *window)
     out = np.empty((out_h, out_w))
     for start in range(0, out_h, _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
-        top = _lerp_columns(grid[y0[rows]], x0, x1, not_wx, wx)
-        bottom = _lerp_columns(grid[y1[rows]], x0, x1, not_wx, wx)
+        top = _lerp_columns(source_rows(y0[rows]), x0, x1, not_wx, wx)
+        bottom = _lerp_columns(source_rows(y1[rows]), x0, x1, not_wx, wx)
         np.multiply(top, not_wy[rows], out=out[rows])
         bottom *= wy[rows]
         out[rows] += bottom
@@ -197,7 +214,7 @@ def _lerp_columns(lines, x0, x1, not_wx, wx):
 
 
 def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
-    """Yield the 3 channels of ``to_tensor3(grid, mean, std)``, each made when it is asked for."""
+    """Yield ``to_tensor3(grid, mean, std)`` in C order, ``_STRIP_ROWS`` rows of one channel at a time."""
     grid = np.asarray(grid, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
@@ -206,14 +223,16 @@ def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
     for k in range(3):
-        channel = grid - mean[k]
-        channel /= std[k]
-        yield channel
+        for start in range(0, len(grid), _STRIP_ROWS):
+            strip = grid[start : start + _STRIP_ROWS] - mean[k]
+            strip /= std[k]
+            yield strip
 
 
 def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     """Replicate to 3 channels and normalize channelwise: (grid - mean) / std."""
-    return np.stack(list(tensor3_channels(grid, mean, std)))
+    grid = np.asarray(grid, dtype=np.float64)
+    return np.concatenate(list(tensor3_channels(grid, mean, std))).reshape(3, *grid.shape)
 
 
 def _rotate(grid, degrees: float):

@@ -15,12 +15,15 @@ from tailkit.raster import (
     Raster,
     TtaSpec,
     apply_transform,
+    _HIST_BLOCK,
     _nearest_rank_values,
     _pgm_tokens,
+    _rescale,
     _rotate,
     load_pgm,
     normalize_clip_style,
     percentile_clip_rescale,
+    percentile_window,
     resize_bilinear,
     to_tensor3,
 )
@@ -126,10 +129,10 @@ def pgm_tokens_oracle(data: bytes):
 
 
 @st.composite
-def rasters(draw):
-    """8- or 16-bit rasters up to 12x12, a third of them constant."""
+def rasters(draw, heights=st.integers(1, 12), widths=st.integers(1, 12)):
+    """8- or 16-bit rasters, up to 12x12 unless sizes are given, a third of them constant."""
     depth = draw(st.sampled_from([8, 16]))
-    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h, w = draw(heights), draw(widths)
     maxval = (1 << depth) - 1
     if draw(st.integers(0, 2)) == 0:
         pixels = np.full((h, w), draw(st.integers(0, maxval)))
@@ -211,6 +214,14 @@ class TestLoadPgm:
     @given(st.lists(st.sampled_from(list(b" \t\r\n#09Pa\x00\x0b\x0c")), max_size=40).map(bytes))
     def test_tokens_match_the_scanning_oracle(self, data):
         assert list(_pgm_tokens(data)) == list(pgm_tokens_oracle(data))
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_p2_pixel_above_maxval_fails(self, tmp_path, maxval):
+        path = tmp_path / "over.pgm"
+        path.write_text(f"P2\n2 1\n{maxval}\n{maxval} {maxval + 1}\n", encoding="ascii")
+        with pytest.raises(ValueError) as info:
+            load_pgm(path)
+        assert str(info.value) == f"{path}: pixel exceeds maxval"
 
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "h.pgm"
@@ -310,6 +321,33 @@ class TestPercentileClip:
         out = percentile_clip_rescale(raster, 1.0, 99.0)
         assert out.tobytes() == percentile_clip_rescale_oracle(raster, 1.0, 99.0).tobytes()
 
+    @pytest.mark.parametrize("n", [_HIST_BLOCK - 1, _HIST_BLOCK, _HIST_BLOCK + 1, 2 * _HIST_BLOCK + 1])
+    def test_blocked_histogram_matches_sort_oracle(self, n):
+        # the unique minimum opens the first block and the unique maximum closes the last
+        pixels = np.random.default_rng(n).integers(1, 60000, (1, n)).astype(np.uint16)
+        pixels[0, 0], pixels[0, -1] = 0, 65535
+        counted = _nearest_rank_values(pixels, FIXED_PCTS)
+        assert counted == [nearest_rank_percentile(pixels, pct) for pct in FIXED_PCTS]
+        assert counted[0] == 0.0 and counted[-1] == 65535.0
+        raster = Raster(width=n, height=1, depth=16, pixels=pixels)
+        for lo, hi in [(1.0, 99.0), (0.0, 100.0)]:
+            out = percentile_clip_rescale(raster, lo, hi)
+            assert out.tobytes() == percentile_clip_rescale_oracle(raster, lo, hi).tobytes()
+
+    def test_window_allocates_a_quarter_of_the_pixel_bytes(self):
+        """The percentile window of a 2048^2 16-bit raster peaks at 0.19x its pixel bytes;
+        one np.bincount of the whole raster cast it to intp, 4.06x."""
+        pixels = np.random.default_rng(4).integers(0, 65536, (2048, 2048)).astype(np.uint16)
+        raster = Raster(width=2048, height=2048, depth=16, pixels=pixels)
+        tracemalloc.start()
+        try:
+            window = percentile_window(raster, 1.0, 99.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * pixels.nbytes
+        assert window == (nearest_rank_percentile(pixels, 1.0), nearest_rank_percentile(pixels, 99.0))
+
     def test_invalid_bounds(self):
         raster = Raster(width=1, height=1, depth=8, pixels=[[0]])
         with pytest.raises(ValueError):
@@ -393,6 +431,41 @@ class TestResizeBilinear:
         for out_h, out_w in [(97, 129), (330, 283), (271, 231), (300, 257), (1, 5)]:
             out = resize_bilinear(grid, out_h, out_w)
             assert out.tobytes() == resize_bilinear_oracle(grid, out_h, out_w).tobytes()
+
+
+class TestRescaleInsideResize:
+    """``resize_bilinear(pixels, ..., window=)`` against the whole-frame rescale, then resize."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rasters(heights=st.sampled_from((1, 2, 31, 33, 70)), widths=st.integers(1, 40)),
+        st.sampled_from([(1, 1.0, 99.0), (1, 0.0, 100.0), (2, None, None)]),
+        st.sampled_from(STRIP_HEIGHTS),
+        st.sampled_from(ODD_WIDTHS),
+        st.sampled_from(TTA_TRANSFORMS),
+    )
+    def test_views_match_whole_frame_rescale_then_resize(self, raster, task_pcts, out_h, out_w, name):
+        # drawn input sizes above and below the output's cover up- and downscaling
+        task, lo, hi = task_pcts
+        if task == 1:
+            window, grid = percentile_window(raster, lo, hi), percentile_clip_rescale_oracle(raster, lo, hi)
+            mean_std = (IMAGENET_MEAN, IMAGENET_STD)
+        else:
+            window, grid = (0, raster.maxval), raster.pixels.astype(np.float64) / float(raster.maxval)
+            mean_std = (CLIP_MEAN, CLIP_STD)
+        out = resize_bilinear(raster.pixels, out_h, out_w, window=window)
+        expected = resize_bilinear_oracle(grid, out_h, out_w)
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+        view = to_tensor3(apply_transform(out, name), *mean_std).astype("<f4")
+        assert view.tobytes() == to_tensor3_oracle(apply_transform(expected, name), *mean_std).astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_maxval_window_is_the_division_for_every_value(self, depth):
+        maxval = (1 << depth) - 1
+        pixels = np.arange(maxval + 1, dtype=np.uint16)
+        assert _rescale(pixels, 0, maxval).tobytes() == (pixels.astype(np.float64) / maxval).tobytes()
+        raster = Raster(width=maxval + 1, height=1, depth=depth, pixels=pixels)
+        assert normalize_clip_style(raster).tobytes() == (pixels.astype(np.float64) / maxval).tobytes()
 
 
 class TestToTensor3:
