@@ -35,13 +35,14 @@ from .loss import DbLossParams, class_weights, effective_numbers, margins, stabl
 from .metrics import EceConfig, macro_report
 from .pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 from .raster import (
+    _bordered,
+    _fill_view,
     CLIP_MEAN,
     CLIP_STD,
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
     TtaSpec,
-    apply_transform,
     load_pgm,
     percentile_window,
     resize_bilinear,
@@ -274,23 +275,22 @@ def cmd_preprocess(args):
         mean, std = IMAGENET_MEAN, IMAGENET_STD
     else:
         window, mean, std = (0, raster.maxval), CLIP_MEAN, CLIP_STD
-    # the rescale runs inside the resize strips; the raster is deleted and no name
-    # holds a view, so each frame is freed before the next one is made
+    # the raster is freed before the grid takes rotation's zero border; every view refills one buffer
     grid = resize_bilinear(raster.pixels, size, size, window=window)
     del raster
+    grid = _bordered(grid)
+    view = np.empty((size, size))
     spec = TtaSpec(tuple(args.tta))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
         with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
-            for strip in tensor3_channels(apply_transform(grid, name), mean, std):
+            for strip in tensor3_channels(_fill_view(grid, name, view), mean, std):
                 strip.astype("<f4").tofile(fh)
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)
-    return _finish(
-        args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size
-    )
+    return _finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)
 
 
 def cmd_demo(args):

@@ -11,12 +11,14 @@ Pins the conventions that matter for bit-reproducibility:
   sampling and zero fill for out-of-bounds source samples,
 * odd crop/pad remainders put the extra pixel at the bottom/right.
 
-All operations are pure functions over float64 grids in [0, 1].  Bilinear
-resize, rotation and the channel normalization work in strips of
+All public operations are pure functions over float64 grids in [0, 1].
+Bilinear resize, rotation and the channel normalization work in strips of
 ``_STRIP_ROWS`` rows, and a resize given a rescale window rescales only the
-raw pixel rows each strip reads.  Each output value goes through the same
-float operations in the same order as in a whole-frame computation, so
-outputs do not depend on the strip height.
+raw pixel rows each strip reads.  A TTA view fills a caller's buffer from
+the grid held once inside a zero border, and a zoom computes only the rows
+and columns it keeps.  Each output value goes through the same float
+operations in the same order as in a whole-frame computation, so outputs do
+not depend on the strip height or on what the buffer held.
 """
 
 import re
@@ -34,6 +36,8 @@ CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 # output rows per strip in resize_bilinear, _rotate and tensor3_channels: each
 # float64 temporary of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
+# the zero border of _bordered: _rotate clips tap corners to [-2, h], so every tap lands in it
+_BORDER = 2
 # pixels per np.bincount call in _nearest_rank_values: each casts a 512 KiB intp block
 _HIST_BLOCK = 1 << 16
 
@@ -181,9 +185,16 @@ def resize_bilinear(grid, out_h: int, out_w: int, *, window=None):
     grid = np.asarray(grid, dtype=np.float64 if window is None else None)
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be at least 1x1")
+    return _resize_into(np.empty((out_h, out_w)), grid, out_h, out_w, window=window)
+
+
+def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int = 0, window=None):
+    """Fill ``out`` with the rows from ``row0`` and the columns from ``col0`` of the
+    ``full_h`` x ``full_w`` resize of ``grid``; the rows and columns outside are not computed."""
     in_h, in_w = grid.shape
-    src_y = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
-    src_x = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    out_h, out_w = out.shape
+    src_y = np.clip((np.arange(row0, row0 + out_h) + 0.5) * (in_h / full_h) - 0.5, 0.0, in_h - 1.0)
+    src_x = np.clip((np.arange(col0, col0 + out_w) + 0.5) * (in_w / full_w) - 0.5, 0.0, in_w - 1.0)
     y0 = np.floor(src_y).astype(np.int64)
     x0 = np.floor(src_x).astype(np.int64)
     y1 = np.minimum(y0 + 1, in_h - 1)
@@ -192,7 +203,6 @@ def resize_bilinear(grid, out_h: int, out_w: int, *, window=None):
     wx = src_x - x0
     not_wy, not_wx = 1 - wy, 1 - wx
     source_rows = grid.__getitem__ if window is None else lambda ys: _rescale(grid[ys], *window)
-    out = np.empty((out_h, out_w))
     for start in range(0, out_h, _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
         top = _lerp_columns(source_rows(y0[rows]), x0, x1, not_wx, wx)
@@ -235,15 +245,23 @@ def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     return np.concatenate(list(tensor3_channels(grid, mean, std))).reshape(3, *grid.shape)
 
 
-def _rotate(grid, degrees: float):
-    """Rotate about the image center, bilinear sampling, zero fill outside.
-
-    Each bilinear tap is gathered through one flat index into a copy of the
-    grid with a 2-pixel zero border.  Tap corners are clipped to [-2, h] and
-    [-2, w], so a tap outside the grid, even one far outside, reads a zero.
-    """
+def _bordered(grid):
+    """A float64 copy of ``grid`` inside a ``_BORDER``-pixel zero border, the frame ``_fill_view`` reads."""
     grid = np.asarray(grid, dtype=np.float64)
-    h, w = grid.shape
+    padded = np.zeros((grid.shape[0] + 2 * _BORDER, grid.shape[1] + 2 * _BORDER))
+    padded[_BORDER:-_BORDER, _BORDER:-_BORDER] = grid
+    return padded
+
+
+def _rotate(padded, degrees: float, out):
+    """Fill ``out`` with the grid inside ``padded``'s zero border rotated about its center,
+    bilinear sampling, zero fill outside.
+
+    Each bilinear tap is gathered through one flat index into ``padded``.  Tap
+    corners are clipped to [-2, h] and [-2, w], so a tap outside the grid, even
+    one far outside, reads a zero of the border.
+    """
+    h, w = out.shape
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -252,11 +270,8 @@ def _rotate(grid, degrees: float):
     # inverse map: rotate output coordinates by -theta back into the source
     x_of_x, x_of_y = cos_t * xs, sin_t * ys
     y_of_x, y_of_y = -sin_t * xs, cos_t * ys
-    stride = w + 4
-    padded = np.zeros((h + 4, stride))
-    padded[2 : h + 2, 2 : w + 2] = grid
-    flat = padded.ravel()
-    out = np.zeros_like(grid)
+    stride = w + 2 * _BORDER
+    flat = padded.reshape(-1)
     for start in range(0, h, _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
         src_x = x_of_x + x_of_y[rows]
@@ -267,13 +282,15 @@ def _rotate(grid, degrees: float):
         floor_y = np.floor(src_y)
         fx = np.subtract(src_x, floor_x, out=src_x)
         fy = np.subtract(src_y, floor_y, out=src_y)
-        # flat index of the top-left tap in the padded copy
-        corner = np.clip(floor_y, -2, h, out=floor_y).astype(np.int64)
-        corner += 2
+        # flat index of the top-left tap in the padded frame
+        corner = np.clip(floor_y, -_BORDER, h, out=floor_y).astype(np.int64)
+        corner += _BORDER
         corner *= stride
-        corner += np.clip(floor_x, -2, w, out=floor_x).astype(np.int64)
-        corner += 2
+        corner += np.clip(floor_x, -_BORDER, w, out=floor_x).astype(np.int64)
+        corner += _BORDER
+        # the taps add up from a zeroed strip, as in a fresh zero frame: -0.0 products sum to +0.0
         taps = out[rows]
+        taps.fill(0.0)
         for dy in (0, 1):
             for dx in (0, 1):
                 weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
@@ -282,44 +299,37 @@ def _rotate(grid, degrees: float):
     return out
 
 
-def _center_crop(grid, out_h: int, out_w: int):
-    h, w = grid.shape
-    top = (h - out_h) // 2
-    left = (w - out_w) // 2
-    return grid[top : top + out_h, left : left + out_w]
-
-
-def _center_pad(grid, out_h: int, out_w: int):
-    h, w = grid.shape
-    top = (out_h - h) // 2
-    left = (out_w - w) // 2
-    out = np.zeros((out_h, out_w), dtype=np.float64)
-    out[top : top + h, left : left + w] = grid
-    return out
-
-
-def _zoom(grid, scale: float):
+def _zoom(grid, scale: float, out):
+    """Fill ``out`` with ``grid`` resized by ``scale`` about its center: a zoom in computes only
+    the centered crop, a zoom out resizes into the centered window of a zeroed ``out``."""
     h, w = grid.shape
     new_h = max(1, int(np.floor(h * scale + 0.5)))
     new_w = max(1, int(np.floor(w * scale + 0.5)))
-    scaled = resize_bilinear(grid, new_h, new_w)
     if scale >= 1.0:
-        return _center_crop(scaled, h, w)
-    return _center_pad(scaled, h, w)
+        return _resize_into(out, grid, new_h, new_w, (new_h - h) // 2, (new_w - w) // 2)
+    out.fill(0.0)
+    top, left = (h - new_h) // 2, (w - new_w) // 2
+    _resize_into(out[top : top + new_h, left : left + new_w], grid, new_h, new_w)
+    return out
+
+
+def _fill_view(padded, name: str, out):
+    """Fill ``out`` with transform ``name`` of the grid inside ``padded`` (made by ``_bordered``)
+    and return it.  Whatever ``out`` held before, an earlier view too, is overwritten."""
+    grid = padded[_BORDER:-_BORDER, _BORDER:-_BORDER]
+    if name == "identity":
+        out[...] = grid
+    elif name == "hflip":
+        out[...] = grid[:, ::-1]
+    elif name in ("rot+5", "rot-5"):
+        _rotate(padded, float(name[3:]), out)
+    elif name in ("zoom1.1", "zoom0.9"):
+        _zoom(grid, float(name[4:]), out)
+    else:
+        raise ValueError(f"unknown transform {name!r}")
+    return out
 
 
 def apply_transform(grid, name: str):
-    grid = np.asarray(grid, dtype=np.float64)
-    if name == "identity":
-        return grid.copy()
-    if name == "hflip":
-        return grid[:, ::-1].copy()
-    if name == "rot+5":
-        return _rotate(grid, 5.0)
-    if name == "rot-5":
-        return _rotate(grid, -5.0)
-    if name == "zoom1.1":
-        return _zoom(grid, 1.1)
-    if name == "zoom0.9":
-        return _zoom(grid, 0.9)
-    raise ValueError(f"unknown transform {name!r}")
+    """Transform ``name`` of ``grid`` as a new float64 array: the view ``preprocess`` builds in its buffer."""
+    return _fill_view(_bordered(grid), name, np.empty(np.shape(grid)))

@@ -1,7 +1,15 @@
 import csv
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci loads the ci profile: the CLI fuzz tests of tests/test_cli.py then draw
+# 500 examples per subcommand and input kind instead of 40.  Every other property test sets its
+# own max_examples, which a profile does not override, so it draws the same count under both.
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -71,6 +71,7 @@ class TestEffectiveNumbers:
         with pytest.raises(ValueError, match="zero-count"):
             effective_numbers([3, 0], 0.9)
 
+    @settings(max_examples=100)
     @given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.5, max_value=0.99999))
     def test_strictly_decreasing_in_count(self, n, beta):
         # strict while beta^n stays far from float underflow
@@ -95,6 +96,7 @@ class TestClassWeights:
         w = class_weights(np.array([2.7, 2.7, 2.7]), 1.3)
         assert w.tolist() == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
+    @settings(max_examples=100)
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=10),
         st.floats(min_value=0.0, max_value=3.0),
@@ -197,6 +199,7 @@ class TestStableSigmoid:
         assert stable_sigmoid(500.0) == pytest.approx(1.0, abs=1e-12)
         assert stable_sigmoid(-500.0) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=100)
     @given(st.floats(min_value=-700, max_value=700))
     def test_symmetry_and_bounds(self, z):
         s = float(stable_sigmoid(z))
