@@ -35,14 +35,14 @@ from .loss import DbLossParams, class_weights, effective_numbers, margins, stabl
 from .metrics import EceConfig, macro_report
 from .pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 from .raster import (
-    _bordered,
-    _fill_view,
     CLIP_MEAN,
     CLIP_STD,
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
     TtaSpec,
+    bordered,
+    fill_view,
     load_pgm,
     percentile_window,
     resize_bilinear,
@@ -193,7 +193,7 @@ def cmd_predict(args):
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, found, logits = _map_rows(args.features, partial(forward, model, rowwise=True), classes, dim)
+        ids, found, logits = _map_rows(args.features, partial(forward, model), classes, dim)
         if found != dim:
             dims = f"{found} differs from {dim} in {args.model}"
             raise ValueError(f"{args.features}: feature dimension {dims}")
@@ -216,8 +216,6 @@ def cmd_merge_tta(args):
 
 def cmd_ensemble(args):
     members = [load_scores(p, kind="probabilities") for p in args.inputs]
-    if len(args.weights) != len(members):
-        raise ValueError("need one weight per ensemble member")
     spec = EnsembleSpec.from_raw(args.weights)
     combined = ensemble(members, spec)
     save_scores(combined, args.out)
@@ -278,7 +276,7 @@ def cmd_preprocess(args):
     # the raster is freed before the grid takes rotation's zero border; every view refills one buffer
     grid = resize_bilinear(raster.pixels, size, size, window=window)
     del raster
-    grid = _bordered(grid)
+    grid = bordered(grid)
     view = np.empty((size, size))
     spec = TtaSpec(tuple(args.tta))
     out_dir = Path(args.out_dir)
@@ -286,7 +284,7 @@ def cmd_preprocess(args):
     stem = Path(args.image).stem
     for name in spec.transforms:
         with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
-            for strip in tensor3_channels(_fill_view(grid, name, view), mean, std):
+            for strip in tensor3_channels(fill_view(grid, name, view), mean, std):
                 strip.astype("<f4").tofile(fh)
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)

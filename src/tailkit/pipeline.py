@@ -93,7 +93,7 @@ def ensemble(members, spec: EnsembleSpec) -> ScoreMatrix:
     if not members:
         raise ValueError("need at least one ensemble member")
     if spec.normalized_weights.size != len(members):
-        raise ValueError("weight count does not match member count")
+        raise ValueError("need one weight per ensemble member")
     first = members[0]
     for mtx in members:
         if mtx.kind != "probabilities":

@@ -36,7 +36,7 @@ CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 # output rows per strip in resize_bilinear, _rotate and tensor3_channels: each
 # float64 temporary of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
-# the zero border of _bordered: _rotate clips tap corners to [-2, h], so every tap lands in it
+# the zero border that bordered adds: _rotate clips tap corners to [-2, h], so every tap lands in it
 _BORDER = 2
 # pixels per np.bincount call in _nearest_rank_values: each casts a 512 KiB intp block
 _HIST_BLOCK = 1 << 16
@@ -245,8 +245,8 @@ def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     return np.concatenate(list(tensor3_channels(grid, mean, std))).reshape(3, *grid.shape)
 
 
-def _bordered(grid):
-    """A float64 copy of ``grid`` inside a ``_BORDER``-pixel zero border, the frame ``_fill_view`` reads."""
+def bordered(grid):
+    """A float64 copy of ``grid`` inside a ``_BORDER``-pixel zero border: the frame every view of it reads."""
     grid = np.asarray(grid, dtype=np.float64)
     padded = np.zeros((grid.shape[0] + 2 * _BORDER, grid.shape[1] + 2 * _BORDER))
     padded[_BORDER:-_BORDER, _BORDER:-_BORDER] = grid
@@ -313,9 +313,9 @@ def _zoom(grid, scale: float, out):
     return out
 
 
-def _fill_view(padded, name: str, out):
-    """Fill ``out`` with transform ``name`` of the grid inside ``padded`` (made by ``_bordered``)
-    and return it.  Whatever ``out`` held before, an earlier view too, is overwritten."""
+def fill_view(padded, name: str, out):
+    """Fill ``out``, of the grid's shape, with TTA view ``name`` of the grid in ``padded`` (made by
+    ``bordered``) and return it.  Whatever ``out`` held before, an earlier view too, is overwritten."""
     grid = padded[_BORDER:-_BORDER, _BORDER:-_BORDER]
     if name == "identity":
         out[...] = grid
@@ -332,4 +332,4 @@ def _fill_view(padded, name: str, out):
 
 def apply_transform(grid, name: str):
     """Transform ``name`` of ``grid`` as a new float64 array: the view ``preprocess`` builds in its buffer."""
-    return _fill_view(_bordered(grid), name, np.empty(np.shape(grid)))
+    return fill_view(bordered(grid), name, np.empty(np.shape(grid)))

@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _read_json, write_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _read_json
+from .data import class_stats, write_json
 from .loss import (
     DbLossParams,
     _check_terms,
@@ -112,13 +113,12 @@ def generate_synthetic(spec: SynthSpec):
     return features, label_matrix
 
 
-def forward(model: LinearModel, x, rowwise: bool = False) -> np.ndarray:
-    """Logits ``x @ W.T + b``; ``rowwise`` sums by einsum, so a row's do not depend on the other rows."""
+def forward(model: LinearModel, x) -> np.ndarray:
+    """Logits ``x @ W.T + b``, summed by einsum, so a row's do not depend on the other rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ValueError("feature batch does not match model dimensions")
-    product = np.einsum("nd,cd->nc", x, model.weights) if rowwise else x @ model.weights.T
-    return product + model.bias
+    return np.einsum("nd,cd->nc", x, model.weights) + model.bias
 
 
 def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, margin_override=None):
@@ -131,7 +131,7 @@ def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, mar
     c = labels.n_classes
     if cfg.loss == "plain-bce":
         return np.ones(c), np.zeros(c)
-    counts = np.maximum(labels.values.sum(axis=0, dtype=np.int64), 1)
+    counts = np.maximum(class_stats(labels).counts, 1)
     weights = class_weights(effective_numbers(counts, params.beta), params.alpha)
     if margin_override is not None:
         margin_vec = np.asarray(margin_override, dtype=np.float64)
@@ -170,8 +170,7 @@ def train(
     weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)
     _check_terms(weights, margin_vec)
     if cfg.sampler == "cas":
-        freqs = labels.values.sum(axis=0, dtype=np.int64) / float(n)
-        r_class = class_repeat_factors(freqs, sampler_cfg)
+        r_class = class_repeat_factors(class_stats(labels).frequencies, sampler_cfg)
         repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
     else:
         repeat = np.ones(n)
@@ -294,7 +293,7 @@ def run_comparison(
         sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=spec.seed)
     features, labels = generate_synthetic(spec)
     (x_train, y_train), (x_test, y_test) = holdout_split(features, labels)
-    tercile_counts = labels.values.sum(axis=0, dtype=np.int64)
+    tercile_counts = class_stats(labels).counts
 
     arms, models, reports = {}, {}, {}
     for name, loss_name, sampler_name in (

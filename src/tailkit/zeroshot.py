@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _check_real, _read_json, _map_rows, _row_norms
+from .data import EmbeddingSet, ScoreMatrix, _check_real, _check_unique, _read_json, _map_rows, _row_norms
 from .loss import stable_sigmoid
 
 
@@ -29,7 +29,7 @@ class ZsConfig:
 
 @dataclass
 class PromptBank:
-    """Per-class prompt texts and their embeddings (one K x D matrix per class)."""
+    """Per-class prompt texts and embeddings: a new dict of K x D unit rows per class, one D for all."""
 
     class_names: list
     prompts_per_class: dict
@@ -37,14 +37,21 @@ class PromptBank:
 
     def __post_init__(self):
         self.class_names = list(self.class_names)
+        if not self.class_names:
+            raise ValueError("a prompt bank needs at least one class")
+        _check_unique(self.class_names, "class name in prompt bank")
+        embeddings = {}
         for name in self.class_names:
-            mat = np.asarray(self.embeddings[name], dtype=np.float64)
+            mat = np.asarray(self.embeddings.get(name, ()), dtype=np.float64)
             if mat.ndim != 2 or mat.shape[0] < 1:
                 raise ValueError(f"class {name!r} needs at least one prompt embedding")
-            norms = np.linalg.norm(mat, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
+            if embeddings and mat.shape[1] != dim:
+                raise ValueError(f"class {name!r} prompt embeddings have dimension {mat.shape[1]}, not {dim}")
+            dim = mat.shape[1]
+            if not np.allclose(_row_norms(mat), 1.0, atol=1e-6):
                 raise ValueError(f"class {name!r} prompt embeddings are not unit norm")
-            self.embeddings[name] = mat
+            embeddings[name] = mat
+        self.embeddings = embeddings
         texts = self.prompts_per_class
         if texts:
             for name in self.class_names:
@@ -127,15 +134,14 @@ def load_prompt_manifest(path) -> PromptBank:
         if name in embeddings:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb_file = path.parent / emb_path
-        emb = _load_unit(emb_file)
-        if not emb.ids:
+        ids, found, embeddings[name] = _map_rows(emb_file, unit=True)
+        if not ids:
             raise ValueError(f"{emb_file}: no prompt embeddings for class {name!r}")
         if not class_names:
-            first_file, dim = emb_file, emb.dim
-        elif emb.dim != dim:
-            raise ValueError(f"{emb_file}: embedding dimension {emb.dim} differs from {dim} in {first_file}")
+            first_file, dim = emb_file, found
+        elif found != dim:
+            raise ValueError(f"{emb_file}: embedding dimension {found} differs from {dim} in {first_file}")
         class_names.append(name)
-        embeddings[name] = emb.vectors
         if "prompts" in entry:
             prompts = entry["prompts"]
             if not isinstance(prompts, list) or not all(isinstance(t, str) for t in prompts):
@@ -145,9 +151,3 @@ def load_prompt_manifest(path) -> PromptBank:
         return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _load_unit(path) -> EmbeddingSet:
-    """``unit_normalize(load_embeddings(path))``, bit for bit; a zero-norm row's error names the file."""
-    ids, _, vectors = _map_rows(path, unit=True)
-    return EmbeddingSet(ids=ids, vectors=vectors, normalized=True)

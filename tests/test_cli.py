@@ -407,6 +407,12 @@ class TestScorePipelineCommands:
         assert g.values[0, 0] == 0.75
         assert g.values[0, 1] == pytest.approx(0.45, abs=1e-12)
 
+    def test_ensemble_needs_one_weight_per_member(self, tmp_path, capsys):
+        scores = write_csv_file(tmp_path / "s.csv", ["id", "a"], [["s0", "0.5"]])
+        rc = main(["ensemble", "--in", str(scores), str(scores), "--weights", "1", "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need one weight per ensemble member\n"
+
     def test_gate_unknown_class_fails_validation(self, tmp_path, capsys):
         scores = write_csv_file(tmp_path / "s.csv", ["id", "a"], [["s0", "0.5"]])
         rc = main(["gate", "--in", str(scores), "--normal-class", "Missing", "--out", str(tmp_path / "o.csv")])

@@ -138,7 +138,7 @@ class TestEnsemble:
         assert spec.normalized_weights.tobytes() == (w / w.sum()).tobytes()
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(ValueError, match="^need one weight per ensemble member$"):
             ensemble([probs([[0.5]])], EnsembleSpec.from_raw([1.0, 1.0]))
 
 

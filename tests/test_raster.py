@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tailkit.cli import main
 from tailkit.raster import (
     CLIP_MEAN,
     CLIP_STD,
@@ -15,9 +18,9 @@ from tailkit.raster import (
     Raster,
     TtaSpec,
     apply_transform,
+    bordered,
+    fill_view,
     _HIST_BLOCK,
-    _bordered,
-    _fill_view,
     _nearest_rank_values,
     _pgm_tokens,
     _rescale,
@@ -91,7 +94,7 @@ def rotate_oracle(grid, degrees: float):
 
 def rotate(grid, degrees: float):
     """``_rotate`` of ``grid`` read from its bordered frame into a NaN-filled buffer."""
-    return _rotate(_bordered(grid), degrees, np.full(np.shape(grid), np.nan))
+    return _rotate(bordered(grid), degrees, np.full(np.shape(grid), np.nan))
 
 
 def resize_bilinear_oracle(grid, out_h, out_w):
@@ -609,17 +612,17 @@ class TestTta:
 
 
 class TestViewBuffer:
-    """``_fill_view`` refilling one buffer, as ``preprocess`` does, against fresh arrays and oracles."""
+    """``fill_view`` refilling one buffer, as ``preprocess`` does, against fresh arrays and oracles."""
 
     @settings(max_examples=120, deadline=None)
     @given(strip_grids(), st.permutations(TTA_TRANSFORMS), st.booleans())
     def test_refilled_buffer_holds_each_fresh_view(self, grid, order, keep_previous):
         # the buffer starts as NaN and is refilled with NaN before each view, or keeps the previous view
-        padded, out = _bordered(grid), np.full(grid.shape, np.nan)
+        padded, out = bordered(grid), np.full(grid.shape, np.nan)
         for name in order:
             if not keep_previous:
                 out.fill(np.nan)
-            assert _fill_view(padded, name, out) is out
+            assert fill_view(padded, name, out) is out
             assert out.tobytes() == apply_transform(grid, name).tobytes(), name
             assert out.tobytes() == np.ascontiguousarray(TRANSFORM_ORACLES[name](grid)).tobytes(), name
 
@@ -630,11 +633,11 @@ class TestViewBuffer:
         1.30x (rotation's padded copy), 0.40x (the whole zoom1.1 resize) or 0.81x (the zoom0.9
         resize before its zero pad)."""
         grid = np.random.default_rng(8).random((1024, 1024))
-        padded, out = _bordered(grid), np.empty(grid.shape)
+        padded, out = bordered(grid), np.empty(grid.shape)
         for name in TTA_TRANSFORMS:
             tracemalloc.start()
             try:
-                _fill_view(padded, name, out)
+                fill_view(padded, name, out)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -643,6 +646,25 @@ class TestViewBuffer:
     def test_unknown_transform_fails(self):
         with pytest.raises(ValueError, match="unknown transform 'spin'"):
             apply_transform(np.zeros((2, 2)), "spin")
+
+    def test_benchmark_tracer_books_each_view_to_raster(self, tmp_path):
+        """The benchmark's tracer spans public functions only: each view ``preprocess`` builds
+        is one ``raster.fill_view`` span, so the view stage counts as raster work, not cli."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        pgm = tmp_path / "img.pgm"
+        pgm.write_bytes(b"P5\n8 8\n255\n" + bytes(range(0, 256, 4)))
+        views = ["identity", "rot+5", "zoom0.9"]
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            code = main(["preprocess", str(pgm), "--size", "6", "--tta", *views, "--out-dir", str(tmp_path / "v")])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert [name for name, *_ in tracer.spans].count("raster.fill_view") == len(views)
 
 
 def test_raster_validation():

@@ -57,11 +57,12 @@ def test_score_batch_row_does_not_depend_on_other_rows(drawn, dim, classes, seed
 @settings(max_examples=25, deadline=None)
 @given(subsets(), dims, st.integers(1, 7), st.integers(0, 2**32 - 1))
 def test_rowwise_forward_row_does_not_depend_on_other_rows(drawn, dim, classes, seed):
+    """``forward`` gives a row the same logits in any batch: what `predict` and demo evaluation score."""
     (n, rows), rng = drawn, np.random.default_rng(seed)
     model = LinearModel(rng.standard_normal((classes, dim)), rng.standard_normal(classes), list(range(classes)))
     x = rng.standard_normal((n, dim))
-    whole = forward(model, x, rowwise=True)
-    assert forward(model, x[rows], rowwise=True).tobytes() == whole[rows].tobytes()
+    whole = forward(model, x)
+    assert forward(model, x[rows]).tobytes() == whole[rows].tobytes()
 
 
 def write_emb1(path, vectors, ids):
@@ -87,7 +88,7 @@ def test_cli_scores_of_a_row_do_not_depend_on_other_rows(tmp_path_factory, drawn
     model = LinearModel(rng.standard_normal((4, dim)), rng.standard_normal(4), list("abcd"))
     save_model(model, tmp / "model.json")
     zeroshot = partial(score_file, bank=bank, cfg=ZsConfig(scale=5.0))
-    predict = partial(_map_rows, fn=partial(forward, model, rowwise=True), width=4, dim=dim)
+    predict = partial(_map_rows, fn=partial(forward, model), width=4, dim=dim)
     for score, argv in [
         (zeroshot, ["zeroshot", "--prompts", tmp / "manifest.json", "--images"]),
         (predict, ["predict", "--model", tmp / "model.json", "--features"]),

@@ -12,7 +12,6 @@ from tailkit.zeroshot import (
     ZsConfig,
     default_prompt_texts,
     load_prompt_manifest,
-    _load_unit,
     score_batch,
     unit_normalize,
 )
@@ -32,6 +31,13 @@ def make_bank(class_vectors):
 def unit_rows(rng, k, d):
     m = rng.standard_normal((k, d))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def load_one_class(path) -> np.ndarray:
+    """The prompt rows that ``load_prompt_manifest`` reads from embedding file ``path``, its one class."""
+    manifest = path.with_name("manifest.json")
+    manifest.write_text(json.dumps({"classes": [{"name": "c", "embeddings": path.name}]}), encoding="utf-8")
+    return load_prompt_manifest(manifest).embeddings["c"]
 
 
 def zs_score(image_vec, prompts, scale=5.0) -> float:
@@ -74,15 +80,14 @@ class TestUnitNormalize:
         vectors = rng.standard_normal((rows, 6)) * rng.choice([1e-20, 1.0, 1e20], size=(rows, 1))
         path = tmp_path / "e.emb"
         save(EmbeddingSet([str(i) for i in range(rows)], vectors.astype(np.float32)), path)
-        got = _load_unit(path)
-        assert got.normalized
-        assert got.vectors.tobytes() == unit_normalize(load_embeddings(path)).vectors.tobytes()
+        got = load_one_class(path)
+        assert got.tobytes() == unit_normalize(load_embeddings(path)).vectors.tobytes()
 
     def test_load_unit_zero_row_names_the_file(self, tmp_path):
         path = tmp_path / "e.emb"
         save_embeddings_binary(EmbeddingSet(["a", "z"], [[1.0, 0.0], [0.0, 0.0]]), path)
         with pytest.raises(ValueError) as info:
-            _load_unit(path)
+            load_one_class(path)
         assert str(info.value) == f"{path}: zero-norm embedding row (id 'z')"
 
 
@@ -235,6 +240,33 @@ class TestPromptManifest:
             make_bank({"c": [[3.0, 4.0]]})
 
 
+class TestPromptBankInvariants:
+    """Each fault is a ValueError of the constructor, not an error at first use."""
+
+    def test_needs_a_class(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            PromptBank([], {}, {})
+
+    def test_class_without_embeddings(self):
+        with pytest.raises(ValueError, match="class 'b' needs at least one prompt embedding"):
+            PromptBank(["a", "b"], {}, {"a": [[1.0, 0.0]]})
+
+    def test_duplicate_class_name(self):
+        with pytest.raises(ValueError, match="duplicate class name in prompt bank"):
+            PromptBank(["a", "a"], {}, {"a": [[1.0, 0.0]]})
+
+    def test_one_dimension_for_all_classes(self):
+        with pytest.raises(ValueError, match="class 'b' prompt embeddings have dimension 3, not 2"):
+            PromptBank(["a", "b"], {}, {"a": [[1.0, 0.0]], "b": [[1.0, 0.0, 0.0]]})
+
+    def test_caller_dict_left_as_it_was(self):
+        rows = np.array([[0.6, 0.8]], dtype=np.float32)
+        given = {"a": rows, "unused": rows}
+        bank = PromptBank(["a"], {}, given)
+        assert list(given) == ["a", "unused"] and given["a"] is rows and given["a"].dtype == np.float32
+        assert list(bank.embeddings) == ["a"] and bank.embeddings["a"].dtype == np.float64
+
+
 class TestDefaultPromptTexts:
     def test_covers_the_six_unseen_classes(self):
         texts = default_prompt_texts()
@@ -264,7 +296,7 @@ class TestDefaultPromptTexts:
 
 
 def test_load_unit_peak_stays_near_one_float64_array(tmp_path):
-    """Loading and normalizing an EMB1 file holds one N x D float64 array plus small change.
+    """Loading a class's EMB1 prompt file holds one N x D float64 array plus small change.
 
     A second full copy (the file's bytes, a cast or a normalized twin) adds 0.5x or
     1x.  The ids (about 0.06x here) and one block's temporaries (1/16 of the rows
@@ -277,9 +309,9 @@ def test_load_unit_peak_stays_near_one_float64_array(tmp_path):
     save_embeddings_binary(EmbeddingSet([f"img{i:05d}" for i in range(rows)], rng.standard_normal((rows, dim))), path)
     tracemalloc.start()
     try:
-        emb = _load_unit(path)
+        vectors = load_one_class(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert emb.normalized and emb.vectors.shape == (rows, dim)
-    assert peak <= 1.25 * emb.vectors.nbytes
+    assert vectors.shape == (rows, dim)
+    assert peak <= 1.25 * vectors.nbytes
