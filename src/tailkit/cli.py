@@ -35,6 +35,7 @@ from .loss import DbLossParams, class_weights, effective_numbers, margins, stabl
 from .metrics import EceConfig, macro_report
 from .pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 from .raster import (
+    _check_percentiles,
     CLIP_MEAN,
     CLIP_STD,
     IMAGENET_MEAN,
@@ -167,7 +168,6 @@ def _synth_spec(fields: dict, where: str = "") -> SynthSpec:
 
 def cmd_train(args):
     spec = _load_synth_spec(args.synth_spec, args.seed)
-    features, labels = generate_synthetic(spec)
     loss_name = "plain-bce" if args.loss == "bce" else args.loss
     cfg = TrainConfig(
         learning_rate=args.lr,
@@ -179,6 +179,7 @@ def cmd_train(args):
     )
     params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=spec.seed)
+    features, labels = generate_synthetic(spec)
     margin_override = _load_margins(args.margins, labels.class_names) if args.margins else None
     model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
     for epoch, value in enumerate(trace):
@@ -267,6 +268,9 @@ def cmd_eval(args):
 
 def cmd_preprocess(args):
     size = args.size if args.size is not None else (512 if args.task == 1 else 224)
+    _check_int("size", size, 1)
+    _check_percentiles(args.clip_lo, args.clip_hi)
+    spec = TtaSpec(tuple(args.tta))
     raster = load_pgm(args.image)
     if args.task == 1:
         window = percentile_window(raster, args.clip_lo, args.clip_hi)
@@ -278,7 +282,6 @@ def cmd_preprocess(args):
     del raster
     grid = bordered(grid)
     view = np.empty((size, size))
-    spec = TtaSpec(tuple(args.tta))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem

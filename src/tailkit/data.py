@@ -60,6 +60,18 @@ def _check_unique(items, what: str) -> None:
         raise ValueError(f"duplicate {what}")
 
 
+def _check_table(table, what: str, dtype) -> None:
+    """Make a ``what`` matrix's ids and class names lists and its values ``dtype``: N x C, unique ids and names."""
+    table.ids, table.class_names = list(table.ids), list(table.class_names)
+    table.values = np.asarray(table.values, dtype=dtype)
+    if table.values.ndim != 2:
+        raise ValueError(f"{what} values must be a 2-D matrix")
+    if table.values.shape != (len(table.ids), len(table.class_names)):
+        raise ValueError(f"{what} matrix shape does not match ids/class names")
+    _check_unique(table.ids, f"id in {what} matrix")
+    _check_unique(table.class_names, f"class name in {what} matrix")
+
+
 @dataclass
 class LabelMatrix:
     """N x C binary ground-truth labels."""
@@ -69,16 +81,7 @@ class LabelMatrix:
     class_names: list
 
     def __post_init__(self):
-        self.ids = list(self.ids)
-        self.class_names = list(self.class_names)
-        self.values = np.asarray(self.values, dtype=np.int8)
-        if self.values.ndim != 2:
-            raise ValueError("label values must be a 2-D matrix")
-        n, c = self.values.shape
-        if n != len(self.ids) or c != len(self.class_names):
-            raise ValueError("label matrix shape does not match ids/class names")
-        _check_unique(self.ids, "id in label matrix")
-        _check_unique(self.class_names, "class name in label matrix")
+        _check_table(self, "label", np.int8)
         if not np.isin(self.values, (0, 1)).all():
             raise ValueError("non-binary label value")
 
@@ -101,23 +104,10 @@ class ScoreMatrix:
     class_names: list
 
     def __post_init__(self):
-        self.ids = list(self.ids)
-        self.class_names = list(self.class_names)
-        self.values = np.asarray(self.values, dtype=np.float64)
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if self.values.ndim != 2:
-            raise ValueError("score values must be a 2-D matrix")
-        n, c = self.values.shape
-        if n != len(self.ids) or c != len(self.class_names):
-            raise ValueError("score matrix shape does not match ids/class names")
-        _check_unique(self.ids, "id in score matrix")
-        _check_unique(self.class_names, "class name in score matrix")
-        if not np.isfinite(self.values).all():
-            raise ValueError("non-finite score entry")
-        if self.kind == "probabilities":
-            if (self.values < 0).any() or (self.values > 1).any():
-                raise ValueError("probability out of range [0, 1]")
+        _check_table(self, "score", np.float64)
+        (_probabilities if self.kind == "probabilities" else _finite)(self.values)
 
     @property
     def n_samples(self) -> int:
@@ -165,6 +155,7 @@ class EmbeddingSet:
             raise ValueError("embedding vectors must be a 2-D matrix")
         if self.vectors.shape[0] != len(self.ids):
             raise ValueError("embedding count does not match ids")
+        _check_unique(self.ids, "id in embedding set")
         starts = range(0, len(self.vectors), _NORM_BLOCK_ROWS)
         if not all(np.isfinite(self.vectors[i : i + _NORM_BLOCK_ROWS]).all() for i in starts):
             raise ValueError("non-finite embedding entry")
@@ -450,40 +441,54 @@ def load_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
-def _embedding_blocks(path):
-    """Yield an embedding file's (count, dim), then its rows in float64 blocks, then its ids.
+def _map_rows(path, fn=None, width=None, dim=None, unit=False):
+    """(ids, the file's dim, N x ``width`` array, by default N x D): ``fn`` of each row block.
 
-    A CSV file is parsed and checked whole first.  EMB1 rows pass ``_NORM_BLOCK_ROWS`` at a
-    time through one buffer; faults come in file order: header and length, each block, sidecar."""
+    A CSV file is parsed and checked whole first; EMB1 rows pass ``_NORM_BLOCK_ROWS`` at a time
+    through one buffer.  ``unit`` first divides each block by its row norms.  Faults come in file
+    order: header and length, each block, sidecar; then a zero-norm row, named by file and id.
+    ``fn`` runs only before such a row and, if ``dim`` is given, when the file's dim is ``dim``;
+    the caller names a mismatch."""
     path = Path(path)
     with open(path, "rb") as fh:
         size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
-        if head[:4] != EMB_MAGIC:
+        binary = head[:4] == EMB_MAGIC
+        if not binary:
             # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
             if b"\x00" in head[:4]:
                 raise ValueError(f"{path}: bad magic {head[:4]!r}")
             check = partial(_finite, what="embedding entry")
             ids, _, vectors = _read_matrix(path, _floats, _plain_floats, check)
-            starts = range(0, len(ids), _NORM_BLOCK_ROWS)
-            yield from [vectors.shape, *(vectors[s : s + _NORM_BLOCK_ROWS] for s in starts), ids]
-            return
-        if len(head) < 12:
+            count, found = vectors.shape
+        elif len(head) < 12:
             raise ValueError(f"{path}: truncated header")
-        count, dim = struct.unpack_from("<II", head, 4)
-        expected = 12 + 4 * count * dim
-        if size != expected:
-            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
-        yield count, dim
-        buffer = np.empty((min(count, _NORM_BLOCK_ROWS), dim), dtype="<f4")
+        else:
+            count, found = struct.unpack_from("<II", head, 4)
+            expected = 12 + 4 * count * found
+            if size != expected:
+                raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+            buffer = np.empty((min(count, _NORM_BLOCK_ROWS), found), dtype="<f4")
+        out, zero = np.empty((count, width or found)), None
         for start in range(0, count, _NORM_BLOCK_ROWS):
-            rows = buffer[: count - start]
-            if fh.readinto(rows) != rows.nbytes:
-                raise ValueError(f"{path}: truncated data")
-            if not np.isfinite(rows).all():
-                raise ValueError(f"{path}: non-finite embedding entry")
-            yield rows.astype(np.float64)
+            if binary:
+                rows = buffer[: count - start]
+                if fh.readinto(rows) != rows.nbytes:
+                    raise ValueError(f"{path}: truncated data")
+                if not np.isfinite(rows).all():
+                    raise ValueError(f"{path}: non-finite embedding entry")
+                block = rows.astype(np.float64)
+            else:
+                block = vectors[start : start + _NORM_BLOCK_ROWS]
+            if unit:
+                norms = np.linalg.norm(block, axis=1)[:, None]
+                if zero is None and not norms.all():
+                    zero = start + int(np.argmin(norms))
+                if zero is None:
+                    block /= norms
+            if zero is None and dim in (None, found):
+                out[start : start + len(block)] = block if fn is None else fn(block)
     sidecar = path.with_name(path.name + ".ids.json")
-    if sidecar.exists():
+    if binary and sidecar.exists():
         ids = _read_json(sidecar)
         if not isinstance(ids, list) or len(ids) != count:
             raise ValueError(f"{sidecar}: ids sidecar does not match count {count}")
@@ -495,31 +500,8 @@ def _embedding_blocks(path):
             if key in seen:
                 raise ValueError(f"{sidecar}: duplicate id {key!r}")
             seen.add(key)
-    else:
+    elif binary:
         ids = [str(i) for i in range(count)]
-    yield ids
-
-
-def _map_rows(path, fn=None, width=None, dim=None, unit=False):
-    """(ids, the file's dim, N x ``width`` array, by default N x D): ``fn`` of each row block.
-
-    ``unit`` first divides each block by its row norms; a zero-norm row's error, naming file
-    and id, follows the file's own faults.  ``fn`` runs only before such a row and, if ``dim``
-    is given, when the file's dim is ``dim``; the caller names a mismatch."""
-    blocks = _embedding_blocks(path)
-    count, found = next(blocks)
-    out, zero = np.empty((count, width or found)), None
-    for start in range(0, count, _NORM_BLOCK_ROWS):
-        block = next(blocks)
-        if unit:
-            norms = np.linalg.norm(block, axis=1)[:, None]
-            if zero is None and not norms.all():
-                zero = start + int(np.argmin(norms))
-            if zero is None:
-                block /= norms
-        if zero is None and dim in (None, found):
-            out[start : start + len(block)] = block if fn is None else fn(block)
-    ids = next(blocks)
     if zero is not None:
         raise ValueError(f"{path}: zero-norm embedding row (id {ids[zero]!r})")
     return ids, found, out

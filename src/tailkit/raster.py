@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_real
+
 TTA_TRANSFORMS = ("identity", "hflip", "rot+5", "rot-5", "zoom1.1", "zoom0.9")
 
 IMAGENET_MEAN = (0.485, 0.456, 0.406)
@@ -152,10 +154,17 @@ def _nearest_rank_values(pixels, pcts) -> list:
     return [float(v) for v in np.searchsorted(np.cumsum(counts), ranks)]
 
 
+def _check_percentiles(lo_pct, hi_pct) -> None:
+    """Each percentile must be a number in [0, 100], and ``lo_pct`` below ``hi_pct``."""
+    _check_real("lo_pct", lo_pct, "[0, 100]")
+    _check_real("hi_pct", hi_pct, "[0, 100]")
+    if not lo_pct < hi_pct:
+        raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
+
+
 def percentile_window(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0) -> tuple:
     """The nearest-rank (lo, hi) intensities that ``percentile_clip_rescale`` maps to 0 and 1."""
-    if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
+    _check_percentiles(lo_pct, hi_pct)
     return tuple(_nearest_rank_values(raster.pixels, (lo_pct, hi_pct)))
 
 

@@ -291,23 +291,16 @@ def run_comparison(
         db_params = DbLossParams(alpha=0.5)
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=spec.seed)
+    configs = {
+        name: TrainConfig(learning_rate, epochs, batch_size, loss_name, sampler_name, spec.seed)
+        for name, loss_name, sampler_name in (("db_cas", "db", "cas"), ("bce_uniform", "plain-bce", "uniform"))
+    }
     features, labels = generate_synthetic(spec)
     (x_train, y_train), (x_test, y_test) = holdout_split(features, labels)
     tercile_counts = class_stats(labels).counts
 
     arms, models, reports = {}, {}, {}
-    for name, loss_name, sampler_name in (
-        ("db_cas", "db", "cas"),
-        ("bce_uniform", "plain-bce", "uniform"),
-    ):
-        cfg = TrainConfig(
-            learning_rate=learning_rate,
-            epochs=epochs,
-            batch_size=batch_size,
-            loss=loss_name,
-            sampler=sampler_name,
-            seed=spec.seed,
-        )
+    for name, cfg in configs.items():
         model, trace = train(x_train, y_train, cfg, db_params, sampler_cfg)
         arms[name], reports[name] = evaluate_arm(model, x_test, y_test, tercile_counts)
         arms[name]["final_train_loss"] = trace[-1]

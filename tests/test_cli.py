@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -1010,6 +1011,50 @@ def test_demo_nan_noise_names_the_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+HUGE = "100000000000000"  # samples: a draw of that size would take PiB
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--epochs=0", "epochs must be >= 1"), ("--lr=nan", "learning_rate must be a number in [0, inf)")],
+)
+def test_train_checks_its_flags_before_the_draw(tmp_path, capsys, flag, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_samples": int(HUGE), "n_classes": 3, "feature_dim": 4, "seed": 2}))
+    argv = ["train", "--synth-spec", spec, flag, "--model-out", tmp_path / "m.json"]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--epochs=0", "epochs must be >= 1"), ("--batch-size=0", "batch_size must be >= 1")],
+)
+def test_demo_checks_its_flags_before_the_draw(tmp_path, capsys, flag, message):
+    assert main(["demo", "--n-samples", HUGE, flag, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--size", "0"], "size must be >= 1"),
+        (["--clip-lo", "nan"], "lo_pct must be a number in [0, 100]"),
+        (["--clip-hi", "101"], "hi_pct must be a number in [0, 100]"),
+        (["--clip-lo", "50", "--clip-hi", "50"], "need 0 <= lo_pct < hi_pct <= 100"),
+        (["--task", "2", "--clip-lo", "99", "--clip-hi", "1"], "need 0 <= lo_pct < hi_pct <= 100"),
+        (["--tta", "identity", "identity"], "duplicate transform in TTA spec"),
+    ],
+)
+def test_preprocess_checks_its_flags_before_reading_the_image(tmp_path, capsys, flags, message):
+    # the image does not exist: a read would end in an io error, exit 2
+    argv = ["preprocess", str(tmp_path / "missing.pgm"), *flags, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "callee, argv, shown",
     [
@@ -1282,8 +1327,7 @@ def test_damaged_spec_margin_and_model_inputs_exit_cleanly(case, data):
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", str(10**30)]
 INTS = ["-1", "0", "1", str(10**30)]
 # subcommand -> (arguments up to the output flag, {numeric flag: (values, count, fields its error may name)}).
-# --epochs never gets a huge value: nothing bounds it before the work it sizes runs.  --size and
-# --n-samples, which size arrays the same way, are not fuzzed
+# --epochs and --size never get a huge value: nothing bounds them before the work they size runs
 NUMERIC_FLAG_COMMANDS = {
     "weights": (
         ["weights", "--labels", "y.csv", "--out"],
@@ -1319,6 +1363,7 @@ NUMERIC_FLAG_COMMANDS = {
         ["train", "--synth-spec", "spec.json", "--epochs", "1", "--model-out"],
         {
             "--lr": (FLOATS, 1, ["learning_rate"]),
+            "--epochs": (["-1", "0", "2"], 1, ["epochs"]),
             "--batch-size": (INTS, 1, ["batch_size"]),
             "--seed": (INTS, 1, ["seed"]),
             "--beta": (FLOATS, 1, ["beta"]),
@@ -1328,6 +1373,38 @@ NUMERIC_FLAG_COMMANDS = {
             "--rmax": (FLOATS, 1, ["r_max"]),
         },
     ),
+    "preprocess": (
+        ["preprocess", "p5.pgm", "--size", "2", "--out-dir"],
+        {
+            "--size": (["-1", "0", "1", "2"], 1, ["size"]),
+            "--clip-lo": (FLOATS, 1, ["lo_pct"]),
+            "--clip-hi": (FLOATS, 1, ["hi_pct"]),
+        },
+    ),
+    "demo": (
+        ["demo", "--n-samples", "60", "--n-classes", "3", "--feature-dim", "4", "--epochs", "1", "--out-dir"],
+        {
+            "--seed": (INTS, 1, ["seed"]),
+            "--exponent": (FLOATS, 1, ["power_law_exponent"]),
+            # a huge finite noise overflows the drawn features, and training then diverges
+            "--noise-std": (["nan", "inf", "-inf", "-1", "0", "0.5"], 1, ["noise_std"]),
+            "--lr": (FLOATS, 1, ["learning_rate"]),
+            "--epochs": (["-1", "0", "2"], 1, ["epochs"]),
+            "--batch-size": (INTS, 1, ["batch_size"]),
+            "--beta": (FLOATS, 1, ["beta"]),
+            "--alpha": (FLOATS, 1, ["alpha"]),
+            "--kappa": (FLOATS, 1, ["margin_scale", "kappa", "margins"]),
+            "--threshold": (FLOATS, 1, ["threshold"]),
+            "--rmax": (FLOATS, 1, ["r_max"]),
+        },
+    ),
+}
+# (subcommand, numeric flag) -> why no NUMERIC_FLAG_COMMANDS case draws it
+NUMERIC_FLAG_EXCLUSIONS = {
+    ("preprocess", "--task"): "argparse's choices admit only 1 and 2",
+    ("demo", "--n-samples"): "sizes the synthetic draw before anything bounds it",
+    ("demo", "--n-classes"): "sizes the synthetic draw before anything bounds it",
+    ("demo", "--feature-dim"): "sizes the synthetic draw before anything bounds it",
 }
 NUMERIC_FLAG_FILES = {
     **{name: text.encode("ascii") for name, text in FUZZ_FILES.items()},
@@ -1355,3 +1432,18 @@ def test_numeric_flags_exit_cleanly(subcommand, data):
     if code:
         assert err.count("\n") == 1
         assert any(field in err for flag in chosen for field in flags[flag][2]), err
+
+
+def test_every_numeric_flag_is_fuzzed_or_excluded():
+    """Each int or float flag of every subcommand has a NUMERIC_FLAG_COMMANDS case or an excluding reason."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    numeric = {
+        (name, action.option_strings[-1])
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type in (int, float)
+    }
+    fuzzed = {(name, flag) for name, (_, flags) in NUMERIC_FLAG_COMMANDS.items() for flag in flags}
+    assert numeric - fuzzed - set(NUMERIC_FLAG_EXCLUSIONS) == set()
+    # no stale exclusion, and none of a fuzzed flag
+    assert set(NUMERIC_FLAG_EXCLUSIONS) <= numeric - fuzzed

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import warnings
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -761,6 +762,18 @@ class TestEmbeddings:
         back = load_embeddings(path)
         assert back.vectors.tobytes() == emb.vectors.tobytes()
 
+    def test_duplicate_ids_are_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate id in embedding set$"):
+            EmbeddingSet(["a", "a"], np.ones((2, 3)))
+
+    @pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
+    def test_a_saved_set_loads_back(self, tmp_path, save):
+        """Both savers write only sets with unique ids, so each file they write reads back."""
+        emb = EmbeddingSet(["a", "b", "c"], np.arange(9.0).reshape(3, 3) - 4)
+        save(emb, tmp_path / "e")
+        back = load_embeddings(tmp_path / "e")
+        assert back.ids == emb.ids and back.vectors.tobytes() == emb.vectors.tobytes()
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -864,6 +877,39 @@ def test_matrices_reject_duplicate_class_names():
         ScoreMatrix(["a"], [[0.5, 0.5]], "probabilities", ["c", "c"])
     with pytest.raises(ValueError, match="^duplicate class name in label matrix$"):
         LabelMatrix(["a"], [[0, 1]], ["c", "c"])
+
+
+@pytest.mark.parametrize("what", ["label", "score"])
+@pytest.mark.parametrize(
+    "ids, values, names, message",
+    [
+        (["a"], [0, 1], ["c", "d"], "{} values must be a 2-D matrix"),
+        (["a", "b"], [[0, 1]], ["c", "d"], "{} matrix shape does not match ids/class names"),
+        (["a"], [[0, 1]], ["c"], "{} matrix shape does not match ids/class names"),
+        (["a", "a"], [[0, 1], [1, 0]], ["c", "d"], "duplicate id in {} matrix"),
+        (["a"], [[0, 1]], ["c", "c"], "duplicate class name in {} matrix"),
+    ],
+)
+def test_label_and_score_matrices_check_their_table_alike(what, ids, values, names, message):
+    make = LabelMatrix if what == "label" else partial(ScoreMatrix, kind="probabilities")
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(what))}$"):
+        make(ids=ids, values=values, class_names=names)
+
+
+@pytest.mark.parametrize(
+    "kind, values, message",
+    [
+        ("logits", [[np.nan]], "non-finite score"),
+        ("probabilities", [[np.inf]], "non-finite score"),
+        ("probabilities", [[1.5]], "probability out of range"),
+        ("probabilities", [[-0.25]], "probability out of range"),
+        # the kind is checked before the values are cast
+        ("odds", [["x"]], "unknown score kind 'odds'"),
+    ],
+)
+def test_score_matrix_values_fail_in_the_readers_words(kind, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScoreMatrix(["a"], values, kind, ["c"])
 
 
 @settings(max_examples=50, deadline=None)

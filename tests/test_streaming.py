@@ -7,6 +7,7 @@ is held; and a damaged file reports the same fault as the whole-file loaders.
 
 import json
 import struct
+import traceback
 import tracemalloc
 from functools import partial
 
@@ -16,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.cli import main
-from tailkit.data import _NORM_BLOCK_ROWS, EMB_MAGIC, EmbeddingSet, _map_rows, save_embeddings_binary
+from tailkit.data import (
+    _NORM_BLOCK_ROWS,
+    EMB_MAGIC,
+    EmbeddingSet,
+    _map_rows,
+    _write_matrix,
+    save_embeddings_binary,
+    save_embeddings_csv,
+)
 from tailkit.trainer import LinearModel, forward, save_model
 from tailkit.zeroshot import PromptBank, ZsConfig, score_batch, score_file, unit_normalize
 
@@ -120,25 +129,44 @@ def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):
     assert peak <= 0.25 * rows * dim * 8
 
 
+@pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
+def test_the_file_is_closed_when_fn_raises(tmp_path, save):
+    """The reader closes its file on every exit, also while a traceback still holds its frame."""
+    path = tmp_path / "e.emb"
+    save(EmbeddingSet(["a", "b", "c"], np.ones((3, 2))), path)
+
+    def fail(block):
+        raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError) as info:
+        _map_rows(path, fail)
+    frame = next(f for f, _ in traceback.walk_tb(info.tb) if f.f_code.co_name == "_map_rows")
+    assert frame.f_locals["fh"].closed
+
+
 N, ZERO_ROW = 2 * B + 5, B + 7  # three blocks; the zero row lies in the second
 # the order in which the whole-file loaders report faults
 FAULTS = ("truncated", "nan", "sidecar", "zero", "dim")
+# the faults a CSV can carry, in the same order
+CSV_FAULTS = ("nan", "zero", "dim")
 
 
-def damaged_inputs(tmp_path, faults):
-    """Images of N rows carrying ``faults``, a one-class prompt manifest and a model, both 2-dim."""
+def damaged_inputs(tmp_path, faults, csv=False):
+    """Images of N rows, EMB1 or ``csv``, carrying ``faults``, a one-class prompt manifest and a model, both 2-dim."""
     dim = 3 if "dim" in faults else 2
     vectors = np.random.default_rng(4).standard_normal((N, dim)).astype("<f4")
     if "nan" in faults:
         vectors[-1, 0] = np.nan
     if "zero" in faults:
         vectors[ZERO_ROW] = 0.0
-    raw = EMB_MAGIC + struct.pack("<II", N, dim) + vectors.tobytes()
-    images = tmp_path / "img.emb"
-    images.write_bytes(raw[:-1] if "truncated" in faults else raw)
     ids = [f"r{i}" for i in range(N)]
-    sidecar = tmp_path / "img.emb.ids.json"
-    sidecar.write_text(json.dumps(ids[:-1] if "sidecar" in faults else ids), encoding="utf-8")
+    raw = EMB_MAGIC + struct.pack("<II", N, dim) + vectors.tobytes()
+    images, sidecar = tmp_path / ("img.csv" if csv else "img.emb"), tmp_path / "img.emb.ids.json"
+    if csv:
+        _write_matrix(images, ["id"] + [f"d{j}" for j in range(dim)], ids, vectors)
+    else:
+        images.write_bytes(raw[:-1] if "truncated" in faults else raw)
+        sidecar.write_text(json.dumps(ids[:-1] if "sidecar" in faults else ids), encoding="utf-8")
     write_emb1(tmp_path / "g.emb", [[1.0, 0.0]], ["g0"])
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"classes": [{"name": "g", "embeddings": "g.emb"}]}), encoding="utf-8")
@@ -146,7 +174,8 @@ def damaged_inputs(tmp_path, faults):
     save_model(LinearModel([[1.0, -1.0]], [0.5], ["a"]), model)
     messages = {
         "truncated": f"{images}: expected {len(raw)} bytes, found {len(raw) - 1}",
-        "nan": f"{images}: non-finite embedding entry",
+        # the CSV reader names the record: the header is line 1, the last row line N + 1
+        "nan": f"{images}: {f'line {N + 1}: ' if csv else ''}non-finite embedding entry",
         "sidecar": f"{sidecar}: ids sidecar does not match count {N}",
         "zero": f"{images}: zero-norm embedding row (id 'r{ZERO_ROW}')",
     }
@@ -166,7 +195,21 @@ def damaged_inputs(tmp_path, faults):
 )
 def test_streamed_faults_come_in_the_loaders_order(tmp_path, capsys, faults):
     """Each fault alone, and each pair, through both commands: the earlier fault in FAULTS wins."""
-    for argv, messages in damaged_inputs(tmp_path, faults):
+    check_fault_order(tmp_path, capsys, faults, csv=False)
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [(f,) for f in CSV_FAULTS] + [(a, b) for i, a in enumerate(CSV_FAULTS) for b in CSV_FAULTS[i + 1 :]],
+    ids=lambda faults: "+".join(faults),
+)
+def test_csv_faults_come_in_the_loaders_order(tmp_path, capsys, faults):
+    """As for EMB1: CSV images with each fault a CSV can carry, alone and in pairs."""
+    check_fault_order(tmp_path, capsys, faults, csv=True)
+
+
+def check_fault_order(tmp_path, capsys, faults, csv):
+    for argv, messages in damaged_inputs(tmp_path, faults, csv):
         out = tmp_path / f"{argv[0]}.csv"
         shown = next((messages[f] for f in FAULTS if f in faults and messages[f]), None)
         code = main([str(a) for a in argv + ["--out", out]])
