@@ -26,7 +26,8 @@ SCORE_KINDS = ("logits", "probabilities")
 
 EMB_MAGIC = b"EMB1"
 
-# rows per block of _row_norms, the EMB1 reader and the finiteness check: 4 MiB of float64 at D = 512
+# rows per block of _row_norms, the EMB1 reader, the finiteness check and the CSV writer's
+# float conversion: 4 MiB of float64 at D = 512, and 20k Python floats at C = 20
 _NORM_BLOCK_ROWS = 1024
 
 
@@ -200,14 +201,16 @@ def _read_plain(path, parse, check, key="id"):
     as whitespace and float() rejects, are not plain).  The one spelling
     float() accepts and loadtxt does not is a digit-separating underscore, as
     in ``1_0``; loadtxt raises on it and the file goes to csv.
-    ``parse(rests, c)`` maps the text after each id to values and ``check``
-    vets them; if either raises ValueError, or rows go missing, the
-    file is declined and the csv path finds and names the fault.
+    ``parse(body, c)`` maps the whole body lines to values and ``check`` vets
+    them; if either raises ValueError (an empty cell does), or rows go missing,
+    the file is declined and the csv path finds and names the fault.
     """
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n") or raw.translate(None, _PLAIN_BYTES):
         return None
-    lines = raw.decode("ascii").split("\n")[:-1]
+    lines = raw.decode("ascii")
+    del raw  # the bytes go before the text is split
+    lines = lines.split("\n")[:-1]
     head = lines[0].split(",")
     names, c = head[1:], len(head) - 1
     body = lines[1:]
@@ -215,15 +218,14 @@ def _read_plain(path, parse, check, key="id"):
         return None
     if max(map(len, lines)) > csv.field_size_limit() or any(line.count(",") != c for line in body):
         return None
-    ids, _, rests = zip(*[line.partition(",") for line in body])
-    # an empty cell is neither a label nor a number, and np.loadtxt would skip its line
-    if len(set(ids)) != len(ids) or "" in rests:
+    ids = [line[: line.index(",")] for line in body]
+    if len(set(ids)) != len(ids):
         return None
     try:
-        values = check(parse(rests, c))
+        values = check(parse(body, c))
     except ValueError:
         return None
-    return (list(ids), names, values) if values.shape == (len(body), c) else None
+    return (ids, names, values) if values.shape == (len(body), c) else None
 
 
 def _read_matrix(path, parse_cells, parse_plain, check=lambda values: values, key="id"):
@@ -299,14 +301,14 @@ def _binary_labels(cells) -> np.ndarray:
     return ones.astype(np.int8)
 
 
-def _plain_labels(rests, c) -> np.ndarray:
-    """Labels from rows that are each exactly ``[01](,[01])*``; else ValueError."""
-    pairs = np.frombuffer((",".join(rests) + ",").encode("ascii"), dtype=np.uint8)
-    if pairs.size != 2 * len(rests) * c:
+def _plain_labels(lines, c) -> np.ndarray:
+    """Labels from lines of ``c`` commas that each end in exactly ``(,[01]){c}``; else ValueError."""
+    pairs = np.frombuffer("".join(line[-2 * c :] for line in lines).encode("ascii"), dtype=np.uint8)
+    if pairs.size != 2 * len(lines) * c:
         raise ValueError("not a plain label body")
-    pairs = pairs.reshape(len(rests), c, 2)
-    ones = pairs[..., 0] == ord("1")
-    if not ((ones | (pairs[..., 0] == ord("0"))).all() and (pairs[..., 1] == ord(",")).all()):
+    pairs = pairs.reshape(len(lines), c, 2)
+    ones = pairs[..., 1] == ord("1")
+    if not ((ones | (pairs[..., 1] == ord("0"))).all() and (pairs[..., 0] == ord(",")).all()):
         raise ValueError("not a plain label body")
     return ones.astype(np.int8)
 
@@ -324,8 +326,9 @@ def _floats(cells) -> np.ndarray:
         raise
 
 
-def _plain_floats(rests, c) -> np.ndarray:
-    return np.loadtxt(rests, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+def _plain_floats(lines, c) -> np.ndarray:
+    """Columns 1..c of ``lines``: np.loadtxt skips the id column without parsing it."""
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2, usecols=range(1, c + 1))
 
 
 def _finite(values, what: str = "score") -> np.ndarray:
@@ -362,9 +365,11 @@ def _write_matrix(path, header, ids, values) -> None:
     fmt = ",%.9g" * values.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\n")
-        for sample_id, row in zip(ids, values.tolist()):
-            line = _csv_field(sample_id) + fmt % tuple(row)
-            fh.write((line or '""') + "\n")
+        for start in range(0, len(values), _NORM_BLOCK_ROWS):
+            rows = values[start : start + _NORM_BLOCK_ROWS].tolist()
+            for sample_id, row in zip(ids[start : start + _NORM_BLOCK_ROWS], rows):
+                line = _csv_field(sample_id) + fmt % tuple(row)
+                fh.write((line or '""') + "\n")
 
 
 def write_json(path, payload) -> None:

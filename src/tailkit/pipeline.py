@@ -61,9 +61,10 @@ def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.nd
     if other.ids == reference.ids:
         return other.values
     row_of = {sample_id: i for i, sample_id in enumerate(other.ids)}
-    if set(row_of) != set(reference.ids) or len(other.ids) != len(reference.ids):
+    perm = [row_of.get(sample_id) for sample_id in reference.ids]
+    # both id lists are unique, so equal lengths and no missing id mean the same id set
+    if len(other.ids) != len(perm) or None in perm:
         raise ValueError("id misalignment: inputs cover different samples")
-    perm = [row_of[sample_id] for sample_id in reference.ids]
     return other.values[perm]
 
 
@@ -79,9 +80,10 @@ def tta_merge(views) -> ScoreMatrix:
     total = np.zeros_like(first.values)
     for v in views:
         total += stable_sigmoid(_align_to(first, v))
+    total /= len(views)
     return ScoreMatrix(
         ids=first.ids,
-        values=total / len(views),
+        values=total,
         kind="probabilities",
         class_names=first.class_names,
     )
@@ -98,10 +100,10 @@ def ensemble(members, spec: EnsembleSpec) -> ScoreMatrix:
     for mtx in members:
         if mtx.kind != "probabilities":
             raise ValueError("ensemble expects probability members")
-    combined = np.zeros_like(first.values)
+    combined, product = np.zeros_like(first.values), np.empty_like(first.values)
     for weight, mtx in zip(spec.normalized_weights, members):
-        combined += weight * _align_to(first, mtx)
-    combined = np.clip(combined, 0.0, 1.0)
+        combined += np.multiply(weight, _align_to(first, mtx), out=product)
+    np.clip(combined, 0.0, 1.0, out=combined)
     return ScoreMatrix(
         ids=first.ids, values=combined, kind="probabilities", class_names=first.class_names
     )

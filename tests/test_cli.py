@@ -1386,8 +1386,7 @@ NUMERIC_FLAG_COMMANDS = {
         {
             "--seed": (INTS, 1, ["seed"]),
             "--exponent": (FLOATS, 1, ["power_law_exponent"]),
-            # a huge finite noise overflows the drawn features, and training then diverges
-            "--noise-std": (["nan", "inf", "-inf", "-1", "0", "0.5"], 1, ["noise_std"]),
+            "--noise-std": (FLOATS, 1, ["noise_std"]),
             "--lr": (FLOATS, 1, ["learning_rate"]),
             "--epochs": (["-1", "0", "2"], 1, ["epochs"]),
             "--batch-size": (INTS, 1, ["batch_size"]),
@@ -1447,3 +1446,23 @@ def test_every_numeric_flag_is_fuzzed_or_excluded():
     assert numeric - fuzzed - set(NUMERIC_FLAG_EXCLUSIONS) == set()
     # no stale exclusion, and none of a fuzzed flag
     assert set(NUMERIC_FLAG_EXCLUSIONS) <= numeric - fuzzed
+
+
+@pytest.mark.parametrize("value", FLOATS)
+def test_spec_noise_std_exits_cleanly(tmp_path, capsys, value):
+    """Every FLOATS value of a spec's noise_std trains, or exits 1 naming noise_std with no warning."""
+    spec = tmp_path / "spec.json"
+    fields = {"n_samples": 60, "n_classes": 3, "feature_dim": 4, "seed": 2, "noise_std": float(value)}
+    spec.write_text(json.dumps(fields), encoding="utf-8")
+    argv = ["train", "--synth-spec", spec, "--epochs", "1", "--model-out", tmp_path / "m.json"]
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1 and "noise_std" in err), err
+
+
+def test_huge_noise_names_the_field(tmp_path, capsys):
+    # the draw overflows before training starts, so the error names noise_std, not the learning rate
+    argv = ["demo", "--noise-std", "1e308", "--n-samples", "60", "--n-classes", "3", "--feature-dim", "4"]
+    assert main(argv + ["--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: noise_std 1e+308 takes a feature to inf\n"
+    assert not (tmp_path / "out").exists()

@@ -165,6 +165,16 @@ def oracle_write_matrix(path, ids, names, values):
             writer.writerow([sample_id] + [f"{v:.9g}" for v in row])
 
 
+def oracle_write_rows(path, header, ids, values):
+    """One pass: the whole matrix made Python floats at once, then one ``%`` format per row."""
+    fmt = ",%.9g" * values.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(data._csv_field, header)) + "\n")
+        for sample_id, row in zip(ids, values.tolist()):
+            line = data._csv_field(sample_id) + fmt % tuple(row)
+            fh.write((line or '""') + "\n")
+
+
 # kind -> (library loader, oracle loader); each returns (ids, names, values)
 LOADERS = {
     "labels": (load_labels, oracle_load_labels),
@@ -346,6 +356,27 @@ def test_writer_matches_per_cell_writer(tmp_path_factory, n, c, data):
         values_of = matrix.vectors if isinstance(matrix, EmbeddingSet) else matrix.values
         oracle_write_matrix(tmp / "want.csv", ids, header, values_of)
         assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 1]
+)
+def test_writer_blocks_match_the_whole_matrix_writer(tmp_path, n):
+    # quoted ids on both sides of every block boundary, and one empty id, which a table
+    # of no columns writes as ""
+    special = ["a,b", 'q"x', "n\ny", "r\rz", "plain"]
+    ids = [f"{special[i % 5]}{i}" for i in range(n)]
+    if n:
+        ids[n // 2] = ""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, (n, 3))
+    header = ["id", "p", "q,r", 's"t']
+    tables = [(header, values), (header, (values > 0).astype(np.int8)), (["id"], np.empty((n, 0)))]
+    for header, table in tables:
+        data._write_matrix(tmp_path / "got.csv", header, ids, table)
+        oracle_write_rows(tmp_path / "want.csv", header, ids, table)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (b'\n""\n' in (tmp_path / "got.csv").read_bytes()) == (n > 0)
 
 
 @pytest.mark.parametrize(
@@ -545,6 +576,35 @@ def test_plain_looking_files_load_as_the_oracles_do(tmp_path, kind, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_loads_as_oracle(kind, path)
+
+
+# kind -> (key, plain parser, check, loader, the message of an empty cell)
+EMPTY_CELL_KINDS = {
+    "labels": ("id", data._plain_labels, lambda v: v, load_labels, "non-binary label ''"),
+    "logits": ("id", data._plain_floats, data._finite, lambda p: load_scores(p, "logits"), "bad number ''"),
+    "probabilities": (
+        "id", data._plain_floats, data._probabilities, lambda p: load_scores(p, "probabilities"), "bad number ''"
+    ),
+    "margins": ("class", data._plain_floats, lambda v: v, lambda p: data._load_margins(p, ["x"]), "bad number ''"),
+}
+
+
+@pytest.mark.parametrize(
+    "body, line", [("x,\n", 2), ("x,1,,0\n", 2), ("w,1,0,0\nx,0,,1\n", 3)], ids=["last", "middle", "second-row"]
+)
+@pytest.mark.parametrize("kind", sorted(EMPTY_CELL_KINDS))
+def test_an_empty_cell_is_declined_by_the_plain_path(tmp_path, kind, body, line):
+    # np.loadtxt raises on the empty cell of a whole line, so csv reads the file and names the line
+    key, parse, check, load, message = EMPTY_CELL_KINDS[kind]
+    columns = ["margin"] + [f"c{j}" for j in range(body.split("\n")[0].count(",") - 1)]
+    path = tmp_path / "m.csv"
+    path.write_text(",".join([key] + columns) + "\n" + body, encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert data._read_plain(path, parse, check, key) is None
+        with pytest.raises(ValueError) as info:
+            load(path)
+    assert str(info.value) == f"{path}: line {line}: {message}"
 
 
 @pytest.mark.parametrize(

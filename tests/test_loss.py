@@ -29,6 +29,13 @@ def db_loss_oracle(z, y, w, m):
     return loss, grad
 
 
+def stable_sigmoid_oracle(z):
+    """The `np.where` form `stable_sigmoid` had before it shared `db_loss_fused`'s two buffers."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def random_instance(rng, n_max=5, c_max=6):
     n = int(rng.integers(1, n_max + 1))
     c = int(rng.integers(1, c_max + 1))
@@ -193,6 +200,14 @@ class TestDbLoss:
             db_loss(np.array([[np.inf]]), np.array([[1.0]]), np.ones(1), np.zeros(1))
 
 
+# NaN, +-inf, +-0.0, the range where exp(-|z|) is subnormal or 0, and |z| up to 1e308
+SIGMOID_INPUTS = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.floats(-800.0, 800.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 745.0, -746.0, 5e-324]),
+)
+
+
 class TestStableSigmoid:
     def test_fixtures(self):
         assert stable_sigmoid(0.0) == 0.5
@@ -205,6 +220,28 @@ class TestStableSigmoid:
         s = float(stable_sigmoid(z))
         assert 0.0 <= s <= 1.0
         assert s + float(stable_sigmoid(-z)) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.just(()), st.tuples(st.integers(0, 9)), st.tuples(st.integers(0, 5), st.integers(0, 5))
+        ).flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=SIGMOID_INPUTS)),
+        st.booleans(),
+    )
+    def test_bit_identical_to_oracle(self, z, transposed):
+        # 0-d, 1-D and 2-D inputs, C-ordered or a transposed view
+        z = z.T if transposed else z
+        before = z.copy()
+        got, want = stable_sigmoid(z), stable_sigmoid_oracle(z)
+        assert type(got) is type(want) and got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes()
+
+    def test_python_and_numpy_scalars_give_0d_arrays(self):
+        for z in (0.0, -0.0, math.nan, -math.inf, 3, np.float64(-2.5), np.float32(1.5), [[0.5]]):
+            got, want = stable_sigmoid(z), stable_sigmoid_oracle(z)
+            assert type(got) is np.ndarray and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_params_validation():

@@ -1,8 +1,10 @@
-"""The streamed scoring path of `zeroshot` and `predict`.
+"""The streamed scoring path of `zeroshot` and `predict`, and the memory of the score CSV chain.
 
 EMB1 rows are read, checked and scored one block at a time.  Pinned here:
 a row's scores do not depend on the other rows of its file; no N x D matrix
 is held; and a damaged file reports the same fault as the whole-file loaders.
+The score CSV reader, `tta_merge` and the writer each peak within a small
+multiple of the N x C float64 table they load, merge or save.
 """
 
 import json
@@ -21,11 +23,15 @@ from tailkit.data import (
     _NORM_BLOCK_ROWS,
     EMB_MAGIC,
     EmbeddingSet,
+    ScoreMatrix,
     _map_rows,
     _write_matrix,
+    load_scores,
     save_embeddings_binary,
     save_embeddings_csv,
+    save_scores,
 )
+from tailkit.pipeline import tta_merge
 from tailkit.trainer import LinearModel, forward, save_model
 from tailkit.zeroshot import PromptBank, ZsConfig, score_batch, score_file, unit_normalize
 
@@ -127,6 +133,61 @@ def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):
         tracemalloc.stop()
     assert (len(ids), found, values.shape) == (rows, dim, (rows, 6))
     assert peak <= 0.25 * rows * dim * 8
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def refine_scores(tmp_path_factory):
+    """A 10k x 20 logit table as save_scores writes it (%.9g), and its path."""
+    n, c = 10_000, 20
+    scores = ScoreMatrix(
+        [f"s{i:06d}" for i in range(n)],
+        np.random.default_rng(0).normal(0.0, 2.0, (n, c)),
+        "logits",
+        [f"c{j}" for j in range(c)],
+    )
+    path = tmp_path_factory.mktemp("refine") / "view.csv"
+    save_scores(scores, path)
+    return load_scores(path, "logits"), path
+
+
+def test_score_csv_load_peaks_within_five_tables(refine_scores):
+    # at the peak: the text or its lines, the ids and the values; the bytes or a second copy of
+    # the cells held beside them would pass 5x
+    want, path = refine_scores
+    got, peak = traced_peak(lambda: load_scores(path, "logits"))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert peak / want.values.nbytes <= 5
+
+
+def test_tta_merge_of_three_views_peaks_within_five_tables(refine_scores):
+    # at the peak: the sum, one realigned view, the sigmoid's two arrays and its bool mask
+    first = refine_scores[0]
+    views = [first]
+    for seed in (1, 2):
+        perm = np.random.default_rng(seed).permutation(len(first.ids))
+        views.append(ScoreMatrix([first.ids[i] for i in perm], first.values[perm], "logits", first.class_names))
+    merged, peak = traced_peak(lambda: tta_merge(views))
+    assert merged.values.shape == first.values.shape
+    assert peak / first.values.nbytes <= 5
+
+
+def test_score_csv_save_peaks_within_two_tables(refine_scores, tmp_path):
+    # one block of rows as Python floats; the whole table as Python floats would pass 2x
+    scores, path = refine_scores
+    _, peak = traced_peak(lambda: save_scores(scores, tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
+    assert peak / scores.values.nbytes <= 2
 
 
 @pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
