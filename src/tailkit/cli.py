@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import (
     _check_int,
+    _embedding_files,
     _load_margins,
     _map_rows,
     _read_json,
@@ -204,7 +205,7 @@ def cmd_predict(args):
         raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, args.out)
-    inputs = [args.model, args.features]
+    inputs = [args.model, *_embedding_files(args.features)]
     return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
 
 
@@ -252,7 +253,8 @@ def cmd_zeroshot(args):
         raise ValueError(f"{args.images}: embedding dimension {dims}")
     save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), args.out)
     counts = dict(images=len(ids), classes=len(bank.class_names))
-    return _finish(args, args.out, [args.images, prompts_path], "zeroshot_scored", **counts)
+    inputs = [*_embedding_files(args.images), *bank.files]
+    return _finish(args, args.out, inputs, "zeroshot_scored", **counts)
 
 
 def cmd_eval(args):

@@ -6,7 +6,8 @@ additionally have a binary format: magic ``EMB1``, u32-LE count, u32-LE dim,
 then count*dim float32-LE values row-major, with ids in a JSON sidecar
 ``<file>.ids.json``.
 
-The structures are plain mutable dataclasses, validated only at construction.
+The structures are plain mutable dataclasses, validated only at construction;
+``ClassConfig`` is not, since only ``class_stats`` builds it, from a checked ``LabelMatrix``.
 """
 
 import csv
@@ -110,28 +111,13 @@ class ScoreMatrix:
         _check_table(self, "score", np.float64)
         (_probabilities if self.kind == "probabilities" else _finite)(self.values)
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class ClassConfig:
-    """Per-class positive counts and frequencies."""
+    """Per-class positive counts (int64, >= 0) and frequencies (float64, in [0, 1]), as ``class_stats`` makes them."""
 
     counts: np.ndarray
     frequencies: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if (self.counts < 0).any():
-            raise ValueError("negative class count")
-        c = self.counts.shape[0]
-        self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
-        if self.frequencies.shape != (c,):
-            raise ValueError("frequencies shape mismatch")
-        if (self.frequencies < 0).any() or (self.frequencies > 1).any():
-            raise ValueError("frequency outside [0, 1]")
 
 
 @dataclass
@@ -446,6 +432,20 @@ def load_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
+def _ids_sidecar(path) -> Path:
+    """The ids sidecar ``<file>.ids.json`` of EMB1 file ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".ids.json")
+
+
+def _embedding_files(path) -> list:
+    """``path``, then its ids sidecar if ``path`` is EMB1 and has one: the files ``_map_rows`` reads."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == EMB_MAGIC
+    sidecar = _ids_sidecar(path)
+    return [path, sidecar] if binary and sidecar.exists() else [path]
+
+
 def _map_rows(path, fn=None, width=None, dim=None, unit=False):
     """(ids, the file's dim, N x ``width`` array, by default N x D): ``fn`` of each row block.
 
@@ -492,7 +492,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                     block /= norms
             if zero is None and dim in (None, found):
                 out[start : start + len(block)] = block if fn is None else fn(block)
-    sidecar = path.with_name(path.name + ".ids.json")
+    sidecar = _ids_sidecar(path)
     if binary and sidecar.exists():
         ids = _read_json(sidecar)
         if not isinstance(ids, list) or len(ids) != count:
@@ -514,14 +514,12 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
 
 def save_embeddings_binary(emb: EmbeddingSet, path) -> None:
     """Write EMB1 binary plus the ids JSON sidecar.  Round trips bit-exactly."""
-    path = Path(path)
     count, dim = emb.vectors.shape
     with open(path, "wb") as fh:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<II", count, dim))
         fh.write(np.ascontiguousarray(emb.vectors, dtype="<f4").tobytes())
-    sidecar = path.with_name(path.name + ".ids.json")
-    sidecar.write_text(json.dumps(list(emb.ids)), encoding="utf-8")
+    _ids_sidecar(path).write_text(json.dumps(list(emb.ids)), encoding="utf-8")
 
 
 def save_embeddings_csv(emb: EmbeddingSet, path) -> None:

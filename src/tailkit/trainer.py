@@ -103,11 +103,13 @@ def generate_synthetic(spec: SynthSpec):
     for c in range(spec.n_classes):
         if labels[:, c].sum() == 0:
             labels[int(rng.integers(spec.n_samples)), c] = 1
-    with np.errstate(over="ignore"):  # an infinite feature fails below
+    with np.errstate(over="ignore"):  # an overflow fails below
         noise = rng.standard_normal((spec.n_samples, spec.feature_dim)) * spec.noise_std
         features = labels.astype(np.float64) @ prototypes + noise
-    if not np.isfinite(features).all():
-        raise ValueError(f"noise_std {spec.noise_std} takes a feature to inf")
+        # x . x is inf for an infinite feature too; a row whose x . x overflows overflows the scores later
+        squared_norms = np.einsum("nd,nd->n", features, features)
+    if not np.isfinite(squared_norms).all():
+        raise ValueError(f"noise_std {spec.noise_std} takes a feature row's squared norm to inf")
     label_matrix = LabelMatrix(
         ids=[f"s{i}" for i in range(spec.n_samples)],
         values=labels,

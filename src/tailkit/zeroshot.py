@@ -8,14 +8,12 @@ inner product with the mean, the batched path is a single product (an
 einsum) with the per-class mean prompt vectors.
 """
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _check_real, _check_unique, _read_json, _map_rows, _row_norms
+from .data import EmbeddingSet, ScoreMatrix, _check_real, _check_unique, _embedding_files, _map_rows, _read_json, _row_norms
 from .loss import stable_sigmoid
 
 
@@ -29,11 +27,15 @@ class ZsConfig:
 
 @dataclass
 class PromptBank:
-    """Per-class prompt texts and embeddings: a new dict of K x D unit rows per class, one D for all."""
+    """Per-class prompt texts and embeddings: a new dict of K x D unit rows per class, one D for all.
+
+    ``files`` lists what ``load_prompt_manifest`` read: the manifest, then each class's embedding
+    file and its ids sidecar, if that was read too."""
 
     class_names: list
     prompts_per_class: dict
     embeddings: dict
+    files: tuple = ()
 
     def __post_init__(self):
         self.class_names = list(self.class_names)
@@ -103,16 +105,6 @@ def score_file(path, bank: PromptBank, cfg: ZsConfig):
     return _map_rows(path, score, len(bank.class_names), bank.dim, unit=True)
 
 
-def default_prompt_texts() -> dict:
-    """Bundled prompt bank: unseen-class name -> list of text descriptions.
-
-    Texts only; the corresponding embeddings must be produced by an external
-    encoder and supplied via a manifest.
-    """
-    payload = resources.files("tailkit").joinpath("prompts/ood_prompts.json")
-    return json.loads(payload.read_text(encoding="utf-8"))
-
-
 def load_prompt_manifest(path) -> PromptBank:
     """Build a PromptBank from a manifest JSON listing one embedding file per class.
 
@@ -125,7 +117,7 @@ def load_prompt_manifest(path) -> PromptBank:
     entries = manifest.get("classes") if isinstance(manifest, dict) else None
     if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no classes")
-    class_names, embeddings, texts = [], {}, {}
+    class_names, embeddings, texts, files = [], {}, {}, [path]
     for entry in entries:
         fields = entry if isinstance(entry, dict) else {}
         name, emb_path = fields.get("name"), fields.get("embeddings")
@@ -135,6 +127,7 @@ def load_prompt_manifest(path) -> PromptBank:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb_file = path.parent / emb_path
         ids, found, embeddings[name] = _map_rows(emb_file, unit=True)
+        files += _embedding_files(emb_file)
         if not ids:
             raise ValueError(f"{emb_file}: no prompt embeddings for class {name!r}")
         if not class_names:
@@ -148,6 +141,6 @@ def load_prompt_manifest(path) -> PromptBank:
                 raise ValueError(f"{path}: 'prompts' of class {name!r} must be a list of strings")
             texts[name] = prompts
     try:
-        return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings)
+        return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings, files=tuple(files))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -1120,11 +1122,15 @@ def _manifest_case(subcommand, tmp_path, labels_csv):
         "weights": (["--labels", labels_csv], [labels_csv], None),
         "sample": (["--labels", labels_csv, "--seed", "5"], [labels_csv], 5),
         "train": (["--synth-spec", spec, "--epochs", "1"], [spec], 4),
-        "predict": (["--model", model, "--features", feats], [model, feats], None),
+        "predict": (["--model", model, "--features", feats], [model, feats, f"{feats}.ids.json"], None),
         "merge-tta": (["--in", logits, logits], [logits, logits], None),
         "ensemble": (["--in", probs, "--weights", "2"], [probs], None),
         "gate": (["--in", probs, "--normal-class", "a"], [probs], None),
-        "zeroshot": (["--images", images, "--prompts", tmp_path], [images, tmp_path / "manifest.json"], None),
+        "zeroshot": (
+            ["--images", images, "--prompts", tmp_path],
+            [images, f"{images}.ids.json", tmp_path / "manifest.json", tmp_path / "g.emb", tmp_path / "g.emb.ids.json"],
+            None,
+        ),
         "eval": (["--scores", probs, "--labels", labels_csv], [probs, labels_csv], None),
         "preprocess": ([pgm, "--size", "4"], [pgm], None),
         "demo": (
@@ -1157,6 +1163,29 @@ def test_every_subcommand_writes_its_manifest(subcommand, tmp_path, labels_csv):
     assert manifest["config"]["subcommand"] == subcommand
     assert set(manifest["input_digests"]) == set(inputs)
     assert manifest["seed"] == seed
+
+
+def _sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("subcommand", ["predict", "zeroshot"])
+def test_manifest_digests_every_file_read(subcommand, tmp_path, labels_csv):
+    """Every digest is its file's sha256, and a change to any file read, sidecars and prompt files
+    included, changes that file's digest and no other."""
+    argv, manifest_path, inputs, _ = _manifest_case(subcommand, tmp_path, labels_csv)
+    assert main(argv) == 0
+    digests = json.loads(manifest_path.read_text(encoding="utf-8"))["input_digests"]
+    assert digests == {p: _sha256_of(p) for p in inputs}
+    for victim in inputs:
+        raw = Path(victim).read_bytes()
+        # an EMB1 file's last entry becomes 0.5; a JSON file gains a trailing space
+        changed = raw[:-4] + struct.pack("<f", 0.5) if victim.endswith(".emb") else raw + b" "
+        Path(victim).write_bytes(changed)
+        assert main(argv) == 0
+        now = json.loads(manifest_path.read_text(encoding="utf-8"))["input_digests"]
+        assert now == {**digests, victim: _sha256_of(victim)} and now[victim] != digests[victim]
+        Path(victim).write_bytes(raw)
 
 
 def test_module_entry_point_runs():
@@ -1325,6 +1354,8 @@ def test_damaged_spec_margin_and_model_inputs_exit_cleanly(case, data):
 
 
 FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", str(10**30)]
+# noise whose features are finite but whose squared row norms overflow
+HUGE_NOISE = ["1e200", "1e300"]
 INTS = ["-1", "0", "1", str(10**30)]
 # subcommand -> (arguments up to the output flag, {numeric flag: (values, count, fields its error may name)}).
 # --epochs and --size never get a huge value: nothing bounds them before the work they size runs
@@ -1386,7 +1417,7 @@ NUMERIC_FLAG_COMMANDS = {
         {
             "--seed": (INTS, 1, ["seed"]),
             "--exponent": (FLOATS, 1, ["power_law_exponent"]),
-            "--noise-std": (FLOATS, 1, ["noise_std"]),
+            "--noise-std": (FLOATS + HUGE_NOISE, 1, ["noise_std"]),
             "--lr": (FLOATS, 1, ["learning_rate"]),
             "--epochs": (["-1", "0", "2"], 1, ["epochs"]),
             "--batch-size": (INTS, 1, ["batch_size"]),
@@ -1448,9 +1479,9 @@ def test_every_numeric_flag_is_fuzzed_or_excluded():
     assert set(NUMERIC_FLAG_EXCLUSIONS) <= numeric - fuzzed
 
 
-@pytest.mark.parametrize("value", FLOATS)
+@pytest.mark.parametrize("value", FLOATS + HUGE_NOISE)
 def test_spec_noise_std_exits_cleanly(tmp_path, capsys, value):
-    """Every FLOATS value of a spec's noise_std trains, or exits 1 naming noise_std with no warning."""
+    """Every FLOATS or HUGE_NOISE value of a spec's noise_std trains, or exits 1 naming noise_std with no warning."""
     spec = tmp_path / "spec.json"
     fields = {"n_samples": 60, "n_classes": 3, "feature_dim": 4, "seed": 2, "noise_std": float(value)}
     spec.write_text(json.dumps(fields), encoding="utf-8")
@@ -1462,7 +1493,10 @@ def test_spec_noise_std_exits_cleanly(tmp_path, capsys, value):
 
 def test_huge_noise_names_the_field(tmp_path, capsys):
     # the draw overflows before training starts, so the error names noise_std, not the learning rate
-    argv = ["demo", "--noise-std", "1e308", "--n-samples", "60", "--n-classes", "3", "--feature-dim", "4"]
-    assert main(argv + ["--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: noise_std 1e+308 takes a feature to inf\n"
-    assert not (tmp_path / "out").exists()
+    # or a non-finite score; 1e308 takes a feature to inf, 1e200 and 1e300 only its squared norm
+    for value in HUGE_NOISE + ["1e308"]:
+        argv = ["demo", "--noise-std", value, "--n-samples", "60", "--n-classes", "3", "--feature-dim", "4"]
+        assert main(argv + ["--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 1
+        err = f"error: noise_std {float(value)} takes a feature row's squared norm to inf\n"
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()

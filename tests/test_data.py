@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailkit import data
@@ -758,6 +758,43 @@ class TestClassStats:
     def test_quarter_frequency(self):
         labels = LabelMatrix(["a", "b", "c", "d"], [[1], [0], [0], [0]], ["c0"])
         assert class_stats(labels).frequencies.tolist() == [0.25]
+
+
+def class_stats_oracle(rows, n_classes):
+    """(counts, frequencies) of 0/1 label rows, counted one cell at a time."""
+    counts = [0] * n_classes
+    for row in rows:
+        for j, value in enumerate(row):
+            counts[j] += value
+    return counts, [count / len(rows) for count in counts]
+
+
+@st.composite
+def label_rows(draw):
+    """n >= 1 rows of up to 6 classes; each column all zero, all one or mixed."""
+    n = draw(st.integers(1, 30))
+    kinds = draw(st.lists(st.sampled_from(["zeros", "ones", "mixed"]), max_size=6))
+    mixed = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    columns = [[0] * n if k == "zeros" else [1] * n if k == "ones" else draw(mixed) for k in kinds]
+    return [[column[i] for column in columns] for i in range(n)], len(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@example(table=([[1]], 1))  # n = 1
+@example(table=([[], [], []], 0))  # no classes
+@example(table=([[0, 1]] * 4, 2))  # an all-zero and an all-one column
+@given(table=label_rows())
+def test_class_stats_matches_loop_oracle(table):
+    """int64 counts and float64 frequencies in [0, 1], equal to a loop's: the invariants ClassConfig relies on."""
+    rows, n_classes = table
+    values = np.array(rows, dtype=np.int8).reshape(len(rows), n_classes)
+    labels = LabelMatrix([f"s{i}" for i in range(len(rows))], values, [f"c{j}" for j in range(n_classes)])
+    stats = class_stats(labels)
+    counts, frequencies = class_stats_oracle(rows, n_classes)
+    assert stats.counts.dtype == np.int64 and stats.frequencies.dtype == np.float64
+    assert stats.counts.tolist() == counts
+    assert stats.frequencies.tolist() == frequencies
+    assert ((stats.frequencies >= 0) & (stats.frequencies <= 1)).all()
 
 
 class TestEmbeddings:

@@ -10,7 +10,6 @@ from tailkit.metrics import average_precision
 from tailkit.zeroshot import (
     PromptBank,
     ZsConfig,
-    default_prompt_texts,
     load_prompt_manifest,
     score_batch,
     unit_normalize,
@@ -229,6 +228,20 @@ class TestPromptManifest:
                 np.linalg.norm(bank.embeddings[name], axis=1), 1.0, atol=1e-6
             )
 
+    def test_files_lists_what_was_read(self, tmp_path):
+        """The manifest, each embedding file and the ids sidecars read: a CSV's stray sidecar is not."""
+        rows = EmbeddingSet(["p0"], [[0.6, 0.8]])
+        save_embeddings_binary(rows, tmp_path / "a.emb")
+        save_embeddings_binary(rows, tmp_path / "b.emb")
+        (tmp_path / "b.emb.ids.json").unlink()
+        save_embeddings_csv(rows, tmp_path / "c.csv")
+        (tmp_path / "c.csv.ids.json").write_text('["p0"]', encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        entries = [{"name": name, "embeddings": f} for name, f in zip("abc", ["a.emb", "b.emb", "c.csv"])]
+        manifest.write_text(json.dumps({"classes": entries}), encoding="utf-8")
+        files = load_prompt_manifest(manifest).files
+        assert files == (manifest, tmp_path / "a.emb", tmp_path / "a.emb.ids.json", tmp_path / "b.emb", tmp_path / "c.csv")
+
     def test_empty_manifest_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"classes": []}), encoding="utf-8")
@@ -265,34 +278,6 @@ class TestPromptBankInvariants:
         bank = PromptBank(["a"], {}, given)
         assert list(given) == ["a", "unused"] and given["a"] is rows and given["a"].dtype == np.float32
         assert list(bank.embeddings) == ["a"] and bank.embeddings["a"].dtype == np.float64
-
-
-class TestDefaultPromptTexts:
-    def test_covers_the_six_unseen_classes(self):
-        texts = default_prompt_texts()
-        assert set(texts) == {
-            "Scoliosis",
-            "Osteopenia",
-            "Bulla",
-            "Infarction",
-            "Adenopathy",
-            "Goiter",
-        }
-        assert all(len(v) >= 1 for v in texts.values())
-
-    def test_usable_as_bank_with_placeholder_vectors(self):
-        texts = default_prompt_texts()
-        rng = np.random.default_rng(42)
-        embeddings = {
-            name: unit_rows(rng, len(prompts), 16) for name, prompts in texts.items()
-        }
-        bank = PromptBank(
-            class_names=list(texts), prompts_per_class=texts, embeddings=embeddings
-        )
-        images = unit_normalize(EmbeddingSet(["i0"], rng.standard_normal((1, 16))))
-        out = score_batch(images, bank, ZsConfig(scale=5.0))
-        assert out.class_names == list(texts)
-        assert ((out.values > 0) & (out.values < 1)).all()
 
 
 def test_load_unit_peak_stays_near_one_float64_array(tmp_path):
