@@ -37,15 +37,15 @@ from .metrics import EceConfig, macro_report
 from .pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 from .raster import (
     _check_percentiles,
+    _STRIP_ROWS,
     CLIP_MEAN,
     CLIP_STD,
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
+    PgmRows,
     TtaSpec,
-    bordered,
     fill_view,
-    load_pgm,
     percentile_window,
     resize_bilinear,
     tensor3_channels,
@@ -273,24 +273,25 @@ def cmd_preprocess(args):
     _check_int("size", size, 1)
     _check_percentiles(args.clip_lo, args.clip_hi)
     spec = TtaSpec(tuple(args.tta))
-    raster = load_pgm(args.image)
+    source = PgmRows(args.image)
     if args.task == 1:
-        window = percentile_window(raster, args.clip_lo, args.clip_hi)
+        window = percentile_window(source, args.clip_lo, args.clip_hi)
         mean, std = IMAGENET_MEAN, IMAGENET_STD
     else:
-        window, mean, std = (0, raster.maxval), CLIP_MEAN, CLIP_STD
-    # the raster is freed before the grid takes rotation's zero border; every view refills one buffer
-    grid = resize_bilinear(raster.pixels, size, size, window=window)
-    del raster
-    grid = bordered(grid)
-    view = np.empty((size, size))
+        window, mean, std = (0, source.maxval), CLIP_MEAN, CLIP_STD
+    # the one full-size array, the resize inside rotation's zero border; views are made and written by strips
+    frame = resize_bilinear(source, size, size, window=window, framed=True)
+    view = np.empty((min(size, _STRIP_ROWS), size))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
         with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
-            for strip in tensor3_channels(fill_view(grid, name, view), mean, std):
-                strip.astype("<f4").tofile(fh)
+            for row0 in range(0, size, _STRIP_ROWS):
+                strip = fill_view(frame, name, view[: size - row0], row0=row0)
+                for k, channel in enumerate(tensor3_channels(strip, mean, std)):
+                    fh.seek((k * size + row0) * size * 4)
+                    fh.write(channel.astype("<f4"))
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)
     return _finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)

@@ -492,6 +492,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                     block /= norms
             if zero is None and dim in (None, found):
                 out[start : start + len(block)] = block if fn is None else fn(block)
+    buffer = rows = block = None  # freed before the sidecar's ids are parsed, which can reuse the memory
     sidecar = _ids_sidecar(path)
     if binary and sidecar.exists():
         ids = _read_json(sidecar)

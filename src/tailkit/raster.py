@@ -12,17 +12,19 @@ Pins the conventions that matter for bit-reproducibility:
 * odd crop/pad remainders put the extra pixel at the bottom/right.
 
 All public operations are pure functions over float64 grids in [0, 1].
-Bilinear resize, rotation and the channel normalization work in strips of
-``_STRIP_ROWS`` rows, and a resize given a rescale window rescales only the
-raw pixel rows each strip reads.  A TTA view fills a caller's buffer from
-the grid held once inside a zero border, and a zoom computes only the rows
-and columns it keeps.  Each output value goes through the same float
-operations in the same order as in a whole-frame computation, so outputs do
-not depend on the strip height or on what the buffer held.
+Bilinear resize and rotation work in strips of ``_STRIP_ROWS`` rows; a resize
+given a rescale window rescales only the raw pixel rows each strip reads, which
+``PgmRows`` reads from a P5 file on demand.  A TTA view fills a caller's buffer,
+a strip of rows or all of them, from the grid held once inside a zero border,
+and a zoom computes only the rows and columns it keeps.  Each output value goes
+through the same float operations in the same order as in a whole-frame
+computation, so outputs depend neither on the strips nor on what the buffer held.
 """
 
+import os
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,13 +37,17 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 
-# output rows per strip in resize_bilinear, _rotate and tensor3_channels: each
+# output rows per strip in resize_bilinear, _rotate and preprocess's views: each
 # float64 temporary of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
 # the zero border that bordered adds: _rotate clips tap corners to [-2, h], so every tap lands in it
 _BORDER = 2
 # pixels per np.bincount call in _nearest_rank_values: each casts a 512 KiB intp block
 _HIST_BLOCK = 1 << 16
+# pixels, in whole rows, per PgmRows read for the histogram (4 MiB read and cast at 16 bits).  Freeing
+# chunks this large raises glibc's mmap threshold, so later strip temporaries are reused from the heap,
+# not trimmed and faulted in again per strip: 8.6k page faults, not 62.7k, from 2048^2 to 1024^2 x 6 views
+_HIST_SPAN = 1 << 20
 
 
 @dataclass
@@ -64,6 +70,9 @@ class Raster:
     def maxval(self) -> int:
         return (1 << self.depth) - 1
 
+    def rows(self, lo: int, hi: int):
+        return self.pixels[lo:hi]
+
 
 @dataclass
 class TtaSpec:
@@ -84,73 +93,96 @@ class TtaSpec:
 _PGM_TOKEN = re.compile(rb"#[^\n]*|[^ \t\r\n#]+")
 
 
-def _pgm_tokens(data: bytes):
-    """The tokens of ``data``, each with the offset where it ends, skipping # comments."""
-    return ((m.group(), m.end()) for m in _PGM_TOKEN.finditer(data) if m.group()[:1] != b"#")
+def _pgm_tokens(data: bytes, start: int = 0):
+    """The tokens of ``data`` from ``start``, each with the offset where it ends, skipping # comments."""
+    return ((m.group(), m.end()) for m in _PGM_TOKEN.finditer(data, start) if m.group()[:1] != b"#")
+
+
+class PgmRows:
+    """A P2 (ascii) or P5 (binary) PGM, maxval 255 or 65535, as ``resize_bilinear`` reads raw pixels:
+    ``shape``, ``size`` and ``rows[ys]``, native uint16 rows ``ys`` in ascending order.  P2 is parsed on
+    open; P5 is checked on open, and one read of rows ``ys[0]`` to ``ys[-1] + 1`` serves a strip."""
+
+    def __init__(self, path):
+        self.path, data = path, b""
+        with open(path, "rb") as fh:
+            # the header, read in whole lines, so the maxval token and the byte after it are read whole
+            while len(tokens := list(islice(_pgm_tokens(data), 4))) < 4 and (line := fh.readline()):
+                data += line
+            if not tokens:
+                raise ValueError(f"{path}: empty file")
+            magic = tokens[0][0]
+            if magic not in (b"P2", b"P5"):
+                raise ValueError(f"{path}: not a PGM (magic {magic!r})")
+            if len(tokens) < 4:
+                raise ValueError(f"{path}: malformed header")
+            (w_tok, _), (h_tok, _), (max_tok, end) = tokens[1:]
+            # decimal digits only, as for P2 pixels: int() would also take a sign or an underscore.  A
+            # token ends at whitespace, a # or the end of the file; a P5 maxval, at one whitespace byte
+            if not (w_tok + h_tok + max_tok).isdigit() or (magic == b"P5" and data[end : end + 1] == b"#"):
+                raise ValueError(f"{path}: malformed header")
+            self.width, self.height, self.maxval = int(w_tok), int(h_tok), int(max_tok)
+            if self.width < 1 or self.height < 1:
+                raise ValueError(f"{path}: bad dimensions {self.width}x{self.height}")
+            if self.maxval not in (255, 65535):
+                raise ValueError(f"{path}: unsupported maxval {self.maxval}")
+            self.shape, self.size = (self.height, self.width), self.height * self.width
+            self._dtype, self._offset, self._span = np.dtype("u1" if self.maxval == 255 else ">u2"), end + 1, (0, ())
+            self._pixels = None
+            if magic == b"P2":
+                tokens = [tok for tok, _ in islice(_pgm_tokens(data + fh.read(), end), self.size)]
+                for tok in tokens:
+                    # decimal digits only: int() would also take a sign or an underscore
+                    if not tok.isdigit():
+                        raise ValueError(f"{path}: bad ascii pixel {tok!r}")
+                if len(tokens) < self.size:
+                    raise ValueError(f"{path}: truncated pixel data")
+                pixels = np.array([int(tok) for tok in tokens], dtype=np.int64)
+                if (pixels > self.maxval).any():
+                    raise ValueError(f"{path}: pixel exceeds maxval")
+                self._pixels = pixels.astype(np.uint16).reshape(self.shape)
+            elif os.fstat(fh.fileno()).st_size - self._offset < self.size * self._dtype.itemsize:
+                raise ValueError(f"{path}: truncated pixel data")
+
+    def rows(self, lo: int, hi: int):
+        """Rows ``lo`` to ``hi`` (exclusive) as native uint16, as ``load_pgm`` gives them."""
+        if self._pixels is not None:
+            return self._pixels[lo:hi]
+        values = np.empty((hi - lo, self.width), self._dtype)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + lo * self.width * self._dtype.itemsize)
+            if fh.readinto(values) != values.nbytes:
+                raise ValueError(f"{self.path}: truncated pixel data")
+        return values.astype(np.uint16)
+
+    def __getitem__(self, ys):
+        lo, span = self._span
+        if ys[0] < lo or ys[-1] >= lo + len(span):
+            lo, span = self._span = int(ys[0]), self.rows(int(ys[0]), min(int(ys[-1]) + 2, self.height))
+        return span[ys - lo]
 
 
 def load_pgm(path) -> Raster:
     """Read a P2 (ascii) or P5 (binary) PGM; maxval must be 255 or 65535."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM (magic {magic!r})")
-    try:
-        (w_tok, _), (h_tok, _), (max_tok, max_end) = next(tokens), next(tokens), next(tokens)
-    except StopIteration:
-        raise ValueError(f"{path}: malformed header") from None
-    # decimal digits only, as for P2 pixels: int() would also take a sign or an underscore
-    if not (w_tok + h_tok + max_tok).isdigit():
-        raise ValueError(f"{path}: malformed header")
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad dimensions {width}x{height}")
-    if maxval not in (255, 65535):
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    depth = 8 if maxval == 255 else 16
-    count = width * height
-
-    if magic == b"P5":
-        # exactly one whitespace byte separates maxval from the pixel bytes
-        start, dtype = max_end + 1, np.dtype(np.uint8 if depth == 8 else ">u2")
-        if len(data) - start < count * dtype.itemsize:
-            raise ValueError(f"{path}: truncated pixel data")
-        pixels = np.frombuffer(data, dtype, count=count, offset=start)
-    else:
-        values = []
-        for tok, _ in tokens:
-            # decimal digits only: int() would also take a sign or an underscore
-            if not tok.isdigit():
-                raise ValueError(f"{path}: bad ascii pixel {tok!r}")
-            values.append(int(tok))
-            if len(values) == count:
-                break
-        if len(values) < count:
-            raise ValueError(f"{path}: truncated pixel data")
-        pixels = np.asarray(values, dtype=np.int64)
-        if (pixels > maxval).any():
-            raise ValueError(f"{path}: pixel exceeds maxval")
-    return Raster(width=width, height=height, depth=depth, pixels=pixels.astype(np.uint16))
+    src = PgmRows(path)
+    return Raster(src.width, src.height, 8 if src.maxval == 255 else 16, src.rows(0, src.height))
 
 
-def _nearest_rank_values(pixels, pcts) -> list:
-    """Nearest-rank values of uint16 ``pixels``: for each pct, the value at rank
-    max(1, ceil(pct/100 * n)) of the sorted population.
+def _nearest_rank_values(source, pcts) -> list:
+    """Nearest-rank values of the pixels of a ``Raster`` or a ``PgmRows``: for each pct, the value
+    at rank max(1, ceil(pct/100 * n)) of the sorted population.
 
-    Read from the histogram: that value is the smallest intensity whose
-    cumulative count reaches the rank.  The histogram is summed over blocks of
-    ``_HIST_BLOCK`` pixels, so no intp copy of the whole raster is made.
+    Read from the histogram: that value is the smallest intensity whose cumulative count reaches
+    the rank, at most the pixels' max since every rank is at most n.  The histogram is summed over
+    blocks of ``_HIST_BLOCK`` pixels, so no intp copy of the raster is made.
     """
-    flat = pixels.ravel()
-    counts = np.zeros(int(flat.max(initial=0)) + 1, dtype=np.int64)
-    for start in range(0, flat.size, _HIST_BLOCK):
-        counts += np.bincount(flat[start : start + _HIST_BLOCK], minlength=counts.size)
-    ranks = [max(1, int(np.ceil(pct / 100.0 * pixels.size))) for pct in pcts]
+    counts = np.zeros(source.maxval + 1, dtype=np.int64)
+    step = max(1, _HIST_SPAN // source.width)
+    for lo in range(0, source.height, step):
+        span = source.rows(lo, min(lo + step, source.height)).ravel()
+        for start in range(0, span.size, _HIST_BLOCK):
+            counts += np.bincount(span[start : start + _HIST_BLOCK], minlength=counts.size)
+    ranks = [max(1, int(np.ceil(pct / 100.0 * (source.width * source.height)))) for pct in pcts]
     return [float(v) for v in np.searchsorted(np.cumsum(counts), ranks)]
 
 
@@ -162,10 +194,10 @@ def _check_percentiles(lo_pct, hi_pct) -> None:
         raise ValueError("need 0 <= lo_pct < hi_pct <= 100")
 
 
-def percentile_window(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0) -> tuple:
-    """The nearest-rank (lo, hi) intensities that ``percentile_clip_rescale`` maps to 0 and 1."""
+def percentile_window(raster, lo_pct: float = 1.0, hi_pct: float = 99.0) -> tuple:
+    """The nearest-rank (lo, hi) of a ``Raster`` or ``PgmRows`` that ``percentile_clip_rescale`` maps to 0 and 1."""
     _check_percentiles(lo_pct, hi_pct)
-    return tuple(_nearest_rank_values(raster.pixels, (lo_pct, hi_pct)))
+    return tuple(_nearest_rank_values(raster, (lo_pct, hi_pct)))
 
 
 def percentile_clip_rescale(raster: Raster, lo_pct: float = 1.0, hi_pct: float = 99.0):
@@ -188,13 +220,18 @@ def _rescale(pixels, lo, hi):
     return np.clip(grid, 0.0, 1.0, out=grid)
 
 
-def resize_bilinear(grid, out_h: int, out_w: int, *, window=None):
+def resize_bilinear(grid, out_h: int, out_w: int, *, window=None, framed=False):
     """Bilinear resize with half-pixel-centered sampling and edge clamping; with
-    ``window=(lo, hi)``, ``grid`` holds raw pixels and each strip rescales the rows it reads."""
-    grid = np.asarray(grid, dtype=np.float64 if window is None else None)
+    ``window=(lo, hi)``, ``grid`` holds raw pixels, or is a ``PgmRows``, and each strip rescales
+    the rows it reads.  ``framed`` returns the resize inside the zero border ``bordered`` adds."""
+    if not isinstance(grid, PgmRows):
+        grid = np.asarray(grid, dtype=np.float64 if window is None else None)
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be at least 1x1")
-    return _resize_into(np.empty((out_h, out_w)), grid, out_h, out_w, window=window)
+    border = _BORDER if framed else 0
+    frame = np.zeros((out_h + 2 * border, out_w + 2 * border))
+    _resize_into(frame[border : border + out_h, border : border + out_w], grid, out_h, out_w, window=window)
+    return frame
 
 
 def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int = 0, window=None):
@@ -233,7 +270,7 @@ def _lerp_columns(lines, x0, x1, not_wx, wx):
 
 
 def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
-    """Yield ``to_tensor3(grid, mean, std)`` in C order, ``_STRIP_ROWS`` rows of one channel at a time."""
+    """Yield ``to_tensor3(grid, mean, std)`` one channel at a time; ``preprocess`` gives it a strip of rows."""
     grid = np.asarray(grid, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
@@ -242,10 +279,9 @@ def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
     for k in range(3):
-        for start in range(0, len(grid), _STRIP_ROWS):
-            strip = grid[start : start + _STRIP_ROWS] - mean[k]
-            strip /= std[k]
-            yield strip
+        channel = grid - mean[k]
+        channel /= std[k]
+        yield channel
 
 
 def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
@@ -262,26 +298,26 @@ def bordered(grid):
     return padded
 
 
-def _rotate(padded, degrees: float, out):
-    """Fill ``out`` with the grid inside ``padded``'s zero border rotated about its center,
-    bilinear sampling, zero fill outside.
+def _rotate(padded, degrees: float, out, row0: int = 0):
+    """Fill ``out`` with the rows from ``row0`` of the grid inside ``padded``'s zero border rotated
+    about its center, bilinear sampling, zero fill outside.
 
     Each bilinear tap is gathered through one flat index into ``padded``.  Tap
     corners are clipped to [-2, h] and [-2, w], so a tap outside the grid, even
     one far outside, reads a zero of the border.
     """
-    h, w = out.shape
+    h, w = padded.shape[0] - 2 * _BORDER, padded.shape[1] - 2 * _BORDER
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     xs = np.arange(w) - cx
-    ys = (np.arange(h) - cy)[:, None]
+    ys = (np.arange(row0, row0 + len(out)) - cy)[:, None]
     # inverse map: rotate output coordinates by -theta back into the source
     x_of_x, x_of_y = cos_t * xs, sin_t * ys
     y_of_x, y_of_y = -sin_t * xs, cos_t * ys
     stride = w + 2 * _BORDER
     flat = padded.reshape(-1)
-    for start in range(0, h, _STRIP_ROWS):
+    for start in range(0, len(out), _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
         src_x = x_of_x + x_of_y[rows]
         src_x += cx
@@ -308,37 +344,39 @@ def _rotate(padded, degrees: float, out):
     return out
 
 
-def _zoom(grid, scale: float, out):
-    """Fill ``out`` with ``grid`` resized by ``scale`` about its center: a zoom in computes only
-    the centered crop, a zoom out resizes into the centered window of a zeroed ``out``."""
+def _zoom(grid, scale: float, out, row0: int = 0):
+    """Fill ``out`` with the rows from ``row0`` of ``grid`` resized by ``scale`` about its center: a zoom
+    in computes only the centered crop, a zoom out resizes into the centered window of a zeroed ``out``."""
     h, w = grid.shape
     new_h = max(1, int(np.floor(h * scale + 0.5)))
     new_w = max(1, int(np.floor(w * scale + 0.5)))
     if scale >= 1.0:
-        return _resize_into(out, grid, new_h, new_w, (new_h - h) // 2, (new_w - w) // 2)
+        return _resize_into(out, grid, new_h, new_w, (new_h - h) // 2 + row0, (new_w - w) // 2)
     out.fill(0.0)
-    top, left = (h - new_h) // 2, (w - new_w) // 2
-    _resize_into(out[top : top + new_h, left : left + new_w], grid, new_h, new_w)
+    # the window's top row and the rows of out it covers, counted from out's first row
+    top, left = (h - new_h) // 2 - row0, (w - new_w) // 2
+    first, last = max(top, 0), max(top, 0, min(top + new_h, len(out)))
+    _resize_into(out[first:last, left : left + new_w], grid, new_h, new_w, first - top)
     return out
 
 
-def fill_view(padded, name: str, out):
-    """Fill ``out``, of the grid's shape, with TTA view ``name`` of the grid in ``padded`` (made by
+def fill_view(padded, name: str, out, *, row0: int = 0):
+    """Fill ``out`` with the rows from ``row0`` of TTA view ``name`` of the grid in ``padded`` (made by
     ``bordered``) and return it.  Whatever ``out`` held before, an earlier view too, is overwritten."""
     grid = padded[_BORDER:-_BORDER, _BORDER:-_BORDER]
     if name == "identity":
-        out[...] = grid
+        out[...] = grid[row0 : row0 + len(out)]
     elif name == "hflip":
-        out[...] = grid[:, ::-1]
+        out[...] = grid[row0 : row0 + len(out), ::-1]
     elif name in ("rot+5", "rot-5"):
-        _rotate(padded, float(name[3:]), out)
+        _rotate(padded, float(name[3:]), out, row0)
     elif name in ("zoom1.1", "zoom0.9"):
-        _zoom(grid, float(name[4:]), out)
+        _zoom(grid, float(name[4:]), out, row0)
     else:
         raise ValueError(f"unknown transform {name!r}")
     return out
 
 
 def apply_transform(grid, name: str):
-    """Transform ``name`` of ``grid`` as a new float64 array: the view ``preprocess`` builds in its buffer."""
+    """Transform ``name`` of ``grid`` as a new float64 array: the view ``preprocess`` writes strip by strip."""
     return fill_view(bordered(grid), name, np.empty(np.shape(grid)))

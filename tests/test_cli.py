@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import struct
@@ -41,6 +42,7 @@ from tailkit.raster import (
     load_pgm,
     normalize_clip_style,
     percentile_clip_rescale,
+    percentile_window,
     resize_bilinear,
     to_tensor3,
 )
@@ -577,26 +579,49 @@ class TestPreprocessCommand:
 
     @pytest.mark.parametrize("task", [1, 2])
     def test_peak_stays_near_the_output_grid(self, tmp_path, write_pgm, task):
-        """tracemalloc peak of a 1024^2 16-bit raster to 512 with all six views: at most
-        3.0x the 2 MiB float64 output grid.
+        """tracemalloc peak of the benchmark's shape, a 2048^2 16-bit P5 raster to 1024 with all
+        six views: at most one float64 1028^2 frame (the grid inside rotation's zero border,
+        8.06 MiB) plus 4 MiB.
 
-        Measured at 2.79x (task 1) and 2.71x (task 2), with the grid held once inside
-        rotation's zero border and every view built in one reused buffer.  Rotation's
-        padded copy of the grid, the whole zoom resize with its crop or zero pad, and
-        the copies for identity and hflip peaked at 3.79x and 3.71x.  Rescaling the
-        whole raster to float64 before the resize, with a whole-raster np.bincount,
-        whole-channel normalization and the previous view held through the next
-        transform, peaked at 5.72x and 5.64x.
+        Measured at 11.11 MiB (task 1) and 10.92 MiB (task 2), with P5 rows read as each resize
+        strip needs them, the resize written straight into the frame and every view made and
+        written 32 rows at a time; task 1's histogram pass, before the frame, peaks at 6.5 MiB.
+        Decoding the whole raster, resizing into a grid that was then copied into the frame, and
+        refilling a whole-view buffer peaked at 18.90 MiB and 18.72 MiB.
         """
-        pgm = write_pgm("big.pgm", np.random.default_rng(5).integers(0, 65536, (1024, 1024)), maxval=65535)
-        argv = ["preprocess", str(pgm), "--task", str(task), "--size", "512", "--tta", *TTA_TRANSFORMS]
+        pgm = write_pgm("big.pgm", np.random.default_rng(5).integers(0, 65536, (2048, 2048)), maxval=65535)
+        argv = ["preprocess", str(pgm), "--task", str(task), "--size", "1024", "--tta", *TTA_TRANSFORMS]
         tracemalloc.start()
         try:
             assert main(argv + ["--out-dir", str(tmp_path / "views")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * (512 * 512 * 8)
+        assert peak <= 1028 * 1028 * 8 + 4 * 2**20
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_streamed_views_equal_the_whole_frame_oracle(self, tmp_path, write_pgm, binary, maxval, task):
+        """Every view, written by strips from rows read on demand, is the float32 bytes of the
+        whole-frame tensor of the grid that load_pgm, the window and resize_bilinear give; sizes
+        around the 32-row strip leave partial strips, and the sources are not square."""
+        mean_std = (IMAGENET_MEAN, IMAGENET_STD) if task == 1 else (CLIP_MEAN, CLIP_STD)
+        for shape in [(37, 53), (64, 2)]:
+            pixels = np.random.default_rng([maxval, task, *shape]).integers(0, maxval + 1, shape)
+            pgm = write_pgm("scan.pgm", pixels, maxval=maxval, binary=binary)
+            raster = load_pgm(pgm)
+            window = percentile_window(raster) if task == 1 else (0, raster.maxval)
+            for size in [1, 2, 31, 32, 33, 65]:
+                out_dir = tmp_path / f"views{shape}-{size}"
+                argv = ["preprocess", str(pgm), "--task", str(task), "--size", str(size), "--tta", *TTA_TRANSFORMS]
+                assert main(argv + ["--out-dir", str(out_dir)]) == 0
+                grid = resize_bilinear(raster.pixels, size, size, window=window)
+                for name in TTA_TRANSFORMS:
+                    raw = (out_dir / f"scan__{name}.raw").read_bytes()
+                    assert len(raw) == 3 * size * size * 4, (shape, size, name)
+                    expected = to_tensor3(apply_transform(grid, name), *mean_std).astype("<f4").tobytes()
+                    assert raw == expected, (shape, size, name)
 
     def test_task2_divides_by_maxval(self, tmp_path, write_pgm):
         pgm = write_pgm("flat.pgm", np.full((4, 4), 65535), maxval=65535)
@@ -1054,6 +1079,54 @@ def test_preprocess_checks_its_flags_before_reading_the_image(tmp_path, capsys, 
     argv = ["preprocess", str(tmp_path / "missing.pgm"), *flags, "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# PGM faults in the order they are checked, each with its message; the file gets every fault of a case
+PGM_FAULTS = {
+    "bad magic": "not a PGM (magic b'P7')",
+    "malformed header": "malformed header",
+    "zero width": "bad dimensions 0x2",
+    "maxval 1000": "unsupported maxval 1000",
+    "truncated P5 payload": "truncated pixel data",
+    "bad P2 pixel": "bad ascii pixel b'x'",
+}
+PGM_FAULT_CASES = [
+    faults
+    for n in (1, 2)
+    for faults in itertools.combinations(PGM_FAULTS, n)
+    if set(faults) != {"truncated P5 payload", "bad P2 pixel"}
+]
+
+
+def _faulty_pgm(faults) -> bytes:
+    magic = "P7" if "bad magic" in faults else "P2" if "bad P2 pixel" in faults else "P5"
+    width = "0" if "zero width" in faults else "2"
+    height = "+2" if "malformed header" in faults else "2"
+    maxval = "1000" if "maxval 1000" in faults else "255"
+    if "bad P2 pixel" in faults:
+        body = b"1 x 3 4\n"
+    else:
+        body = bytes([0, 64, 128, 255][: 3 if "truncated P5 payload" in faults else 4])
+    return f"{magic}\n{width} {height}\n{maxval}\n".encode() + body
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [pytest.param(_faulty_pgm(f), PGM_FAULTS[f[0]], id=" + ".join(f)) for f in PGM_FAULT_CASES]
+    + [
+        # a comment right after a P5 maxval is not read as pixels
+        pytest.param(b"P5\n2 2\n255#c\n" + bytes([0, 64, 128, 255]), "malformed header", id="comment after P5 maxval"),
+        pytest.param(b"P5\n2 2\n65535\n" + bytes(7), "truncated pixel data", id="16-bit P5 one byte short"),
+    ],
+)
+def test_pgm_faults_keep_their_message_and_order(tmp_path, capsys, data, message):
+    """Alone or in pairs, a PGM fault ends preprocess with exit 1 and the first fault's message,
+    before --out-dir is made."""
+    pgm = tmp_path / "scan.pgm"
+    pgm.write_bytes(data)
+    assert main(["preprocess", str(pgm), "--size", "2", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {pgm}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -15,6 +15,7 @@ from tailkit.raster import (
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
+    PgmRows,
     Raster,
     TtaSpec,
     apply_transform,
@@ -283,6 +284,41 @@ class TestLoadPgm:
             load_pgm(short)
         assert str(info.value) == f"{short}: truncated pixel data"
 
+    def test_comment_right_after_a_p5_maxval_is_malformed(self, tmp_path):
+        # P2 skips the comment; a P5 maxval ends at one whitespace byte, so there it is not pixels
+        p2, p5 = tmp_path / "c.pgm", tmp_path / "d.pgm"
+        p2.write_bytes(b"P2\n2 2\n255#c\n0 64 128 255\n")
+        assert load_pgm(p2).pixels.tolist() == [[0, 64], [128, 255]]
+        p5.write_bytes(b"P5\n2 2\n255#c\n" + bytes([0, 64, 128, 255]))
+        with pytest.raises(ValueError) as info:
+            load_pgm(p5)
+        assert str(info.value) == f"{p5}: malformed header"
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_rows_on_demand_equal_the_loaded_pixels(self, write_pgm, maxval):
+        """``PgmRows[ys]`` reads P5 rows in spans; any ascending ``ys``, repeats included, gives
+        the rows of ``load_pgm``.  A file cut short after it was opened fails on the read."""
+        path = write_pgm("p.pgm", np.random.default_rng(maxval).integers(0, maxval + 1, (37, 23)), maxval=maxval)
+        pixels, rows = load_pgm(path).pixels, PgmRows(path)
+        for ys in ([0], [0, 0, 1], [5, 6, 6, 7], [3, 4], [36], [0, 36], [10, 11, 12], [35, 36, 36]):
+            got = rows[np.array(ys)]
+            assert got.dtype == np.uint16 and got.tolist() == pixels[ys].tolist(), ys
+        rows = PgmRows(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError) as info:
+            rows[np.array([36])]
+        assert str(info.value) == f"{path}: truncated pixel data"
+        # opened short, the file fails on open, before any pixel is read
+        with pytest.raises(ValueError) as info:
+            PgmRows(path)
+        assert str(info.value) == f"{path}: truncated pixel data"
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_window_from_the_file_equals_the_raster_window(self, write_pgm, binary):
+        # 257 columns: blocks of 255 whole rows, so the last block is short
+        path = write_pgm("w.pgm", np.random.default_rng(6).integers(0, 65536, (300, 257)), maxval=65535, binary=binary)
+        assert _nearest_rank_values(PgmRows(path), FIXED_PCTS) == _nearest_rank_values(load_pgm(path), FIXED_PCTS)
+
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_p5_load_copies_the_pixels_once(self, write_pgm, maxval):
         """The file's bytes plus one uint16 cast: 1.5x (8-bit) or 2x (16-bit) the raster's pixels.
@@ -323,7 +359,7 @@ class TestPercentileClip:
         cases = {30: 20, 40: 20, 50: 35, 100: 50}
         for pct, expected in cases.items():
             assert nearest_rank_percentile(values, pct) == expected
-        counted = _nearest_rank_values(np.array(values, dtype=np.uint16), list(cases))
+        counted = _nearest_rank_values(Raster(width=5, height=1, depth=8, pixels=[values]), list(cases))
         assert counted == list(cases.values())
 
     @settings(max_examples=150, deadline=None)
@@ -332,7 +368,7 @@ class TestPercentileClip:
     @example(Raster(width=1, height=1, depth=8, pixels=[[0]]), [])
     def test_counting_matches_sort_oracle(self, raster, drawn):
         pcts = list(FIXED_PCTS) + drawn
-        counted = _nearest_rank_values(raster.pixels, pcts)
+        counted = _nearest_rank_values(raster, pcts)
         for pct, value in zip(pcts, counted):
             oracle = nearest_rank_percentile(raster.pixels, pct)
             assert np.float64(value).tobytes() == np.float64(oracle).tobytes(), pct
@@ -351,7 +387,7 @@ class TestPercentileClip:
         rng = np.random.default_rng(11)
         pixels = np.clip(rng.normal(30000, 9000, (512, 512)), 0, 65535).astype(np.uint16)
         raster = Raster(width=512, height=512, depth=16, pixels=pixels)
-        counted = _nearest_rank_values(pixels, FIXED_PCTS)
+        counted = _nearest_rank_values(raster, FIXED_PCTS)
         assert counted == [nearest_rank_percentile(pixels, pct) for pct in FIXED_PCTS]
         out = percentile_clip_rescale(raster, 1.0, 99.0)
         assert out.tobytes() == percentile_clip_rescale_oracle(raster, 1.0, 99.0).tobytes()
@@ -361,10 +397,10 @@ class TestPercentileClip:
         # the unique minimum opens the first block and the unique maximum closes the last
         pixels = np.random.default_rng(n).integers(1, 60000, (1, n)).astype(np.uint16)
         pixels[0, 0], pixels[0, -1] = 0, 65535
-        counted = _nearest_rank_values(pixels, FIXED_PCTS)
+        raster = Raster(width=n, height=1, depth=16, pixels=pixels)
+        counted = _nearest_rank_values(raster, FIXED_PCTS)
         assert counted == [nearest_rank_percentile(pixels, pct) for pct in FIXED_PCTS]
         assert counted[0] == 0.0 and counted[-1] == 65535.0
-        raster = Raster(width=n, height=1, depth=16, pixels=pixels)
         for lo, hi in [(1.0, 99.0), (0.0, 100.0)]:
             out = percentile_clip_rescale(raster, lo, hi)
             assert out.tobytes() == percentile_clip_rescale_oracle(raster, lo, hi).tobytes()
@@ -493,6 +529,16 @@ class TestRescaleInsideResize:
         assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
         view = to_tensor3(apply_transform(out, name), *mean_std).astype("<f4")
         assert view.tobytes() == to_tensor3_oracle(apply_transform(expected, name), *mean_std).astype("<f4").tobytes()
+
+    def test_each_strip_reads_one_span_of_a_p5_file(self, write_pgm, monkeypatch):
+        """A strip's top and bottom source rows come from one read: 65 output rows are 3 strips."""
+        path = write_pgm("s.pgm", np.random.default_rng(3).integers(0, 65536, (130, 9)), maxval=65535)
+        source, spans = PgmRows(path), []
+        read = source.rows
+        monkeypatch.setattr(source, "rows", lambda lo, hi: spans.append((lo, hi)) or read(lo, hi))
+        out = resize_bilinear(source, 65, 5, window=(0, 65535))
+        assert len(spans) == 3
+        assert out.tobytes() == resize_bilinear(load_pgm(path).pixels, 65, 5, window=(0, 65535)).tobytes()
 
     @pytest.mark.parametrize("depth", [8, 16])
     def test_maxval_window_is_the_division_for_every_value(self, depth):
