@@ -279,19 +279,22 @@ def cmd_preprocess(args):
         mean, std = IMAGENET_MEAN, IMAGENET_STD
     else:
         window, mean, std = (0, source.maxval), CLIP_MEAN, CLIP_STD
-    # the one full-size array, the resize inside rotation's zero border; views are made and written by strips
-    frame = resize_bilinear(source, size, size, window=window, framed=True)
-    view = np.empty((min(size, _STRIP_ROWS), size))
+    # the one full-size array is the resize inside rotation's zero border.  Views are made and written by
+    # strips, which all reuse the work arrays in work and the three strip buffers
+    frame, work = resize_bilinear(source, size, size, window=window, framed=True), {}
+    view, channels = np.empty((2, min(size, _STRIP_ROWS), size))
+    cast = np.empty(view.shape, "<f4")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
         with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
             for row0 in range(0, size, _STRIP_ROWS):
-                strip = fill_view(frame, name, view[: size - row0], row0=row0)
-                for k, channel in enumerate(tensor3_channels(strip, mean, std)):
+                strip = fill_view(frame, name, view[: size - row0], row0=row0, work=work)
+                for k, channel in enumerate(tensor3_channels(strip, mean, std, out=channels[: len(strip)])):
+                    np.copyto(cast[: len(strip)], channel, casting="same_kind")
                     fh.seek((k * size + row0) * size * 4)
-                    fh.write(channel.astype("<f4"))
+                    fh.write(cast[: len(strip)])
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(out_dir / f"{stem}__{name}.json", sidecar)
     return _finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)

@@ -12,19 +12,21 @@ Pins the conventions that matter for bit-reproducibility:
 * odd crop/pad remainders put the extra pixel at the bottom/right.
 
 All public operations are pure functions over float64 grids in [0, 1].
-Bilinear resize and rotation work in strips of ``_STRIP_ROWS`` rows; a resize
-given a rescale window rescales only the raw pixel rows each strip reads, which
-``PgmRows`` reads from a P5 file on demand.  A TTA view fills a caller's buffer,
-a strip of rows or all of them, from the grid held once inside a zero border,
-and a zoom computes only the rows and columns it keeps.  Each output value goes
-through the same float operations in the same order as in a whole-frame
-computation, so outputs depend neither on the strips nor on what the buffer held.
+Bilinear resize and rotation work in strips of ``_STRIP_ROWS`` rows, in work
+arrays that later strips reuse; a resize given a rescale window rescales only the
+raw pixels each strip gathers, from rows that ``PgmRows`` reads from a P5 file on
+demand.  A TTA view fills a caller's buffer, a strip of rows or all of them, from
+the grid held once inside a zero border, and a zoom computes only the rows and
+columns it keeps.  Each output value goes through the same float operations in
+the same order as in a whole-frame computation, so outputs depend neither on the
+strips nor on what the buffer or the work arrays held.
 """
 
 import os
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,17 +39,14 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 
-# output rows per strip in resize_bilinear, _rotate and preprocess's views: each
-# float64 temporary of a 1024-pixel-wide output then takes 256 KiB
+# output rows per strip in _resize_into, _rotate and preprocess's views: each
+# float64 work array of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
 # the zero border that bordered adds: _rotate clips tap corners to [-2, h], so every tap lands in it
 _BORDER = 2
-# pixels per np.bincount call in _nearest_rank_values: each casts a 512 KiB intp block
+# pixels per np.bincount call in _nearest_rank_values, each cast into one reused 512 KiB intp block; the
+# file is read in spans of whole rows of about as many pixels
 _HIST_BLOCK = 1 << 16
-# pixels, in whole rows, per PgmRows read for the histogram (4 MiB read and cast at 16 bits).  Freeing
-# chunks this large raises glibc's mmap threshold, so later strip temporaries are reused from the heap,
-# not trimmed and faulted in again per strip: 8.6k page faults, not 62.7k, from 2048^2 to 1024^2 x 6 views
-_HIST_SPAN = 1 << 20
 
 
 @dataclass
@@ -70,8 +69,8 @@ class Raster:
     def maxval(self) -> int:
         return (1 << self.depth) - 1
 
-    def rows(self, lo: int, hi: int):
-        return self.pixels[lo:hi]
+    def rows_at(self, ys):
+        return self.pixels.reshape(-1), ys * self.width
 
 
 @dataclass
@@ -99,9 +98,8 @@ def _pgm_tokens(data: bytes, start: int = 0):
 
 
 class PgmRows:
-    """A P2 (ascii) or P5 (binary) PGM, maxval 255 or 65535, as ``resize_bilinear`` reads raw pixels:
-    ``shape``, ``size`` and ``rows[ys]``, native uint16 rows ``ys`` in ascending order.  P2 is parsed on
-    open; P5 is checked on open, and one read of rows ``ys[0]`` to ``ys[-1] + 1`` serves a strip."""
+    """A P2 (ascii) or P5 (binary) PGM, maxval 255 or 65535, as ``_resize_into`` reads raw pixels: ``shape``,
+    ``size`` and ``rows_at(ys)``.  P2 is parsed on open; P5 is checked on open and its rows are read on demand."""
 
     def __init__(self, path):
         self.path, data = path, b""
@@ -127,45 +125,50 @@ class PgmRows:
             if self.maxval not in (255, 65535):
                 raise ValueError(f"{path}: unsupported maxval {self.maxval}")
             self.shape, self.size = (self.height, self.width), self.height * self.width
-            self._dtype, self._offset, self._span = np.dtype("u1" if self.maxval == 255 else ">u2"), end + 1, (0, ())
-            self._pixels = None
+            self._dtype, self._offset = np.dtype("u1" if self.maxval == 255 else ">u2"), end + 1
+            # rows lo to hi of the file, as a flat array; P2 keeps all of them
+            self._buf, self._span = np.empty(0, self._dtype), (0, 0, None)
             if magic == b"P2":
-                tokens = [tok for tok, _ in islice(_pgm_tokens(data + fh.read(), end), self.size)]
-                for tok in tokens:
+                # the header's last line ends at a newline, so no token runs on into the rest of the file
+                values = []
+                for tok, _ in chain(_pgm_tokens(data, end), _pgm_tokens(fh.read())):
                     # decimal digits only: int() would also take a sign or an underscore
                     if not tok.isdigit():
                         raise ValueError(f"{path}: bad ascii pixel {tok!r}")
-                if len(tokens) < self.size:
+                    values.append(int(tok))
+                    if len(values) == self.size:
+                        break
+                if len(values) < self.size:
                     raise ValueError(f"{path}: truncated pixel data")
-                pixels = np.array([int(tok) for tok in tokens], dtype=np.int64)
+                pixels = np.asarray(values, dtype=np.int64)
                 if (pixels > self.maxval).any():
                     raise ValueError(f"{path}: pixel exceeds maxval")
-                self._pixels = pixels.astype(np.uint16).reshape(self.shape)
+                self._span = 0, self.height, pixels.astype(np.uint16)
             elif os.fstat(fh.fileno()).st_size - self._offset < self.size * self._dtype.itemsize:
                 raise ValueError(f"{path}: truncated pixel data")
 
-    def rows(self, lo: int, hi: int):
-        """Rows ``lo`` to ``hi`` (exclusive) as native uint16, as ``load_pgm`` gives them."""
-        if self._pixels is not None:
-            return self._pixels[lo:hi]
-        values = np.empty((hi - lo, self.width), self._dtype)
-        with open(self.path, "rb") as fh:
-            fh.seek(self._offset + lo * self.width * self._dtype.itemsize)
-            if fh.readinto(values) != values.nbytes:
-                raise ValueError(f"{self.path}: truncated pixel data")
-        return values.astype(np.uint16)
-
-    def __getitem__(self, ys):
-        lo, span = self._span
-        if ys[0] < lo or ys[-1] >= lo + len(span):
-            lo, span = self._span = int(ys[0]), self.rows(int(ys[0]), min(int(ys[-1]) + 2, self.height))
-        return span[ys - lo]
+    def rows_at(self, ys):
+        """``(flat, starts)`` for ascending rows ``ys``: pixel ``(ys[i], x)`` is ``flat[starts[i] + x]``.  Rows of
+        a P5 file outside the last span are read in one span, ``ys[0]`` to ``ys[-1] + 1``, into the buffer of
+        the last span when it is large enough."""
+        lo, hi, flat = self._span
+        if ys[0] < lo or ys[-1] >= hi:
+            lo, hi = int(ys[0]), min(int(ys[-1]) + 2, self.height)
+            if self._buf.size < (hi - lo) * self.width:
+                self._buf = np.empty((hi - lo) * self.width, self._dtype)
+            flat = self._buf[: (hi - lo) * self.width]
+            with open(self.path, "rb") as fh:
+                fh.seek(self._offset + lo * self.width * self._dtype.itemsize)
+                if fh.readinto(flat) != flat.nbytes:
+                    raise ValueError(f"{self.path}: truncated pixel data")
+            self._span = lo, hi, flat
+        return flat, (ys - lo) * self.width
 
 
 def load_pgm(path) -> Raster:
     """Read a P2 (ascii) or P5 (binary) PGM; maxval must be 255 or 65535."""
     src = PgmRows(path)
-    return Raster(src.width, src.height, 8 if src.maxval == 255 else 16, src.rows(0, src.height))
+    return Raster(src.width, src.height, 8 if src.maxval == 255 else 16, src.rows_at(np.arange(src.height))[0])
 
 
 def _nearest_rank_values(source, pcts) -> list:
@@ -176,12 +179,15 @@ def _nearest_rank_values(source, pcts) -> list:
     the rank, at most the pixels' max since every rank is at most n.  The histogram is summed over
     blocks of ``_HIST_BLOCK`` pixels, so no intp copy of the raster is made.
     """
-    counts = np.zeros(source.maxval + 1, dtype=np.int64)
-    step = max(1, _HIST_SPAN // source.width)
+    counts, block = np.zeros(source.maxval + 1, dtype=np.int64), np.empty(_HIST_BLOCK, np.intp)
+    step = max(1, _HIST_BLOCK // source.width)
     for lo in range(0, source.height, step):
-        span = source.rows(lo, min(lo + step, source.height)).ravel()
+        flat, starts = source.rows_at(np.arange(lo, min(lo + step, source.height)))
+        span = flat[starts[0] : starts[-1] + source.width]
         for start in range(0, span.size, _HIST_BLOCK):
-            counts += np.bincount(span[start : start + _HIST_BLOCK], minlength=counts.size)
+            part = block[: min(_HIST_BLOCK, span.size - start)]
+            np.copyto(part, span[start : start + _HIST_BLOCK])
+            counts += np.bincount(part, minlength=counts.size)
     ranks = [max(1, int(np.ceil(pct / 100.0 * (source.width * source.height)))) for pct in pcts]
     return [float(v) for v in np.searchsorted(np.cumsum(counts), ranks)]
 
@@ -210,33 +216,54 @@ def normalize_clip_style(raster: Raster):
     return _rescale(raster.pixels, 0, raster.maxval)
 
 
-def _rescale(pixels, lo, hi):
-    """``(pixels - lo) / (hi - lo)`` clipped to [0, 1] in float64; all zeros when hi == lo."""
+def _rescale(pixels, lo, hi, out=None):
+    """``(pixels - lo) / (hi - lo)`` clipped to [0, 1] in float64, in ``out`` if given; all zeros when hi == lo."""
+    grid = np.empty(pixels.shape) if out is None else out
     if hi == lo:
-        return np.zeros(pixels.shape)
-    grid = pixels.astype(np.float64)
+        grid.fill(0.0)
+        return grid
+    np.copyto(grid, pixels)
     grid -= lo
     grid /= hi - lo
     return np.clip(grid, 0.0, 1.0, out=grid)
 
 
+def _scratch(work: dict, key: str, shape, dtype=np.float64, count: int = 1):
+    """``count`` arrays of ``shape`` in ``work[key]``, made anew only if missing, too small or of another dtype."""
+    size = count * shape[0] * shape[1]
+    if key not in work or work[key].size < size or work[key].dtype != dtype:
+        work[key] = np.empty(size, dtype)
+    return work[key][:size].reshape(count, *shape)
+
+
+def _framed(frame, border: int = 0):
+    """The grid inside ``border`` pixels of a C-contiguous ``frame``, read by ``_resize_into`` like a ``PgmRows``."""
+    def rows_at(ys):
+        return frame.reshape(-1), (ys + border) * frame.shape[1] + border
+
+    return SimpleNamespace(shape=(frame.shape[0] - 2 * border, frame.shape[1] - 2 * border), rows_at=rows_at)
+
+
 def resize_bilinear(grid, out_h: int, out_w: int, *, window=None, framed=False):
-    """Bilinear resize with half-pixel-centered sampling and edge clamping; with
-    ``window=(lo, hi)``, ``grid`` holds raw pixels, or is a ``PgmRows``, and each strip rescales
-    the rows it reads.  ``framed`` returns the resize inside the zero border ``bordered`` adds."""
-    if not isinstance(grid, PgmRows):
-        grid = np.asarray(grid, dtype=np.float64 if window is None else None)
+    """Bilinear resize with half-pixel-centered sampling and edge clamping; with ``window=(lo, hi)``,
+    ``grid`` holds raw pixels, or is a ``PgmRows`` whose rows are read as the strips need them, and each
+    strip rescales the values it reads.  ``framed`` returns the resize inside the zero border ``bordered``
+    adds, the frame that every view reads."""
+    if not hasattr(grid, "rows_at"):
+        grid = _framed(np.ascontiguousarray(grid, dtype=np.float64 if window is None else None))
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be at least 1x1")
     border = _BORDER if framed else 0
-    frame = np.zeros((out_h + 2 * border, out_w + 2 * border))
+    frame = (np.zeros if framed else np.empty)((out_h + 2 * border, out_w + 2 * border))
     _resize_into(frame[border : border + out_h, border : border + out_w], grid, out_h, out_w, window=window)
     return frame
 
 
-def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int = 0, window=None):
-    """Fill ``out`` with the rows from ``row0`` and the columns from ``col0`` of the
-    ``full_h`` x ``full_w`` resize of ``grid``; the rows and columns outside are not computed."""
+def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int = 0, window=None, work=None):
+    """Fill ``out`` with the rows from ``row0`` and the columns from ``col0`` of the ``full_h`` x ``full_w``
+    resize of ``grid``, a ``PgmRows`` or a ``_framed`` frame; the rows and columns outside are not computed.
+    Every strip takes its work arrays from the dict ``work``, which later calls may reuse."""
+    work = {} if work is None else work
     in_h, in_w = grid.shape
     out_h, out_w = out.shape
     src_y = np.clip((np.arange(row0, row0 + out_h) + 0.5) * (in_h / full_h) - 0.5, 0.0, in_h - 1.0)
@@ -248,29 +275,37 @@ def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int =
     wy = (src_y - y0)[:, None]
     wx = src_x - x0
     not_wy, not_wx = 1 - wy, 1 - wx
-    source_rows = grid.__getitem__ if window is None else lambda ys: _rescale(grid[ys], *window)
     for start in range(0, out_h, _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
-        top = _lerp_columns(source_rows(y0[rows]), x0, x1, not_wx, wx)
-        bottom = _lerp_columns(source_rows(y1[rows]), x0, x1, not_wx, wx)
+        top = _lerp_columns(grid, y0[rows], x0, x1, not_wx, wx, window, work)
         np.multiply(top, not_wy[rows], out=out[rows])
+        bottom = _lerp_columns(grid, y1[rows], x0, x1, not_wx, wx, window, work)
         bottom *= wy[rows]
         out[rows] += bottom
     return out
 
 
-def _lerp_columns(lines, x0, x1, not_wx, wx):
-    """``lines[:, x0] * (1 - wx) + lines[:, x1] * wx``, computed in the gathered columns."""
-    left = lines[:, x0]
-    left *= not_wx
-    right = lines[:, x1]
-    right *= wx
+def _lerp_columns(grid, ys, x0, x1, not_wx, wx, window, work):
+    """``rows[:, x0] * (1 - wx) + rows[:, x1] * wx`` of the rows ``ys`` of ``grid``, every value rescaled by
+    ``window`` first, computed in the gathered columns, in ``work``'s arrays."""
+    flat, starts = grid.rows_at(ys)
+    shape = (len(ys), len(x0))
+    (index,), (left, right) = _scratch(work, "int", shape, np.int64), _scratch(work, "float", shape, count=2)
+    for xs, weight, values in ((x0, not_wx, left), (x1, wx, right)):
+        np.add(starts[:, None], xs, out=index)
+        if window is None:
+            np.take(flat, index, out=values, mode="clip")
+        else:
+            raw = np.take(flat, index, out=_scratch(work, "raw", shape, flat.dtype)[0], mode="clip")
+            _rescale(raw, *window, out=values)
+        values *= weight
     left += right
     return left
 
 
-def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
-    """Yield ``to_tensor3(grid, mean, std)`` one channel at a time; ``preprocess`` gives it a strip of rows."""
+def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD, out=None):
+    """Yield ``to_tensor3(grid, mean, std)`` one channel at a time, each in ``out`` if given; ``preprocess``
+    gives it a strip of rows."""
     grid = np.asarray(grid, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
@@ -279,7 +314,7 @@ def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
     for k in range(3):
-        channel = grid - mean[k]
+        channel = np.subtract(grid, mean[k], out=out)
         channel /= std[k]
         yield channel
 
@@ -298,14 +333,15 @@ def bordered(grid):
     return padded
 
 
-def _rotate(padded, degrees: float, out, row0: int = 0):
+def _rotate(padded, degrees: float, out, row0: int = 0, work=None):
     """Fill ``out`` with the rows from ``row0`` of the grid inside ``padded``'s zero border rotated
-    about its center, bilinear sampling, zero fill outside.
+    about its center, bilinear sampling, zero fill outside; strips compute in ``work``'s arrays.
 
     Each bilinear tap is gathered through one flat index into ``padded``.  Tap
     corners are clipped to [-2, h] and [-2, w], so a tap outside the grid, even
     one far outside, reads a zero of the border.
     """
+    work = {} if work is None else work
     h, w = padded.shape[0] - 2 * _BORDER, padded.shape[1] - 2 * _BORDER
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -319,59 +355,66 @@ def _rotate(padded, degrees: float, out, row0: int = 0):
     flat = padded.reshape(-1)
     for start in range(0, len(out), _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
-        src_x = x_of_x + x_of_y[rows]
-        src_x += cx
-        src_y = y_of_x + y_of_y[rows]
-        src_y += cy
-        floor_x = np.floor(src_x)
-        floor_y = np.floor(src_y)
-        fx = np.subtract(src_x, floor_x, out=src_x)
-        fy = np.subtract(src_y, floor_y, out=src_y)
+        taps = out[rows]
+        fx, fy, not_fx, not_fy, weight, tap = _scratch(work, "float", taps.shape, count=6)
+        corner, index = _scratch(work, "int", taps.shape, np.int64, 2)
+        np.add(x_of_x, x_of_y[rows], out=fx)
+        fx += cx
+        np.add(y_of_x, y_of_y[rows], out=fy)
+        fy += cy
+        floor_x, floor_y = np.floor(fx, out=not_fx), np.floor(fy, out=not_fy)
+        fx -= floor_x
+        fy -= floor_y
         # flat index of the top-left tap in the padded frame
-        corner = np.clip(floor_y, -_BORDER, h, out=floor_y).astype(np.int64)
+        np.copyto(corner, np.clip(floor_y, -_BORDER, h, out=floor_y), casting="unsafe")
         corner += _BORDER
         corner *= stride
-        corner += np.clip(floor_x, -_BORDER, w, out=floor_x).astype(np.int64)
+        np.copyto(index, np.clip(floor_x, -_BORDER, w, out=floor_x), casting="unsafe")
+        corner += index
         corner += _BORDER
+        np.subtract(1, fx, out=not_fx)
+        np.subtract(1, fy, out=not_fy)
         # the taps add up from a zeroed strip, as in a fresh zero frame: -0.0 products sum to +0.0
-        taps = out[rows]
         taps.fill(0.0)
-        for dy in (0, 1):
-            for dx in (0, 1):
-                weight = (fy if dy else 1 - fy) * (fx if dx else 1 - fx)
-                weight *= flat[corner + (dy * stride + dx)]
+        for dy, weight_y in ((0, not_fy), (1, fy)):
+            for dx, weight_x in ((0, not_fx), (1, fx)):
+                np.multiply(weight_y, weight_x, out=weight)
+                np.add(corner, dy * stride + dx, out=index)
+                weight *= np.take(flat, index, out=tap, mode="clip")
                 taps += weight
     return out
 
 
-def _zoom(grid, scale: float, out, row0: int = 0):
-    """Fill ``out`` with the rows from ``row0`` of ``grid`` resized by ``scale`` about its center: a zoom
-    in computes only the centered crop, a zoom out resizes into the centered window of a zeroed ``out``."""
+def _zoom(padded, scale: float, out, row0: int = 0, work=None):
+    """Fill ``out`` with the rows from ``row0`` of the grid in ``padded`` resized by ``scale`` about its center:
+    a zoom in computes only the centered crop, a zoom out resizes into the centered window of a zeroed ``out``."""
+    grid = _framed(padded, _BORDER)
     h, w = grid.shape
     new_h = max(1, int(np.floor(h * scale + 0.5)))
     new_w = max(1, int(np.floor(w * scale + 0.5)))
     if scale >= 1.0:
-        return _resize_into(out, grid, new_h, new_w, (new_h - h) // 2 + row0, (new_w - w) // 2)
+        return _resize_into(out, grid, new_h, new_w, (new_h - h) // 2 + row0, (new_w - w) // 2, work=work)
     out.fill(0.0)
     # the window's top row and the rows of out it covers, counted from out's first row
     top, left = (h - new_h) // 2 - row0, (w - new_w) // 2
     first, last = max(top, 0), max(top, 0, min(top + new_h, len(out)))
-    _resize_into(out[first:last, left : left + new_w], grid, new_h, new_w, first - top)
+    _resize_into(out[first:last, left : left + new_w], grid, new_h, new_w, first - top, work=work)
     return out
 
 
-def fill_view(padded, name: str, out, *, row0: int = 0):
+def fill_view(padded, name: str, out, *, row0: int = 0, work=None):
     """Fill ``out`` with the rows from ``row0`` of TTA view ``name`` of the grid in ``padded`` (made by
-    ``bordered``) and return it.  Whatever ``out`` held before, an earlier view too, is overwritten."""
+    ``bordered``) and return it.  Whatever ``out`` held before, an earlier view too, is overwritten.
+    ``work``, a dict the caller keeps, holds the work arrays that later calls reuse."""
     grid = padded[_BORDER:-_BORDER, _BORDER:-_BORDER]
     if name == "identity":
         out[...] = grid[row0 : row0 + len(out)]
     elif name == "hflip":
         out[...] = grid[row0 : row0 + len(out), ::-1]
     elif name in ("rot+5", "rot-5"):
-        _rotate(padded, float(name[3:]), out, row0)
+        _rotate(padded, float(name[3:]), out, row0, work)
     elif name in ("zoom1.1", "zoom0.9"):
-        _zoom(grid, float(name[4:]), out, row0)
+        _zoom(padded, float(name[4:]), out, row0, work)
     else:
         raise ValueError(f"unknown transform {name!r}")
     return out

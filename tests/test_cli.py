@@ -583,9 +583,10 @@ class TestPreprocessCommand:
         six views: at most one float64 1028^2 frame (the grid inside rotation's zero border,
         8.06 MiB) plus 4 MiB.
 
-        Measured at 11.11 MiB (task 1) and 10.92 MiB (task 2), with P5 rows read as each resize
+        Measured at 11.38 MiB (task 1) and 11.19 MiB (task 2), with P5 rows read as each resize
         strip needs them, the resize written straight into the frame and every view made and
-        written 32 rows at a time; task 1's histogram pass, before the frame, peaks at 6.5 MiB.
+        written 32 rows at a time in work arrays that all strips reuse; task 1's histogram pass,
+        before the frame, peaks at 1.6 MiB.
         Decoding the whole raster, resizing into a grid that was then copied into the frame, and
         refilling a whole-view buffer peaked at 18.90 MiB and 18.72 MiB.
         """

@@ -22,6 +22,7 @@ from tailkit.raster import (
     bordered,
     fill_view,
     _HIST_BLOCK,
+    _STRIP_ROWS,
     _nearest_rank_values,
     _pgm_tokens,
     _rescale,
@@ -296,17 +297,17 @@ class TestLoadPgm:
 
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_rows_on_demand_equal_the_loaded_pixels(self, write_pgm, maxval):
-        """``PgmRows[ys]`` reads P5 rows in spans; any ascending ``ys``, repeats included, gives
+        """``PgmRows.rows_at(ys)`` reads P5 rows in spans; any ascending ``ys``, repeats included, gives
         the rows of ``load_pgm``.  A file cut short after it was opened fails on the read."""
         path = write_pgm("p.pgm", np.random.default_rng(maxval).integers(0, maxval + 1, (37, 23)), maxval=maxval)
         pixels, rows = load_pgm(path).pixels, PgmRows(path)
         for ys in ([0], [0, 0, 1], [5, 6, 6, 7], [3, 4], [36], [0, 36], [10, 11, 12], [35, 36, 36]):
-            got = rows[np.array(ys)]
-            assert got.dtype == np.uint16 and got.tolist() == pixels[ys].tolist(), ys
+            flat, starts = rows.rows_at(np.array(ys))
+            assert flat[starts[:, None] + np.arange(23)].tolist() == pixels[ys].tolist(), ys
         rows = PgmRows(path)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError) as info:
-            rows[np.array([36])]
+            rows.rows_at(np.array([36]))
         assert str(info.value) == f"{path}: truncated pixel data"
         # opened short, the file fails on open, before any pixel is read
         with pytest.raises(ValueError) as info:
@@ -531,13 +532,20 @@ class TestRescaleInsideResize:
         assert view.tobytes() == to_tensor3_oracle(apply_transform(expected, name), *mean_std).astype("<f4").tobytes()
 
     def test_each_strip_reads_one_span_of_a_p5_file(self, write_pgm, monkeypatch):
-        """A strip's top and bottom source rows come from one read: 65 output rows are 3 strips."""
+        """A strip's top and bottom source rows come from one read, into one reused buffer: 65 output
+        rows are 3 strips."""
         path = write_pgm("s.pgm", np.random.default_rng(3).integers(0, 65536, (130, 9)), maxval=65535)
-        source, spans = PgmRows(path), []
-        read = source.rows
-        monkeypatch.setattr(source, "rows", lambda lo, hi: spans.append((lo, hi)) or read(lo, hi))
+        source, spans = PgmRows(path), set()
+        rows_at = source.rows_at
+
+        def spy(ys):
+            flat, starts = rows_at(ys)
+            spans.add((*source._span[:2], flat.__array_interface__["data"][0]))
+            return flat, starts
+
+        monkeypatch.setattr(source, "rows_at", spy)
         out = resize_bilinear(source, 65, 5, window=(0, 65535))
-        assert len(spans) == 3
+        assert len(spans) == 3 and len({data for *_, data in spans}) == 1
         assert out.tobytes() == resize_bilinear(load_pgm(path).pixels, 65, 5, window=(0, 65535)).tobytes()
 
     @pytest.mark.parametrize("depth", [8, 16])
@@ -671,6 +679,36 @@ class TestViewBuffer:
             assert fill_view(padded, name, out) is out
             assert out.tobytes() == apply_transform(grid, name).tobytes(), name
             assert out.tobytes() == np.ascontiguousarray(TRANSFORM_ORACLES[name](grid)).tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(strip_grids(), st.integers(1, 40), st.permutations(TTA_TRANSFORMS))
+    def test_strips_sharing_work_arrays_equal_each_fresh_view(self, grid, rows, order):
+        """Every view filled by strips of ``rows`` rows, all through one work dict whose arrays start
+        as NaN and then hold what earlier strips and views left, is the whole view."""
+        h, w = grid.shape
+        padded, strip = bordered(grid), np.full((rows, w), np.nan)
+        work = {"float": np.full(6 * _STRIP_ROWS * w, np.nan), "int": np.full(2 * _STRIP_ROWS * w, -1)}
+        for name in order:
+            strips = [fill_view(padded, name, strip[: h - r], row0=r, work=work).copy() for r in range(0, h, rows)]
+            assert np.concatenate(strips).tobytes() == apply_transform(grid, name).tobytes(), name
+
+    def test_warm_strips_make_no_work_array(self):
+        """Once the work arrays exist, no 32-row strip of a 1024^2 view allocates as much as one of
+        them, 256 KiB: measured at most 175 KiB, numpy's own ufunc buffers and the coordinate vectors.
+        Each strip that made its own work arrays took 2.0 MiB (rotation) and 1.1 MiB (zoom1.1)."""
+        grid = np.random.default_rng(8).random((1024, 1024))
+        padded, strip, work = bordered(grid), np.empty((_STRIP_ROWS, 1024)), {}
+        for name in TTA_TRANSFORMS:
+            fill_view(padded, name, strip, work=work)
+        for name in TTA_TRANSFORMS:
+            tracemalloc.start()
+            try:
+                for row0 in range(0, 1024, _STRIP_ROWS):
+                    fill_view(padded, name, strip, row0=row0, work=work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < strip.nbytes, name
 
     def test_each_view_allocates_at_most_half_the_grid(self):
         """Each transform of a 1024^2 bordered grid into a preallocated buffer allocates at most
