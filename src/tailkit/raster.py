@@ -17,9 +17,10 @@ arrays that later strips reuse; a resize given a rescale window rescales only th
 raw pixels each strip gathers, from rows that ``PgmRows`` reads from a P5 file on
 demand.  A TTA view fills a caller's buffer, a strip of rows or all of them, from
 the grid held once inside a zero border, and a zoom computes only the rows and
-columns it keeps.  Each output value goes through the same float operations in
-the same order as in a whole-frame computation, so outputs depend neither on the
-strips nor on what the buffer or the work arrays held.
+columns it keeps; ``write_view`` writes a view's file strip by strip.  Each
+output value goes through the same float operations in the same order as in a
+whole-frame computation, so outputs depend neither on the strips nor on what
+the buffer or the work arrays held.
 """
 
 import os
@@ -39,7 +40,7 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 
-# output rows per strip in _resize_into, _rotate and preprocess's views: each
+# output rows per strip in _resize_into, _rotate and write_view: each
 # float64 work array of a 1024-pixel-wide output then takes 256 KiB
 _STRIP_ROWS = 32
 # the zero border that bordered adds: _rotate clips tap corners to [-2, h], so every tap lands in it
@@ -303,26 +304,22 @@ def _lerp_columns(grid, ys, x0, x1, not_wx, wx, window, work):
     return left
 
 
-def tensor3_channels(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD, out=None):
-    """Yield ``to_tensor3(grid, mean, std)`` one channel at a time, each in ``out`` if given; ``preprocess``
-    gives it a strip of rows."""
-    grid = np.asarray(grid, dtype=np.float64)
+def _check_mean_std(mean, std):
+    """``mean`` and ``std`` as float64 3-vectors, every std entry positive."""
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     if mean.shape != (3,) or std.shape != (3,):
         raise ValueError("mean and std must have 3 entries")
     if (std <= 0).any():
         raise ValueError("std entries must be > 0")
-    for k in range(3):
-        channel = np.subtract(grid, mean[k], out=out)
-        channel /= std[k]
-        yield channel
+    return mean, std
 
 
 def to_tensor3(grid, mean=IMAGENET_MEAN, std=IMAGENET_STD):
     """Replicate to 3 channels and normalize channelwise: (grid - mean) / std."""
     grid = np.asarray(grid, dtype=np.float64)
-    return np.concatenate(list(tensor3_channels(grid, mean, std))).reshape(3, *grid.shape)
+    mean, std = _check_mean_std(mean, std)
+    return (grid - mean[:, None, None]) / std[:, None, None]
 
 
 def bordered(grid):
@@ -421,5 +418,24 @@ def fill_view(padded, name: str, out, *, row0: int = 0, work=None):
 
 
 def apply_transform(grid, name: str):
-    """Transform ``name`` of ``grid`` as a new float64 array: the view ``preprocess`` writes strip by strip."""
+    """Transform ``name`` of ``grid`` as a new float64 array: the view ``write_view`` writes strip by strip."""
     return fill_view(bordered(grid), name, np.empty(np.shape(grid)))
+
+
+def write_view(fh, frame, name: str, mean, std, work: dict) -> None:
+    """Write ``to_tensor3`` of TTA view ``name`` of the grid in ``frame`` (made by ``bordered``) to the binary
+    file ``fh``: three float32-LE channel planes, each filled ``_STRIP_ROWS`` rows at a time through buffers in
+    ``work``, the dict the caller keeps for all its views."""
+    mean, std = _check_mean_std(mean, std)
+    h, w = frame.shape[0] - 2 * _BORDER, frame.shape[1] - 2 * _BORDER
+    view, channel = _scratch(work, "view", (min(h, _STRIP_ROWS), w), count=2)
+    (cast,) = _scratch(work, "cast", view.shape, "<f4")
+    for row0 in range(0, h, _STRIP_ROWS):
+        rows = min(_STRIP_ROWS, h - row0)
+        strip = fill_view(frame, name, view[:rows], row0=row0, work=work)
+        for k in range(3):
+            np.subtract(strip, mean[k], out=channel[:rows])
+            channel[:rows] /= std[k]
+            np.copyto(cast[:rows], channel[:rows], casting="same_kind")
+            fh.seek((k * h + row0) * w * 4)
+            fh.write(cast[:rows])

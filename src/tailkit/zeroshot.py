@@ -27,13 +27,12 @@ class ZsConfig:
 
 @dataclass
 class PromptBank:
-    """Per-class prompt texts and embeddings: a new dict of K x D unit rows per class, one D for all.
+    """Per-class prompt embeddings: a new dict of K x D unit rows per class, one D for all.
 
     ``files`` lists what ``load_prompt_manifest`` read: the manifest, then each class's embedding
     file and its ids sidecar, if that was read too."""
 
     class_names: list
-    prompts_per_class: dict
     embeddings: dict
     files: tuple = ()
 
@@ -54,11 +53,6 @@ class PromptBank:
                 raise ValueError(f"class {name!r} prompt embeddings are not unit norm")
             embeddings[name] = mat
         self.embeddings = embeddings
-        texts = self.prompts_per_class
-        if texts:
-            for name in self.class_names:
-                if not texts.get(name):
-                    raise ValueError(f"class {name!r} has no prompt text")
 
     @property
     def dim(self) -> int:
@@ -108,7 +102,7 @@ def score_file(path, bank: PromptBank, cfg: ZsConfig):
 def load_prompt_manifest(path) -> PromptBank:
     """Build a PromptBank from a manifest JSON listing one embedding file per class.
 
-    Manifest shape: {"classes": [{"name": ..., "embeddings": "<file>"}, ...]};
+    Manifest shape: {"classes": [{"name": ..., "embeddings": "<file>"}, ...]}, other keys ignored;
     the manifest's class order defines the output column order.  Embedding
     files may be EMB1 binary or CSV; rows are unit-normalized on load.
     """
@@ -117,7 +111,7 @@ def load_prompt_manifest(path) -> PromptBank:
     entries = manifest.get("classes") if isinstance(manifest, dict) else None
     if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no classes")
-    class_names, embeddings, texts, files = [], {}, {}, [path]
+    class_names, embeddings, files = [], {}, [path]
     for entry in entries:
         fields = entry if isinstance(entry, dict) else {}
         name, emb_path = fields.get("name"), fields.get("embeddings")
@@ -135,12 +129,7 @@ def load_prompt_manifest(path) -> PromptBank:
         elif found != dim:
             raise ValueError(f"{emb_file}: embedding dimension {found} differs from {dim} in {first_file}")
         class_names.append(name)
-        if "prompts" in entry:
-            prompts = entry["prompts"]
-            if not isinstance(prompts, list) or not all(isinstance(t, str) for t in prompts):
-                raise ValueError(f"{path}: 'prompts' of class {name!r} must be a list of strings")
-            texts[name] = prompts
     try:
-        return PromptBank(class_names=class_names, prompts_per_class=texts, embeddings=embeddings, files=tuple(files))
+        return PromptBank(class_names=class_names, embeddings=embeddings, files=tuple(files))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -185,7 +185,6 @@ def test_c06_rank_invariance_chain():
         prompts /= np.linalg.norm(prompts, axis=2, keepdims=True)
         bank = PromptBank(
             class_names=["a", "b", "c"],
-            prompts_per_class={},
             embeddings={n: prompts[k] for k, n in enumerate(["a", "b", "c"])},
         )
         emb = EmbeddingSet([f"i{k}" for k in range(12)], images, normalized=True)
@@ -231,7 +230,6 @@ def test_c08_zeroshot_batch_oracle():
         names = [f"c{j}" for j in range(6)]
         bank = PromptBank(
             class_names=names,
-            prompts_per_class={},
             embeddings={n: prompts[j] for j, n in enumerate(names)},
         )
         emb = EmbeddingSet([f"i{k}" for k in range(32)], images, normalized=True)
@@ -254,7 +252,6 @@ def test_c08_zeroshot_batch_oracle():
     prompts /= np.linalg.norm(prompts, axis=2, keepdims=True)
     bank = PromptBank(
         class_names=["a", "b"],
-        prompts_per_class={},
         embeddings={"a": prompts[0], "b": prompts[1]},
     )
     ids = [f"i{k}" for k in range(8)]
@@ -265,7 +262,7 @@ def test_c08_zeroshot_batch_oracle():
     # unit similarity at scale 5 reproduces the logistic value
     v = np.zeros((1, 16))
     v[0, 0] = 1.0
-    bank1 = PromptBank(class_names=["k"], prompts_per_class={}, embeddings={"k": v.copy()})
+    bank1 = PromptBank(class_names=["k"], embeddings={"k": v.copy()})
     out = score_batch(EmbeddingSet(["q"], v, normalized=True), bank1, cfg)
     assert abs(out.values[0, 0] - sigma_5) <= 1e-9
 

@@ -458,6 +458,25 @@ class TestZeroshotCommand:
         assert scores.class_names == ["Scoliosis", "Goiter"]
         assert scores.ids == ["i0", "i1"]
 
+    @pytest.mark.parametrize("prompts", [["a goiter", "an enlarged thyroid"], 5], ids=["list", "number"])
+    def test_prompts_key_is_ignored(self, tmp_path, prompts):
+        """A class's ``"prompts"`` key is ignored like any other extra key: the scores are byte-identical
+        to those of the same manifest without it."""
+        rng = np.random.default_rng(2)
+        images = tmp_path / "img.emb"
+        save_embeddings_binary(EmbeddingSet(["i0", "i1", "i2"], rng.standard_normal((3, 4))), images)
+        classes = []
+        for name in ("g", "h"):
+            save_embeddings_binary(EmbeddingSet([f"{name}0", f"{name}1"], rng.standard_normal((2, 4))), tmp_path / f"{name}.emb")
+            classes.append({"name": name, "embeddings": f"{name}.emb"})
+        scored = []
+        for k, entries in enumerate([classes, [dict(c, prompts=prompts) for c in classes]]):
+            manifest, out = tmp_path / f"manifest{k}.json", tmp_path / f"zs{k}.csv"
+            manifest.write_text(json.dumps({"classes": entries}), encoding="utf-8")
+            assert main(["zeroshot", "--images", str(images), "--prompts", str(manifest), "--out", str(out)]) == 0
+            scored.append(out.read_bytes())
+        assert scored[0] == scored[1]
+
 
 class TestEvalCommand:
     def test_report_json(self, tmp_path, labels_csv):
@@ -889,10 +908,9 @@ class TestMalformedInputs:
             ([[0.0, 0.0]], None, "g.emb: zero-norm embedding row (id '0')"),
             ([[1.0, 0.0]], [{"name": "w", "embeddings": "w.emb"}], "w.emb: embedding dimension 3 differs from 2 in {g}"),
             ([[1.0, 0.0]], [{"name": 7, "embeddings": "h.emb"}], "manifest.json: each class needs 'name' and 'embeddings'"),
-            ([[1.0, 0.0]], [{"name": "h", "embeddings": "h.emb", "prompts": 5}], "manifest.json: 'prompts' of class 'h' must be a list of strings"),
-            ([[1.0, 0.0]], [{"name": "h", "embeddings": "h.emb", "prompts": ["an h"]}], "manifest.json: class 'g' has no prompt text"),
+            ([[1.0, 0.0]], [{"name": "g", "embeddings": "h.emb"}], "manifest.json: duplicate class 'g'"),
         ],
-        ids=["images-dim", "no-rows", "zero-row", "class-dim", "name-not-str", "prompts-not-list", "no-text"],
+        ids=["images-dim", "no-rows", "zero-row", "class-dim", "name-not-str", "duplicate-class"],
     )
     def test_prompt_bank_faults_name_the_file(self, tmp_path, capsys, prompt_rows, entries, shown):
         images = tmp_path / "img.emb"

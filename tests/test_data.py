@@ -1110,3 +1110,45 @@ def test_check_int(value, low, message):
     else:
         with pytest.raises(ValueError, match=f"^k_field {message}$"):
             _check_int("k_field", value, low)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabelMatrix(["s0"], [[2]], ["c0"]), "non-binary label value"),
+        (lambda: EmbeddingSet(["e0"], [1.0, 0.0]), "embedding vectors must be a 2-D matrix"),
+        (lambda: EmbeddingSet(["e0", "e1"], [[1.0, 0.0]]), "embedding count does not match ids"),
+        (lambda: EmbeddingSet(["e0"], [[2.0, 0.0]], normalized=True), "normalized flag set but rows are not unit norm"),
+    ],
+    ids=["label-not-binary", "vectors-1d", "count-vs-ids", "not-unit-norm"],
+)
+def test_containers_reject_bad_values(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_load_scores_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,c0\na,0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_scores(path, kind="odds")
+    assert str(exc.value) == "unknown score kind 'odds'"
+
+
+def test_plain_label_row_shorter_than_its_cells_takes_the_csv_path(tmp_path):
+    """A row of fewer than 2·C characters cannot hold C ``,0``/``,1`` pairs: the plain reader
+    declines it, and the csv path names the first bad cell."""
+    path = tmp_path / "labels.csv"
+    path.write_text("id,a,b\n,,\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_labels(path)
+    assert str(exc.value) == f"{path}: line 2: non-binary label ''"
+
+
+def test_emb1_header_cut_short_names_the_file(tmp_path):
+    path = tmp_path / "short.emb"
+    path.write_bytes(b"EMB1" + struct.pack("<I", 1))
+    with pytest.raises(ValueError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"{path}: truncated header"

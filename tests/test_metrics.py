@@ -356,3 +356,9 @@ class TestMacroReport:
         scores, labels = self._fixture()
         with pytest.raises(ValueError, match="threshold"):
             macro_report(scores, labels, threshold=float("nan"))
+
+
+def test_scores_and_labels_must_have_one_length():
+    with pytest.raises(ValueError) as exc:
+        average_precision([0.2, 0.7], [1])
+    assert str(exc.value) == "scores and labels length mismatch"

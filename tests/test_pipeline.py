@@ -208,3 +208,18 @@ class TestNormalGate:
     def test_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):
             normal_gate(probs([[0.5, 0.5]]), GateConfig(normal_class_index=5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ensemble([], EnsembleSpec.from_raw([1.0])), "need at least one ensemble member"),
+        (lambda: ensemble([logits([[0.5]])], EnsembleSpec.from_raw([1.0])), "ensemble expects probability members"),
+        (lambda: normal_gate(logits([[0.5, 0.5]]), GateConfig(normal_class_index=0)), "normal_gate expects probabilities"),
+    ],
+    ids=["no-members", "logit-member", "logit-gate"],
+)
+def test_stage_faults_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

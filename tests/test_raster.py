@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import tracemalloc
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from tailkit.raster import (
     percentile_window,
     resize_bilinear,
     to_tensor3,
+    write_view,
 )
 
 grids = hnp.arrays(
@@ -471,6 +473,12 @@ class TestResizeBilinear:
         out = resize_bilinear(np.full((3, 3), 0.42), 9, 5)
         np.testing.assert_allclose(out, 0.42, atol=1e-12)
 
+    @pytest.mark.parametrize("out_h, out_w", [(0, 3), (3, 0)])
+    def test_output_must_be_at_least_one_pixel(self, out_h, out_w):
+        with pytest.raises(ValueError) as exc:
+            resize_bilinear(np.ones((2, 2)), out_h, out_w)
+        assert str(exc.value) == "output size must be at least 1x1"
+
     def test_half_pixel_middle_column(self):
         out = resize_bilinear(np.array([[0.0, 1.0], [0.0, 1.0]]), 2, 3)
         np.testing.assert_allclose(out[:, 1], 0.5, atol=1e-12)
@@ -589,6 +597,34 @@ class TestToTensor3:
         tensor = to_tensor3(grid, *mean_std)
         assert tensor.dtype == np.float64 and tensor.shape == (3,) + grid.shape
         assert tensor.tobytes() == to_tensor3_oracle(grid, *mean_std).tobytes()
+
+    @pytest.mark.parametrize("mean, std", [((0.5, 0.5), (1.0, 1.0, 1.0)), ((0.5, 0.5, 0.5), (1.0,) * 4)])
+    def test_mean_and_std_need_three_entries(self, mean, std):
+        with pytest.raises(ValueError) as exc:
+            to_tensor3(np.ones((1, 1)), mean, std)
+        assert str(exc.value) == "mean and std must have 3 entries"
+        with pytest.raises(ValueError) as exc:
+            write_view(io.BytesIO(), bordered(np.ones((1, 1))), "identity", mean, std, {})
+        assert str(exc.value) == "mean and std must have 3 entries"
+
+
+class TestWriteView:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strip_grids(),
+        st.permutations(TTA_TRANSFORMS),
+        st.sampled_from([(IMAGENET_MEAN, IMAGENET_STD), (CLIP_MEAN, CLIP_STD)]),
+    )
+    def test_views_through_one_work_dict_equal_the_whole_frame_tensor(self, grid, order, mean_std):
+        """Every view written through one work dict, whose arrays start as NaN, is the float32 bytes of
+        ``to_tensor3`` of the whole view, channel plane after channel plane."""
+        padded, w = bordered(grid), grid.shape[1]
+        work = {key: np.full(6 * _STRIP_ROWS * w, np.nan) for key in ("float", "view")}
+        for name in order:
+            fh = io.BytesIO()
+            write_view(fh, padded, name, *mean_std, work)
+            expected = to_tensor3_oracle(apply_transform(grid, name), *mean_std).astype("<f4")
+            assert fh.getvalue() == expected.tobytes(), name
 
 
 class TestTta:
@@ -732,8 +768,9 @@ class TestViewBuffer:
             apply_transform(np.zeros((2, 2)), "spin")
 
     def test_benchmark_tracer_books_each_view_to_raster(self, tmp_path):
-        """The benchmark's tracer spans public functions only: each view ``preprocess`` builds
-        is one ``raster.fill_view`` span, so the view stage counts as raster work, not cli."""
+        """The benchmark's tracer spans public functions only: each view ``preprocess`` writes is one
+        ``raster.write_view`` span, and the ``raster.fill_view`` span of each of its strips is a child of
+        it, so the view stage, each strip's normalize and cast included, counts as raster work, not cli."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer_module = importlib.util.module_from_spec(spec)
@@ -744,11 +781,15 @@ class TestViewBuffer:
         tracer = tracer_module.Tracer()
         tracer.install()
         try:
-            code = main(["preprocess", str(pgm), "--size", "6", "--tta", *views, "--out-dir", str(tmp_path / "v")])
+            code = main(["preprocess", str(pgm), "--size", "70", "--tta", *views, "--out-dir", str(tmp_path / "v")])
         finally:
             tracer.uninstall()
         assert code == 0
-        assert [name for name, *_ in tracer.spans].count("raster.fill_view") == len(views)
+        assert [name for name, *_ in tracer.spans].count("raster.write_view") == len(views)
+        # 70 rows are three strips, the last one partial
+        fills = [parent for name, _, _, parent in tracer.spans if name == "raster.fill_view"]
+        assert len(fills) == 3 * len(views)
+        assert all(tracer.spans[parent][0] == "raster.write_view" for parent in fills)
 
 
 def test_raster_validation():

@@ -318,3 +318,14 @@ def test_config_validation():
         SamplerConfig(seed=-1)
     with pytest.raises(ValueError, match="^seed must be an integer$"):
         SamplerConfig(seed=1.5)
+
+
+def test_repeat_factor_inputs_are_checked():
+    cfg = SamplerConfig()
+    with pytest.raises(ValueError) as exc:
+        class_repeat_factors([0.5, 1.5], cfg)
+    assert str(exc.value) == "frequencies must lie in [0, 1]"
+    labels = LabelMatrix(["s0", "s1"], [[1, 0], [0, 1]], ["a", "b"])
+    with pytest.raises(ValueError) as exc:
+        sample_repeat_factors(labels, [1.0], cfg)
+    assert str(exc.value) == "class repeat factors do not match label classes"

@@ -51,7 +51,7 @@ def subsets(draw, max_rows=2100):
 
 def bank_of(rng, classes, dim):
     rows = {f"k{j}": rng.standard_normal((3, dim)) for j in range(classes)}
-    return PromptBank(list(rows), {}, {k: v / np.linalg.norm(v, axis=1, keepdims=True) for k, v in rows.items()})
+    return PromptBank(list(rows), {k: v / np.linalg.norm(v, axis=1, keepdims=True) for k, v in rows.items()})
 
 
 # D = 64 and 200 take several BLAS kernel paths; with them x @ M.T fails these tests

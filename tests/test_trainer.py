@@ -251,6 +251,42 @@ class TestTrain:
         with pytest.raises(ValueError, match="diverged"):
             train(features, labels, cfg)
 
+    def test_loss_past_float_range_names_the_margins(self):
+        """Finite inputs whose loss overflows: margins of 1e308 make each positive's loss term 1e308
+        at the first batch's zero logits, and eight such terms of weight 1 sum past the largest float."""
+        from tailkit.data import LabelMatrix
+
+        labels = LabelMatrix([f"s{i}" for i in range(4)], [[1, 1]] * 4, ["c0", "c1"])
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, sampler="uniform")
+        with pytest.raises(ValueError) as exc:
+            train(np.ones((4, 2)), labels, cfg, margin_override=[1e308, 1e308])
+        assert str(exc.value) == "training diverged at epoch 0: lower learning_rate or margins"
+
+    def test_overflowing_last_step_names_the_parameters(self):
+        """The logits are checked before each step, so only the last step's overflow reaches the
+        final check: one batch of finite logits whose update, 1e300 times a gradient near 1e9, is inf."""
+        from tailkit.data import LabelMatrix
+
+        labels = LabelMatrix([f"s{i}" for i in range(4)], [[1], [1], [1], [0]], ["c0"])
+        cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4, loss="plain-bce", sampler="uniform")
+        with pytest.raises(ValueError) as exc:
+            train(np.full((4, 2), 1e10), labels, cfg)
+        assert str(exc.value) == "training diverged: non-finite parameters; lower learning_rate"
+
+    def test_inputs_that_do_not_fit_name_their_fault(self):
+        features, labels = generate_synthetic(small_spec(4))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16)
+        for call, message in [
+            (lambda: train(features[:-1], labels, cfg), "features and labels disagree on sample count"),
+            (lambda: train(features, labels, cfg, margin_override=[0.1]), "margin override needs one value per class"),
+            (lambda: TrainConfig(0.1, 1, 16, loss="focal"), "unknown loss 'focal'"),
+            (lambda: TrainConfig(0.1, 1, 16, sampler="random"), "unknown sampler 'random'"),
+            (lambda: LinearModel(np.zeros((2, 3)), np.zeros(3), ["a", "b"]), "weights must be C x D with a C-vector bias"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
 
 class TestFusedStepMatchesOracle:
     """`train` gives the bits of `train_oracle`."""

@@ -22,7 +22,6 @@ def make_bank(class_vectors):
     """class name -> K x D array of unit rows."""
     return PromptBank(
         class_names=list(class_vectors),
-        prompts_per_class={},
         embeddings={k: np.asarray(v, dtype=np.float64) for k, v in class_vectors.items()},
     )
 
@@ -258,24 +257,24 @@ class TestPromptBankInvariants:
 
     def test_needs_a_class(self):
         with pytest.raises(ValueError, match="at least one class"):
-            PromptBank([], {}, {})
+            PromptBank([], {})
 
     def test_class_without_embeddings(self):
         with pytest.raises(ValueError, match="class 'b' needs at least one prompt embedding"):
-            PromptBank(["a", "b"], {}, {"a": [[1.0, 0.0]]})
+            PromptBank(["a", "b"], {"a": [[1.0, 0.0]]})
 
     def test_duplicate_class_name(self):
         with pytest.raises(ValueError, match="duplicate class name in prompt bank"):
-            PromptBank(["a", "a"], {}, {"a": [[1.0, 0.0]]})
+            PromptBank(["a", "a"], {"a": [[1.0, 0.0]]})
 
     def test_one_dimension_for_all_classes(self):
         with pytest.raises(ValueError, match="class 'b' prompt embeddings have dimension 3, not 2"):
-            PromptBank(["a", "b"], {}, {"a": [[1.0, 0.0]], "b": [[1.0, 0.0, 0.0]]})
+            PromptBank(["a", "b"], {"a": [[1.0, 0.0]], "b": [[1.0, 0.0, 0.0]]})
 
     def test_caller_dict_left_as_it_was(self):
         rows = np.array([[0.6, 0.8]], dtype=np.float32)
         given = {"a": rows, "unused": rows}
-        bank = PromptBank(["a"], {}, given)
+        bank = PromptBank(["a"], given)
         assert list(given) == ["a", "unused"] and given["a"] is rows and given["a"].dtype == np.float32
         assert list(bank.embeddings) == ["a"] and bank.embeddings["a"].dtype == np.float64
 
