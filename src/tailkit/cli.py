@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .data import (
     _check_int,
-    _embedding_files,
     _load_margins,
     _map_rows,
     _read_json,
@@ -193,7 +192,7 @@ def cmd_predict(args):
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, found, logits = _map_rows(args.features, partial(forward, model), classes, dim)
+        ids, found, logits, files = _map_rows(args.features, partial(forward, model), classes, dim)
         if found != dim:
             dims = f"{found} differs from {dim} in {args.model}"
             raise ValueError(f"{args.features}: feature dimension {dims}")
@@ -203,7 +202,7 @@ def cmd_predict(args):
         raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, args.out)
-    inputs = [args.model, *_embedding_files(args.features)]
+    inputs = [args.model, *files]
     return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
 
 
@@ -245,13 +244,13 @@ def cmd_zeroshot(args):
     if prompts_path.is_dir():
         prompts_path = prompts_path / "manifest.json"
     bank = load_prompt_manifest(prompts_path)
-    ids, dim, values = score_file(args.images, bank, cfg)
+    ids, dim, values, files = score_file(args.images, bank, cfg)
     if dim != bank.dim:
         dims = f"{dim} differs from {bank.dim} in {prompts_path}"
         raise ValueError(f"{args.images}: embedding dimension {dims}")
     save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), args.out)
     counts = dict(images=len(ids), classes=len(bank.class_names))
-    inputs = [*_embedding_files(args.images), *bank.files]
+    inputs = [*files, *bank.files]
     return _finish(args, args.out, inputs, "zeroshot_scored", **counts)
 
 

@@ -27,8 +27,8 @@ SCORE_KINDS = ("logits", "probabilities")
 
 EMB_MAGIC = b"EMB1"
 
-# rows per block of _row_norms, the EMB1 reader, the finiteness check and the CSV writer's
-# float conversion: 4 MiB of float64 at D = 512, and 20k Python floats at C = 20
+# rows per block of the EMB1 reader, _map_rows's unit division and the CSV writer's float
+# conversion: 4 MiB of float64 at D = 512, and 20k Python floats at C = 20
 _NORM_BLOCK_ROWS = 1024
 
 
@@ -143,30 +143,35 @@ class EmbeddingSet:
         if self.vectors.shape[0] != len(self.ids):
             raise ValueError("embedding count does not match ids")
         _check_unique(self.ids, "id in embedding set")
-        starts = range(0, len(self.vectors), _NORM_BLOCK_ROWS)
-        if not all(np.isfinite(self.vectors[i : i + _NORM_BLOCK_ROWS]).all() for i in starts):
-            raise ValueError("non-finite embedding entry")
-        if self.normalized:
-            norms = _row_norms(self.vectors)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValueError("normalized flag set but rows are not unit norm")
+        _finite(self.vectors, "embedding entry")
+        if self.normalized and not _unit_norm(self.vectors):
+            raise ValueError("normalized flag set but rows are not unit norm")
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
 
-def _row_norms(vectors) -> np.ndarray:
-    """``np.linalg.norm(vectors, axis=1)``, taken over blocks of rows.
+def _unit_norm(vectors) -> bool:
+    """Whether every row has norm 1 to within 1e-6; einsum sums the squares with no N x D temporary."""
+    return np.allclose(np.sqrt(np.einsum("ij,ij->i", vectors, vectors)), 1.0, atol=1e-6)
 
-    Each row's reduction does not depend on the blocking, so the result is
-    bit-identical; only the temporaries are smaller.
+
+def _unit_rows(rows):
+    """Divide each row of float64 ``rows`` in place by ``np.linalg.norm(rows, axis=1)``.
+
+    Unless a row's squared norm is not a finite, normal float64, that is, its norm is not in
+    [2**-511, inf): 2**-1022 is the least normal and sqrt is correctly rounded.  Then ``rows`` are
+    left as they are and the first such row's (index, fault) is returned, the fault to be followed
+    by the row's id.  An all-zero row's fault is ``zero-norm embedding row``.
     """
-    norms = np.empty(vectors.shape[0])
-    for start in range(0, vectors.shape[0], _NORM_BLOCK_ROWS):
-        block = vectors[start : start + _NORM_BLOCK_ROWS]
-        norms[start : start + _NORM_BLOCK_ROWS] = np.linalg.norm(block, axis=1)
-    return norms
+    with np.errstate(over="ignore", under="ignore"):  # a norm out of range is the fault below
+        norms = np.linalg.norm(rows, axis=1)
+    bad = ~((norms >= 2.0**-511) & (norms < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        return i, "zero-norm embedding row" if not rows[i].any() else "embedding row norm out of float64 range"
+    rows /= norms[:, None]
 
 
 # the bytes of a plain file: printable ASCII, tab and LF, less the csv quote.  An
@@ -428,7 +433,7 @@ def class_stats(labels: LabelMatrix) -> ClassConfig:
 
 def load_embeddings(path) -> EmbeddingSet:
     """Load an embedding file, binary (EMB1 magic) or CSV, with normalized=False."""
-    ids, _, vectors = _map_rows(path)
+    ids, _, vectors, _ = _map_rows(path)
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
@@ -438,23 +443,16 @@ def _ids_sidecar(path) -> Path:
     return path.with_name(path.name + ".ids.json")
 
 
-def _embedding_files(path) -> list:
-    """``path``, then its ids sidecar if ``path`` is EMB1 and has one: the files ``_map_rows`` reads."""
-    with open(path, "rb") as fh:
-        binary = fh.read(4) == EMB_MAGIC
-    sidecar = _ids_sidecar(path)
-    return [path, sidecar] if binary and sidecar.exists() else [path]
-
-
 def _map_rows(path, fn=None, width=None, dim=None, unit=False):
-    """(ids, the file's dim, N x ``width`` array, by default N x D): ``fn`` of each row block.
+    """(ids, the file's dim, N x ``width`` array, by default N x D, files read): ``fn`` of each row block.
 
     A CSV file is parsed and checked whole first; EMB1 rows pass ``_NORM_BLOCK_ROWS`` at a time
-    through one buffer.  ``unit`` first divides each block by its row norms.  Faults come in file
-    order: header and length, each block, sidecar; then a zero-norm row, named by file and id.
-    ``fn`` runs only before such a row and, if ``dim`` is given, when the file's dim is ``dim``;
-    the caller names a mismatch."""
-    path = Path(path)
+    through one buffer.  ``unit`` first divides each block by its row norms (``_unit_rows``).
+    Faults come in file order: header and length, each block, sidecar; then the first row that
+    ``unit`` cannot divide, named by file and id.  ``fn`` runs only before such a row and, if
+    ``dim`` is given, when the file's dim is ``dim``; the caller names a mismatch.  The files read
+    are ``path`` as given, then the ids sidecar if one was read."""
+    files, path = [path], Path(path)
     with open(path, "rb") as fh:
         size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
         binary = head[:4] == EMB_MAGIC
@@ -473,7 +471,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
             if size != expected:
                 raise ValueError(f"{path}: expected {expected} bytes, found {size}")
             buffer = np.empty((min(count, _NORM_BLOCK_ROWS), found), dtype="<f4")
-        out, zero = np.empty((count, width or found)), None
+        out, bad = np.empty((count, width or found)), None
         for start in range(0, count, _NORM_BLOCK_ROWS):
             if binary:
                 rows = buffer[: count - start]
@@ -484,13 +482,9 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                 block = rows.astype(np.float64)
             else:
                 block = vectors[start : start + _NORM_BLOCK_ROWS]
-            if unit:
-                norms = np.linalg.norm(block, axis=1)[:, None]
-                if zero is None and not norms.all():
-                    zero = start + int(np.argmin(norms))
-                if zero is None:
-                    block /= norms
-            if zero is None and dim in (None, found):
+            if unit and bad is None and (fault := _unit_rows(block)):
+                bad = (start + fault[0], fault[1])
+            if bad is None and dim in (None, found):
                 out[start : start + len(block)] = block if fn is None else fn(block)
     buffer = rows = block = None  # freed before the sidecar's ids are parsed, which can reuse the memory
     sidecar = _ids_sidecar(path)
@@ -506,11 +500,12 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
             if key in seen:
                 raise ValueError(f"{sidecar}: duplicate id {key!r}")
             seen.add(key)
+        files.append(sidecar)
     elif binary:
         ids = [str(i) for i in range(count)]
-    if zero is not None:
-        raise ValueError(f"{path}: zero-norm embedding row (id {ids[zero]!r})")
-    return ids, found, out
+    if bad is not None:
+        raise ValueError(f"{path}: {bad[1]} (id {ids[bad[0]]!r})")
+    return ids, found, out, files
 
 
 def save_embeddings_binary(emb: EmbeddingSet, path) -> None:

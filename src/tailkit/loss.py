@@ -69,7 +69,7 @@ def effective_numbers(counts, beta: float) -> np.ndarray:
 def class_weights(eff, alpha: float) -> np.ndarray:
     """w_c = eff_c^alpha rescaled so the class mean is exactly 1."""
     eff = np.asarray(eff, dtype=np.float64)
-    if (eff <= 0).any():
+    if not (eff > 0).all():  # NaN is not positive
         raise ValueError("effective numbers must be positive")
     _check_real("alpha", alpha, "[0, inf)")
     with np.errstate(all="ignore"):  # a weight of 0 or inf fails below

@@ -111,7 +111,7 @@ def f1_at_threshold(scores, labels, threshold: float) -> float:
 def ece(scores, labels, cfg: EceConfig) -> float:
     """Expected calibration error over equal-width confidence bins."""
     scores, labels = _as_1d(scores, labels)
-    if (scores < 0).any() or (scores > 1).any():
+    if not ((scores >= 0) & (scores <= 1)).all():  # NaN lies in no range
         raise ValueError("ECE requires scores in [0, 1]")
     n_bins = cfg.n_bins
     idx = np.ceil(scores * n_bins).astype(np.int64) - 1

@@ -305,12 +305,14 @@ def _lerp_columns(grid, ys, x0, x1, not_wx, wx, window, work):
 
 
 def _check_mean_std(mean, std):
-    """``mean`` and ``std`` as float64 3-vectors, every std entry positive."""
+    """``mean`` and ``std`` as float64 3-vectors, every entry finite and every std entry positive."""
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     if mean.shape != (3,) or std.shape != (3,):
         raise ValueError("mean and std must have 3 entries")
-    if (std <= 0).any():
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise ValueError("mean and std entries must be finite")
+    if not (std > 0).all():
         raise ValueError("std entries must be > 0")
     return mean, std
 

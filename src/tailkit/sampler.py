@@ -51,7 +51,7 @@ class EpochPlan:
 def class_repeat_factors(frequencies, cfg: SamplerConfig) -> np.ndarray:
     """Uncapped per-class repeat factors; zero-frequency classes stay at 1."""
     f = np.asarray(frequencies, dtype=np.float64)
-    if (f < 0).any() or (f > 1).any():
+    if not ((f >= 0) & (f <= 1)).all():  # NaN lies in no range
         raise ValueError("frequencies must lie in [0, 1]")
     r = np.ones_like(f)
     nonzero = f > 0

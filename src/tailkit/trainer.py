@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _read_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _finite, _read_json
 from .data import class_stats, write_json
 from .loss import (
     DbLossParams,
@@ -170,6 +170,7 @@ def train(
     n, d = features.shape
     if n != labels.n_samples:
         raise ValueError("features and labels disagree on sample count")
+    _finite(features, "feature entry")  # else the first epoch's loss is NaN, blamed on the learning rate
     c = labels.n_classes
 
     weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EmbeddingSet, ScoreMatrix, _check_real, _check_unique, _embedding_files, _map_rows, _read_json, _row_norms
+from .data import EmbeddingSet, ScoreMatrix, _check_real, _check_unique, _map_rows, _read_json, _unit_norm, _unit_rows
 from .loss import stable_sigmoid
 
 
@@ -49,7 +49,7 @@ class PromptBank:
             if embeddings and mat.shape[1] != dim:
                 raise ValueError(f"class {name!r} prompt embeddings have dimension {mat.shape[1]}, not {dim}")
             dim = mat.shape[1]
-            if not np.allclose(_row_norms(mat), 1.0, atol=1e-6):
+            if not _unit_norm(mat):
                 raise ValueError(f"class {name!r} prompt embeddings are not unit norm")
             embeddings[name] = mat
         self.embeddings = embeddings
@@ -66,14 +66,15 @@ class PromptBank:
 
 
 def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
-    """Scale every row to unit Euclidean norm; all-zero rows are rejected.
+    """Scale every row to unit Euclidean norm by the rule of ``data._unit_rows``, naming the first row it rejects.
 
     The result is a new float64 matrix; ``emb`` is left unchanged.
     """
-    norms = _row_norms(emb.vectors)
-    if not norms.all():
-        raise ValueError(f"zero-norm embedding row (id {emb.ids[int(np.argmin(norms))]!r})")
-    return EmbeddingSet(ids=emb.ids, vectors=emb.vectors / norms[:, None], normalized=True)
+    vectors = emb.vectors.copy()
+    fault = _unit_rows(vectors)
+    if fault:
+        raise ValueError(f"{fault[1]} (id {emb.ids[fault[0]]!r})")
+    return EmbeddingSet(ids=emb.ids, vectors=vectors, normalized=True)
 
 
 def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreMatrix:
@@ -92,8 +93,8 @@ def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreM
 
 
 def score_file(path, bank: PromptBank, cfg: ZsConfig):
-    """(ids, the file's dim, N x C probabilities): ``score_batch`` of each unit-normalized block
-    of embedding file ``path`` (see ``data._map_rows``), under placeholder ids."""
+    """(ids, the file's dim, N x C probabilities, files read): ``score_batch`` of each
+    unit-normalized block of embedding file ``path`` (see ``data._map_rows``), under placeholder ids."""
     def score(block):
         return score_batch(EmbeddingSet(range(len(block)), block, normalized=True), bank, cfg).values
     return _map_rows(path, score, len(bank.class_names), bank.dim, unit=True)
@@ -120,8 +121,8 @@ def load_prompt_manifest(path) -> PromptBank:
         if name in embeddings:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb_file = path.parent / emb_path
-        ids, found, embeddings[name] = _map_rows(emb_file, unit=True)
-        files += _embedding_files(emb_file)
+        ids, found, embeddings[name], read = _map_rows(emb_file, unit=True)
+        files += read
         if not ids:
             raise ValueError(f"{emb_file}: no prompt embeddings for class {name!r}")
         if not class_names:
@@ -129,7 +130,4 @@ def load_prompt_manifest(path) -> PromptBank:
         elif found != dim:
             raise ValueError(f"{emb_file}: embedding dimension {found} differs from {dim} in {first_file}")
         class_names.append(name)
-    try:
-        return PromptBank(class_names=class_names, embeddings=embeddings, files=tuple(files))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return PromptBank(class_names=class_names, embeddings=embeddings, files=tuple(files))

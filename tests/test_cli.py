@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -476,6 +477,31 @@ class TestZeroshotCommand:
             assert main(["zeroshot", "--images", str(images), "--prompts", str(manifest), "--out", str(out)]) == 0
             scored.append(out.read_bytes())
         assert scored[0] == scored[1]
+
+    @pytest.mark.parametrize("value", ["1e300", "1e-161", "1e-162"])
+    @pytest.mark.parametrize("where", ["images", "prompts"])
+    def test_row_norm_out_of_range_names_the_file_and_id(self, tmp_path, capsys, where, value):
+        """A CSV row whose squared norm is not a normal float64 (inf, subnormal, or 0 though the row
+        is not): exit 1 naming the file and the row, no scores written and no numpy warning."""
+        rows = {
+            "images": [["i0", "1", "0"], ["i1", "3", "4"], ["i2", "0", "1"]],
+            "prompts": [["g0", "0.6", "0.8"], ["g1", "1", "0"]],
+        }
+        rows[where][1][1:] = [value, value]
+        images = write_csv_file(tmp_path / "img.csv", ["id", "d0", "d1"], rows["images"])
+        prompts = write_csv_file(tmp_path / "g.csv", ["id", "d0", "d1"], rows["prompts"])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"classes": [{"name": "g", "embeddings": "g.csv"}]}), encoding="utf-8")
+        out = tmp_path / "zs.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["zeroshot", "--images", str(images), "--prompts", str(manifest), "--out", str(out)])
+        victim, row_id = (images, "i1") if where == "images" else (prompts, "g1")
+        assert (code, capsys.readouterr().err) == (
+            1,
+            f"error: {victim}: embedding row norm out of float64 range (id {row_id!r})\n",
+        )
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -1278,6 +1304,31 @@ def test_manifest_digests_every_file_read(subcommand, tmp_path, labels_csv):
         now = json.loads(manifest_path.read_text(encoding="utf-8"))["input_digests"]
         assert now == {**digests, victim: _sha256_of(victim)} and now[victim] != digests[victim]
         Path(victim).write_bytes(raw)
+
+
+@pytest.mark.parametrize("subcommand", ["predict", "zeroshot"])
+def test_manifest_keys_of_dot_slash_paths(subcommand, tmp_path, monkeypatch):
+    """Inputs given as ``./x`` keep their keys: a file named on the command line as given, a
+    sidecar and a prompt file as the path they are read from."""
+    monkeypatch.chdir(tmp_path)
+    save_model(LinearModel(np.eye(1, 2), np.zeros(1), ["a"]), tmp_path / "model.json")
+    save_embeddings_binary(EmbeddingSet(["i0"], [[1.0, 0.0]]), tmp_path / "img.emb")
+    save_embeddings_binary(EmbeddingSet(["g0"], [[0.0, 1.0]]), tmp_path / "g.emb")
+    classes = [{"name": "g", "embeddings": "./g.emb"}]
+    (tmp_path / "manifest.json").write_text(json.dumps({"classes": classes}), encoding="utf-8")
+    argv, keys = {
+        "predict": (
+            ["predict", "--model", "./model.json", "--features", "./img.emb"],
+            {"./model.json", "./img.emb", "img.emb.ids.json"},
+        ),
+        "zeroshot": (
+            ["zeroshot", "--images", "./img.emb", "--prompts", "./manifest.json"],
+            {"./img.emb", "img.emb.ids.json", "manifest.json", "g.emb", "g.emb.ids.json"},
+        ),
+    }[subcommand]
+    assert main(argv + ["--out", "./out.csv"]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["input_digests"]) == keys
 
 
 def test_module_entry_point_runs():

@@ -29,7 +29,6 @@ from tailkit.data import (
     save_scores,
     _check_int,
     _check_real,
-    _row_norms,
 )
 
 
@@ -870,22 +869,6 @@ class TestEmbeddings:
         save(emb, tmp_path / "e")
         back = load_embeddings(tmp_path / "e")
         assert back.ids == emb.ids and back.vectors.tobytes() == emb.vectors.tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from(
-        [1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 3 * _NORM_BLOCK_ROWS + 7]
-    ),
-    st.integers(1, 24),
-    st.integers(0, 2**32 - 1),
-)
-def test_row_norms_match_one_norm_call(n, d, seed):
-    """Below, at, above and at several multiples of the block size, signed zeros included."""
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal((n, d)) * rng.choice([1e-150, 1.0, 1e150], size=(n, 1))
-    vectors[rng.random(vectors.shape) < 0.1] = -0.0
-    assert _row_norms(vectors).tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
 
 
 def oracle_load_emb1(path):

@@ -350,13 +350,15 @@ class TestFusedKernel:
     "call, message",
     [
         (lambda: class_weights([1.0, 0.0], 1.0), "effective numbers must be positive"),
+        # not blamed on alpha: a NaN effective number is no positive number
+        (lambda: class_weights([math.nan, 1.0], 1.0), "effective numbers must be positive"),
         (lambda: margins([3, 0], 0.1), "zero-count class has no defined margin"),
         (
             lambda: db_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3), np.zeros(2)),
             "weights and margins must have one entry per class",
         ),
     ],
-    ids=["eff-not-positive", "margin-zero-count", "terms-per-class"],
+    ids=["eff-not-positive", "eff-nan", "margin-zero-count", "terms-per-class"],
 )
 def test_bad_class_terms_name_their_fault(call, message):
     with pytest.raises(ValueError) as exc:

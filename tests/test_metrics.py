@@ -214,6 +214,11 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([1.2], [1], EceConfig(10))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError) as exc:
+            ece([np.nan, 0.5], [1, 0], EceConfig(10))
+        assert str(exc.value) == "ECE requires scores in [0, 1]"
+
     def test_bin_edges_right_closed(self):
         # with 2 bins, 0.5 lands in the first bin (0 is left-closed)
         cfg = EceConfig(2)

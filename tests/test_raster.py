@@ -607,6 +607,24 @@ class TestToTensor3:
             write_view(io.BytesIO(), bordered(np.ones((1, 1))), "identity", mean, std, {})
         assert str(exc.value) == "mean and std must have 3 entries"
 
+    @pytest.mark.parametrize(
+        "mean, std, message",
+        [
+            ((0.5, np.nan, 0.5), (1.0, 1.0, 1.0), "mean and std entries must be finite"),
+            ((0.5, 0.5, 0.5), (1.0, np.nan, 1.0), "mean and std entries must be finite"),
+            ((0.5, 0.5, 0.5), (1.0, 0.0, 1.0), "std entries must be > 0"),
+        ],
+        ids=["nan-mean", "nan-std", "zero-std"],
+    )
+    def test_mean_and_std_entries_are_checked(self, mean, std, message):
+        """A NaN mean or std is rejected, not written as NaN channels, by both the whole-view and strip writers."""
+        with pytest.raises(ValueError) as exc:
+            to_tensor3(np.ones((1, 1)), mean, std)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            write_view(io.BytesIO(), bordered(np.ones((1, 1))), "identity", mean, std, {})
+        assert str(exc.value) == message
+
 
 class TestWriteView:
     @settings(max_examples=40, deadline=None)

@@ -320,6 +320,13 @@ def test_config_validation():
         SamplerConfig(seed=1.5)
 
 
+def test_nan_frequency_is_rejected():
+    """Not given the repeat factor 1 of a zero-frequency class."""
+    with pytest.raises(ValueError) as exc:
+        class_repeat_factors([math.nan, 0.5], SamplerConfig())
+    assert str(exc.value) == "frequencies must lie in [0, 1]"
+
+
 def test_repeat_factor_inputs_are_checked():
     cfg = SamplerConfig()
     with pytest.raises(ValueError) as exc:

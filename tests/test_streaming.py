@@ -127,7 +127,7 @@ def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):
     bank, cfg = bank_of(rng, 6, dim), ZsConfig(scale=5.0)
     tracemalloc.start()
     try:
-        ids, found, values = score_file(path, bank, cfg)
+        ids, found, values, _ = score_file(path, bank, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

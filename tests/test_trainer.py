@@ -273,6 +273,15 @@ class TestTrain:
             train(np.full((4, 2), 1e10), labels, cfg)
         assert str(exc.value) == "training diverged: non-finite parameters; lower learning_rate"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_feature_is_named_before_training(self, bad):
+        """Not blamed on the learning rate, as the first epoch's NaN loss would be."""
+        features, labels = generate_synthetic(small_spec(4))
+        features[3, 1] = bad
+        with pytest.raises(ValueError) as exc:
+            train(features, labels, TrainConfig(learning_rate=0.1, epochs=1, batch_size=16))
+        assert str(exc.value) == "non-finite feature entry"
+
     def test_inputs_that_do_not_fit_name_their_fault(self):
         features, labels = generate_synthetic(small_spec(4))
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16)

@@ -4,8 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailkit.data import _NORM_BLOCK_ROWS, EmbeddingSet, load_embeddings, save_embeddings_binary, save_embeddings_csv
+from tailkit.data import (
+    _NORM_BLOCK_ROWS,
+    EmbeddingSet,
+    _map_rows,
+    _write_matrix,
+    load_embeddings,
+    save_embeddings_binary,
+    save_embeddings_csv,
+)
 from tailkit.metrics import average_precision
 from tailkit.zeroshot import (
     PromptBank,
@@ -87,6 +97,58 @@ class TestUnitNormalize:
         with pytest.raises(ValueError) as info:
             load_one_class(path)
         assert str(info.value) == f"{path}: zero-norm embedding row (id 'z')"
+
+
+# rows to plant, by the value of every entry.  The squared norm of a CSV row of 1e300s is inf, of 1e-161s
+# subnormal and of 1e-162s 0; an EMB1 file's float32 entries square into float64's normal range, so
+# of its rows only an all-zero one is a fault
+CSV_PLANTS = {0.0: "zero-norm embedding row", 1e300: "out", 1e-161: "out", 1e-162: "out", 3.0: None}
+EMB1_PLANTS = {0.0: "zero-norm embedding row", 3e38: None, 1e-45: None}
+OUT_OF_RANGE = "embedding row norm out of float64 range"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 3]),
+    st.integers(1, 6),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 4)), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_reader_and_unit_normalize_share_one_unit_row_rule(tmp_path_factory, n, dim, csv, plants, seed):
+    """``_map_rows(unit=True)`` and ``unit_normalize`` of the loaded file: the bits of the loaded
+    rows divided by their norms, or the first bad row's fault and id, named by the reader with
+    its file's path."""
+    table = CSV_PLANTS if csv else EMB1_PLANTS
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, dim)) * rng.choice([1e-20, 1.0, 1e20], size=(n, 1))
+    planted = {}
+    for row, pick in plants:
+        value = list(table)[pick % len(table)]
+        vectors[row % n], planted[row % n] = value, value
+    ids = [f"r{i}" for i in range(n)]
+    path = tmp_path_factory.mktemp("unit") / ("e.csv" if csv else "e.emb")
+    if csv:
+        _write_matrix(path, ["id"] + [f"d{j}" for j in range(dim)], ids, vectors)
+    else:
+        save_embeddings_binary(EmbeddingSet(ids, vectors.astype(np.float32)), path)
+    loaded = load_embeddings(path).vectors
+
+    def outcome(normalize):
+        try:
+            return normalize().tobytes(), None
+        except ValueError as exc:
+            return None, str(exc)
+
+    read = outcome(lambda: _map_rows(path, unit=True)[2])
+    normalized = outcome(lambda: unit_normalize(EmbeddingSet(ids, loaded)).vectors)
+    bad = sorted(row for row, value in planted.items() if table[value])
+    if bad:
+        fault = table[planted[bad[0]]].replace("out", OUT_OF_RANGE)
+        assert normalized == (None, f"{fault} (id 'r{bad[0]}')")
+        assert read == (None, f"{path}: {normalized[1]}")
+    else:
+        assert read == normalized == ((loaded / np.linalg.norm(loaded, axis=1, keepdims=True)).tobytes(), None)
 
 
 class TestClassSimilarity:
