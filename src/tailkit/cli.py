@@ -2,15 +2,18 @@
 
 The CLI layer is a thin adapter over the library -- no numerical logic
 lives here.  Every run writes a manifest (resolved config, input digests,
-seed, tool version) alongside its outputs so identical invocations can be
-audited and reproduced byte-for-byte.
+seed, tool version) with its outputs, all of them only if it succeeds, so
+identical invocations can be audited and reproduced byte-for-byte.
 
 Exit codes: 0 success, 1 validation/usage error, 2 IO error.
 """
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -86,25 +89,50 @@ def _emit(args, event: str, **fields) -> None:
         print(f"{event}: {detail}" if detail else event)
 
 
-def _finish(args, target, inputs, event: str, seed=None, **fields) -> int:
-    """End a run: write its manifest, log `event` with `fields`, return exit code 0.
+class _Run:
+    """One run's outputs, each staged beside its target, all moved into place when it finishes."""
 
-    The manifest goes next to the output file `target`, or inside it when it
-    is a directory, and records the parsed arguments, the sha256 of `inputs`,
-    the seed and the tool version.
-    """
-    target = Path(target)
-    path = target / "manifest.json" if target.is_dir() else Path(f"{target}.manifest.json")
-    manifest = {
-        "subcommand": args.subcommand,
-        "config": {k: v for k, v in vars(args).items() if k not in ("func", "json_logs")},
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "seed": seed,
-        "tool_version": __version__,
-    }
-    write_json(path, manifest)
-    _emit(args, event, **fields)
-    return 0
+    def __init__(self):
+        self.staged = []  # (temp, target) pairs in the order they were opened
+
+    def out(self, path) -> str:
+        """A new temp path to write the output `path` into; a symlink is written through."""
+        target = os.path.realpath(path)
+        temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        # the errors that opening `path` itself would raise, under its name, not the temp's
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        try:  # O_EXCL: never a file that is not this run's; 0o666 so the umask applies
+            os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        self.staged.append((temp, target))
+        return temp
+
+    def finish(self, args, target, inputs, event: str, seed=None, **fields) -> int:
+        """Write the manifest (parsed arguments, sha256 of `inputs` as read, seed, tool version)
+        next to the output file `target`, or inside it when it is a directory, then move every
+        output into place, log `event` with `fields` and return exit code 0."""
+        target = Path(target)
+        path = target / "manifest.json" if target.is_dir() else Path(f"{target}.manifest.json")
+        manifest = {
+            "subcommand": args.subcommand,
+            "config": {k: v for k, v in vars(args).items() if k not in ("func", "json_logs")},
+            "input_digests": {str(p): _sha256(p) for p in inputs},
+            "seed": seed,
+            "tool_version": __version__,
+        }
+        write_json(self.out(path), manifest)
+        for temp, final in self.staged:
+            os.replace(temp, final)
+        self.staged = []
+        _emit(args, event, **fields)
+        return 0
+
+    def discard(self) -> None:
+        for temp, _ in self.staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +140,7 @@ def _finish(args, target, inputs, event: str, seed=None, **fields) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_weights(args):
+def cmd_weights(args, run):
     labels = load_labels(args.labels)
     stats = class_stats(labels)
     empty = [labels.class_names[i] for i in np.nonzero(stats.counts == 0)[0]]
@@ -123,12 +151,12 @@ def cmd_weights(args):
     margin_vec = margins(stats.counts, args.kappa)
     header = ["class", "count", "frequency", "effective_number", "weight", "margin"]
     table = np.column_stack([stats.counts, stats.frequencies, eff, weights, margin_vec])
-    _write_matrix(args.out, header, labels.class_names, table)
+    _write_matrix(run.out(args.out), header, labels.class_names, table)
     classes = len(labels.class_names)
-    return _finish(args, args.out, [args.labels], "weights_written", out=args.out, classes=classes)
+    return run.finish(args, args.out, [args.labels], "weights_written", out=args.out, classes=classes)
 
 
-def cmd_sample(args):
+def cmd_sample(args, run):
     _check_int("epochs", args.epochs, 1)
     labels = load_labels(args.labels)
     stats = class_stats(labels)
@@ -138,12 +166,12 @@ def cmd_sample(args):
     if silent:
         _emit(args, "zero_positive_classes", classes=silent)
     repeat = sample_repeat_factors(labels, r_class, cfg)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(run.out(args.out), "w", encoding="utf-8", newline="\n") as fh:
         for epoch in range(args.epochs):
             plan = build_epoch(repeat, cfg, epoch=epoch)
             row = {"epoch": epoch, "epoch_len": plan.epoch_len, "indices": plan.indices.tolist()}
             fh.write(json.dumps(row) + "\n")
-    return _finish(
+    return run.finish(
         args, args.out, [args.labels], "plans_written", args.seed, out=args.out, epochs=args.epochs
     )
 
@@ -164,7 +192,7 @@ def _synth_spec(fields: dict, where: str = "") -> SynthSpec:
         raise ValueError(f"{where}bad synthetic spec: {exc}") from None
 
 
-def cmd_train(args):
+def cmd_train(args, run):
     spec = _load_synth_spec(args.synth_spec, args.seed)
     loss_name = "plain-bce" if args.loss == "bce" else args.loss
     cfg = TrainConfig(
@@ -182,12 +210,12 @@ def cmd_train(args):
     model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
     for epoch, value in enumerate(trace):
         _emit(args, "epoch", index=epoch, loss=round(value, 6))
-    save_model(model, args.model_out)
+    save_model(model, run.out(args.model_out))
     inputs = [args.synth_spec] + ([args.margins] if args.margins else [])
-    return _finish(args, args.model_out, inputs, "model_written", spec.seed, out=args.model_out)
+    return run.finish(args, args.model_out, inputs, "model_written", spec.seed, out=args.model_out)
 
 
-def cmd_predict(args):
+def cmd_predict(args, run):
     model = load_model(args.model)
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
@@ -201,30 +229,30 @@ def cmd_predict(args):
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
-    save_scores(scores, args.out)
+    save_scores(scores, run.out(args.out))
     inputs = [args.model, *files]
-    return _finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
+    return run.finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
 
 
-def cmd_merge_tta(args):
+def cmd_merge_tta(args, run):
     views = [load_scores(p, kind="logits") for p in args.inputs]
     merged = tta_merge(views)
-    save_scores(merged, args.out)
-    return _finish(args, args.out, args.inputs, "merged", views=len(views), out=args.out)
+    save_scores(merged, run.out(args.out))
+    return run.finish(args, args.out, args.inputs, "merged", views=len(views), out=args.out)
 
 
-def cmd_ensemble(args):
+def cmd_ensemble(args, run):
     members = [load_scores(p, kind="probabilities") for p in args.inputs]
     spec = EnsembleSpec.from_raw(args.weights)
     combined = ensemble(members, spec)
-    save_scores(combined, args.out)
+    save_scores(combined, run.out(args.out))
     weights = [round(float(w), 12) for w in spec.normalized_weights]
-    return _finish(
+    return run.finish(
         args, args.out, args.inputs, "ensembled", members=len(members), normalized_weights=weights
     )
 
 
-def cmd_gate(args):
+def cmd_gate(args, run):
     scores = load_scores(args.input, kind="probabilities")
     try:
         index = int(args.normal_class)
@@ -233,12 +261,12 @@ def cmd_gate(args):
             raise ValueError(f"normal class {args.normal_class!r} not in header") from None
         index = scores.class_names.index(args.normal_class)
     gated = normal_gate(scores, GateConfig(normal_class_index=index, exponent=args.alpha_ng))
-    save_scores(gated, args.out)
+    save_scores(gated, run.out(args.out))
     fields = dict(normal_class=scores.class_names[index], exponent=args.alpha_ng)
-    return _finish(args, args.out, [args.input], "gated", **fields)
+    return run.finish(args, args.out, [args.input], "gated", **fields)
 
 
-def cmd_zeroshot(args):
+def cmd_zeroshot(args, run):
     cfg = ZsConfig(scale=args.scale)
     prompts_path = Path(args.prompts)
     if prompts_path.is_dir():
@@ -248,24 +276,24 @@ def cmd_zeroshot(args):
     if dim != bank.dim:
         dims = f"{dim} differs from {bank.dim} in {prompts_path}"
         raise ValueError(f"{args.images}: embedding dimension {dims}")
-    save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), args.out)
+    save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), run.out(args.out))
     counts = dict(images=len(ids), classes=len(bank.class_names))
     inputs = [*files, *bank.files]
-    return _finish(args, args.out, inputs, "zeroshot_scored", **counts)
+    return run.finish(args, args.out, inputs, "zeroshot_scored", **counts)
 
 
-def cmd_eval(args):
+def cmd_eval(args, run):
     scores = load_scores(args.scores, kind="probabilities")
     labels = load_labels(args.labels)
     report = macro_report(
         scores, labels, threshold=args.threshold, ece_cfg=EceConfig(n_bins=args.ece_bins)
     )
-    write_json(args.out, report.to_json_dict())
+    write_json(run.out(args.out), report.to_json_dict())
     inputs = [args.scores, args.labels]
-    return _finish(args, args.out, inputs, "report_written", out=args.out, **report.macro)
+    return run.finish(args, args.out, inputs, "report_written", out=args.out, **report.macro)
 
 
-def cmd_preprocess(args):
+def cmd_preprocess(args, run):
     size = args.size if args.size is not None else (512 if args.task == 1 else 224)
     _check_int("size", size, 1)
     _check_percentiles(args.clip_lo, args.clip_hi)
@@ -283,14 +311,14 @@ def cmd_preprocess(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
     for name in spec.transforms:
-        with open(out_dir / f"{stem}__{name}.raw", "wb") as fh:
+        with open(run.out(out_dir / f"{stem}__{name}.raw"), "wb") as fh:
             write_view(fh, frame, name, mean, std, work)
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
-        write_json(out_dir / f"{stem}__{name}.json", sidecar)
-    return _finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)
+        write_json(run.out(out_dir / f"{stem}__{name}.json"), sidecar)
+    return run.finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)
 
 
-def cmd_demo(args):
+def cmd_demo(args, run):
     spec = _synth_spec(
         dict(
             n_samples=args.n_samples,
@@ -314,9 +342,9 @@ def cmd_demo(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for arm, model in models.items():
-        save_model(model, out_dir / f"model_{arm}.json")
-        write_json(out_dir / f"report_{arm}.json", reports[arm].to_json_dict())
-    write_json(out_dir / "summary.json", summary)
+        save_model(model, run.out(out_dir / f"model_{arm}.json"))
+        write_json(run.out(out_dir / f"report_{arm}.json"), reports[arm].to_json_dict())
+    write_json(run.out(out_dir / "summary.json"), summary)
     arms = summary["arms"]
     fields = {
         "tail_map_db_cas": arms["db_cas"]["tail_map"],
@@ -326,7 +354,7 @@ def cmd_demo(args):
     }
     # a tercile whose classes have no held-out positive has no mAP, so no gain
     rounded = {k: None if v is None else round(v, 4) for k, v in fields.items()}
-    return _finish(args, out_dir, [], "demo_complete", seed=args.seed, **rounded)
+    return run.finish(args, out_dir, [], "demo_complete", seed=args.seed, **rounded)
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +478,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, run = build_parser(), _Run()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, run)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -463,6 +491,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    finally:  # a run that did not finish, on any exception, leaves its targets as they were
+        run.discard()
 
 
 def entry() -> None:

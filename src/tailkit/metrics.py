@@ -56,6 +56,8 @@ def _as_1d(scores, labels):
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels length mismatch")
+    if not ((labels == 0) | (labels == 1)).all():  # a 2 would otherwise count as a negative
+        raise ValueError("labels must be 0 or 1")
     return scores, labels
 
 

@@ -129,9 +129,10 @@ def forward(model: LinearModel, x) -> np.ndarray:
 def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, margin_override=None):
     """Per-class weights and margins for the configured loss.
 
-    Classes with zero training positives cannot be weighted by effective
-    numbers; they fall back to weight 1 / margin 0 (counts clamped to 1).
-    An explicit margin vector bypasses the count-based generator.
+    A class with zero training positives gets the weight and margin of a
+    class with one (counts clamped to 1).  Its margin never applies, since it
+    has no positive; its weight scales every negative of that class.  An
+    explicit margin vector bypasses the count-based generator.
     """
     c = labels.n_classes
     if cfg.loss == "plain-bce":

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -1329,6 +1330,113 @@ def test_manifest_keys_of_dot_slash_paths(subcommand, tmp_path, monkeypatch):
     assert main(argv + ["--out", "./out.csv"]) == 0
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["input_digests"]) == keys
+
+
+@pytest.mark.parametrize("subcommand", ["gate", "merge-tta"])
+def test_in_place_run_digests_its_input_as_read(subcommand, tmp_path, labels_csv):
+    argv, _, _, _ = _manifest_case(subcommand, tmp_path, labels_csv)
+    victim = argv[2]
+    argv[-1] = victim  # --out is the --in file
+    raw = Path(victim).read_bytes()
+    assert main(argv) == 0
+    assert Path(victim).read_bytes() != raw
+    manifest = json.loads(Path(f"{victim}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_digests"] == {victim: hashlib.sha256(raw).hexdigest()}
+
+
+def _files(directory) -> dict:
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def _fails_on_call(real, at, exc=MemoryError):
+    """`real`, which raises `exc` after its call number `at` has run."""
+    calls = itertools.count(1)
+
+    def fake(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if next(calls) == at:
+            raise exc("injected")
+        return result
+
+    return fake
+
+
+# writer kind: (subcommand, the cli name that fails, on which call, flags of every run, flags of the rerun)
+FAILED_WRITES = {
+    "csv": ("gate", "save_scores", 1, [], ["--alpha-ng", "2"]),
+    "json": ("train", "save_model", 1, [], ["--epochs", "2"]),
+    "jsonl": ("sample", "build_epoch", 2, ["--epochs", "3"], ["--seed", "6"]),
+    "raw": ("preprocess", "write_view", 2, ["--tta", "identity", "hflip", "rot+5"], ["--size", "3"]),
+    "manifest": ("weights", "_sha256", 1, [], ["--kappa", "0.3"]),
+}
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+@pytest.mark.parametrize("kind", sorted(FAILED_WRITES))
+def test_failed_run_leaves_the_previous_files(kind, rerun, tmp_path, labels_csv, monkeypatch):
+    """A run that fails midway leaves every file as it was, the first run's outputs and manifest
+    byte for byte, or no output at all, and no temp file."""
+    subcommand, callee, at, flags, rerun_flags = FAILED_WRITES[kind]
+    argv, _, _, _ = _manifest_case(subcommand, tmp_path, labels_csv)
+    argv += flags
+    if rerun:
+        assert main(argv) == 0
+        argv += rerun_flags
+    before = _files(tmp_path)
+    monkeypatch.setattr(cli, callee, _fails_on_call(getattr(cli, callee), at))
+    assert main(argv) == 1
+    assert _files(tmp_path) == before
+    monkeypatch.undo()
+    assert main(argv) == 0  # the same run, once nothing fails, does change the files
+    assert _files(tmp_path) != before
+
+
+def test_interrupted_run_leaves_no_temp(tmp_path, labels_csv, monkeypatch):
+    argv, _, _, _ = _manifest_case("preprocess", tmp_path, labels_csv)
+    before = _files(tmp_path)
+    monkeypatch.setattr(cli, "write_view", _fails_on_call(cli.write_view, 1, KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--tta", "identity", "hflip"])
+    assert _files(tmp_path) == before
+
+
+def test_symlinked_output_is_written_through(tmp_path, labels_csv):
+    argv, _, _, _ = _manifest_case("gate", tmp_path, labels_csv)
+    assert main(argv) == 0
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "real" / "g.csv")
+    assert main(argv[:-1] + [str(link)]) == 0
+    assert link.is_symlink() and link.read_bytes() == (tmp_path / "out.x").read_bytes()
+    assert Path(f"{link}.manifest.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "out, shown",
+    [("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'"), ("adir", "[Errno 21] Is a directory: 'adir'")],
+)
+def test_unwritable_output_names_itself(out, shown, tmp_path, labels_csv, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    argv, _, _, _ = _manifest_case("gate", tmp_path, labels_csv)
+    before = _files(tmp_path)
+    assert main(argv[:-1] + [out]) == 2
+    assert capsys.readouterr().err == f"io error: {shown}\n"
+    assert _files(tmp_path) == before
+
+
+def test_outputs_take_the_umask(tmp_path, labels_csv):
+    # an existing output is replaced by a new file, so it does not keep its old mode either
+    argv, manifest, _, _ = _manifest_case("weights", tmp_path, labels_csv)
+    out = tmp_path / "out.x"
+    out.write_text("old")
+    out.chmod(0o600)
+    old_umask = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old_umask)
+    assert out.stat().st_mode & 0o777 == 0o640 and manifest.stat().st_mode & 0o777 == 0o640
 
 
 def test_module_entry_point_runs():

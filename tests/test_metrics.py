@@ -367,3 +367,22 @@ def test_scores_and_labels_must_have_one_length():
     with pytest.raises(ValueError) as exc:
         average_precision([0.2, 0.7], [1])
     assert str(exc.value) == "scores and labels length mismatch"
+
+
+KERNELS = {
+    "average_precision": average_precision,
+    "auc_roc": auc_roc,
+    "f1_at_threshold": lambda s, y: f1_at_threshold(s, y, 0.5),
+    "ece": lambda s, y: ece(s, y, EceConfig(15)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_labels_must_be_binary(kernel):
+    # a label of 2 was read as a negative: AP 0.333, AUC 0.0 and ECE 0.733 on these scores
+    with pytest.raises(ValueError) as exc:
+        KERNELS[kernel]([0.9, 0.5, 0.2], [2, 0, 1])
+    assert str(exc.value) == "labels must be 0 or 1"
+    expected = KERNELS[kernel]([0.9, 0.5, 0.2], [1, 0, 1])
+    assert KERNELS[kernel]([0.9, 0.5, 0.2], [True, False, True]) == expected
+    assert KERNELS[kernel]([0.9, 0.5, 0.2], [1.0, 0.0, 1.0]) == expected

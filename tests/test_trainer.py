@@ -172,6 +172,23 @@ class TestForward:
             forward(model, np.zeros((1, 4)))
 
 
+def test_zero_positive_class_takes_the_terms_of_count_one():
+    """A class without positives is weighted and margined as if it had one (counts 8, 2, 0 of 10)."""
+    from tailkit.data import LabelMatrix
+    from tailkit.loss import class_weights, effective_numbers, margins
+
+    values = [[int(i < 8), int(i < 2), 0] for i in range(10)]
+    labels = LabelMatrix([f"s{i}" for i in range(10)], values, ["c0", "c1", "c2"])
+    params = DbLossParams()
+    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, loss="db", sampler="cas")
+    weights, margin_vec = _loss_terms(labels, cfg, params)
+    counts = np.array([8, 2, 1])
+    assert weights.tolist() == class_weights(effective_numbers(counts, params.beta), params.alpha).tolist()
+    assert margin_vec.tolist() == margins(counts, params.margin_scale).tolist()
+    # the largest of both, not the weight 1 / margin 0 of a neutral class
+    assert weights.argmax() == 2 and margin_vec.argmax() == 2
+
+
 class TestTrain:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         features, labels = generate_synthetic(small_spec(4))
