@@ -52,6 +52,8 @@ from .raster import (
 )
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 from .trainer import (
+    _uniform,
+    PLAIN_BCE,
     SynthSpec,
     TrainConfig,
     forward,
@@ -94,6 +96,14 @@ class _Run:
 
     def __init__(self):
         self.staged = []  # (temp, target) pairs in the order they were opened
+        self.made = []  # directories this run created, deepest first
+
+    def mkdir(self, path) -> Path:
+        """The directory `path`, made with its missing parents, which a run that does not finish removes."""
+        path = Path(path)
+        self.made += [p for p in (path, *path.parents) if not p.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+        return path
 
     def out(self, path) -> str:
         """A new temp path to write the output `path` into; a symlink is written through."""
@@ -125,7 +135,7 @@ class _Run:
         write_json(self.out(path), manifest)
         for temp, final in self.staged:
             os.replace(temp, final)
-        self.staged = []
+        self.staged, self.made = [], []
         _emit(args, event, **fields)
         return 0
 
@@ -133,6 +143,9 @@ class _Run:
         for temp, _ in self.staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
+        for path in self.made:
+            with contextlib.suppress(OSError):  # not empty: a file that is not this run's
+                path.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +207,16 @@ def _synth_spec(fields: dict, where: str = "") -> SynthSpec:
 
 def cmd_train(args, run):
     spec = _load_synth_spec(args.synth_spec, args.seed)
-    loss_name = "plain-bce" if args.loss == "bce" else args.loss
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        loss=loss_name,
-        sampler=args.sampler,
-        seed=spec.seed,
-    )
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size)
+    # every flag is checked, then the plain arm's values replace those it does not use
     params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=spec.seed)
+    if args.loss != "db":
+        if args.margins:
+            raise ValueError("--margins needs --loss db")
+        params = PLAIN_BCE
+    if args.sampler == "uniform":
+        sampler_cfg = _uniform(sampler_cfg)
     features, labels = generate_synthetic(spec)
     margin_override = _load_margins(args.margins, labels.class_names) if args.margins else None
     model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
@@ -307,8 +319,7 @@ def cmd_preprocess(args, run):
     # the one full-size array is the resize inside rotation's zero border; every view is made and written by
     # strips, in the buffers and work arrays that work keeps for all of them
     frame, work = resize_bilinear(source, size, size, window=window, framed=True), {}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = run.mkdir(args.out_dir)
     stem = Path(args.image).stem
     for name in spec.transforms:
         with open(run.out(out_dir / f"{stem}__{name}.raw"), "wb") as fh:
@@ -332,15 +343,9 @@ def cmd_demo(args, run):
     db_params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     sampler_cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
     summary, models, reports = run_comparison(
-        spec,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        db_params=db_params,
-        sampler_cfg=sampler_cfg,
+        spec, args.lr, args.epochs, args.batch_size, db_params=db_params, sampler_cfg=sampler_cfg
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = run.mkdir(args.out_dir)
     for arm, model in models.items():
         save_model(model, run.out(out_dir / f"model_{arm}.json"))
         write_json(run.out(out_dir / f"report_{arm}.json"), reports[arm].to_json_dict())

@@ -141,10 +141,9 @@ class PgmRows:
                         break
                 if len(values) < self.size:
                     raise ValueError(f"{path}: truncated pixel data")
-                pixels = np.asarray(values, dtype=np.int64)
-                if (pixels > self.maxval).any():
+                if max(values) > self.maxval:  # Python ints, so a value past int64 is compared too
                     raise ValueError(f"{path}: pixel exceeds maxval")
-                self._span = 0, self.height, pixels.astype(np.uint16)
+                self._span = 0, self.height, np.asarray(values, dtype=np.uint16)
             elif os.fstat(fh.fileno()).st_size - self._offset < self.size * self._dtype.itemsize:
                 raise ValueError(f"{path}: truncated pixel data")
 

@@ -55,7 +55,8 @@ def class_repeat_factors(frequencies, cfg: SamplerConfig) -> np.ndarray:
         raise ValueError("frequencies must lie in [0, 1]")
     r = np.ones_like(f)
     nonzero = f > 0
-    r[nonzero] = np.maximum(1.0, np.sqrt(cfg.threshold / f[nonzero]))
+    with np.errstate(over="ignore"):  # a subnormal frequency gives r = inf, which r_max caps
+        r[nonzero] = np.maximum(1.0, np.sqrt(cfg.threshold / f[nonzero]))
     return r
 
 

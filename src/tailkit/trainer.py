@@ -3,15 +3,15 @@
 The synthetic generator draws per-class Gaussian prototypes, samples each
 label independently with a power-law frequency f_c = f_head * (c+1)^-exponent,
 and builds features as the sum of the sample's positive prototypes plus
-Gaussian noise.  Training is plain SGD (no momentum) on either the
-distribution-balanced loss or plain BCE, with epochs built by the
-class-aware sampler or a uniform shuffle.  Everything is deterministic
-given the configured seeds.
+Gaussian noise.  Training is plain SGD (no momentum) on the distribution-
+balanced loss over epochs of the class-aware sampler; plain BCE (`PLAIN_BCE`)
+and a uniform shuffle (r_max 1) are parameter values of the two.  Everything
+is deterministic given the configured seeds.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .metrics import macro_report
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 
 DEFAULT_HEAD_FREQUENCY = 0.5
+# the baseline arm's loss: beta 0 and alpha 0 give unit weights, kappa 0 zero margins (gate c02)
+PLAIN_BCE = DbLossParams(beta=0.0, alpha=0.0, margin_scale=0.0)
 
 
 @dataclass
@@ -72,18 +74,16 @@ class TrainConfig:
     learning_rate: float
     epochs: int
     batch_size: int
-    loss: str = "db"
-    sampler: str = "cas"
-    seed: int = 0
 
     def __post_init__(self):
         _check_real("learning_rate", self.learning_rate, "[0, inf)")
         _check_int("epochs", self.epochs, 1)
         _check_int("batch_size", self.batch_size, 1)
-        if self.loss not in ("db", "plain-bce"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.sampler not in ("cas", "uniform"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+
+
+def _uniform(sampler_cfg: SamplerConfig) -> SamplerConfig:
+    """The baseline arm's sampler: `sampler_cfg` at r_max 1, where every repeat factor is 1."""
+    return replace(sampler_cfg, r_max=1.0)
 
 
 def power_law_frequencies(n_classes: int, exponent: float, head: float = DEFAULT_HEAD_FREQUENCY):
@@ -126,8 +126,8 @@ def forward(model: LinearModel, x) -> np.ndarray:
     return np.einsum("nd,cd->nc", x, model.weights) + model.bias
 
 
-def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, margin_override=None):
-    """Per-class weights and margins for the configured loss.
+def _loss_terms(labels: LabelMatrix, params: DbLossParams, margin_override=None):
+    """Per-class weights and margins of the DB loss under `params`.
 
     A class with zero training positives gets the weight and margin of a
     class with one (counts clamped to 1).  Its margin never applies, since it
@@ -135,8 +135,6 @@ def _loss_terms(labels: LabelMatrix, cfg: TrainConfig, params: DbLossParams, mar
     explicit margin vector bypasses the count-based generator.
     """
     c = labels.n_classes
-    if cfg.loss == "plain-bce":
-        return np.ones(c), np.zeros(c)
     counts = np.maximum(class_stats(labels).counts, 1)
     weights = class_weights(effective_numbers(counts, params.beta), params.alpha)
     if margin_override is not None:
@@ -151,11 +149,11 @@ def train(
     features,
     labels: LabelMatrix,
     cfg: TrainConfig,
-    loss_params: DbLossParams = None,
-    sampler_cfg: SamplerConfig = None,
+    loss_params: DbLossParams,
+    sampler_cfg: SamplerConfig,
     margin_override=None,
 ):
-    """SGD on the selected loss over sampler-built epochs.
+    """SGD on the DB loss under `loss_params` over epochs of the class-aware sampler.
 
     Returns (model, trace) where trace[e] is the epoch-mean loss.  Aborts
     with ValueError if the loss stops being finite.  The class weights and
@@ -163,10 +161,6 @@ def train(
     scratch arrays allocated once per batch size, with the same bits as
     calling `db_loss` on it.
     """
-    if loss_params is None:
-        loss_params = DbLossParams()
-    if sampler_cfg is None:
-        sampler_cfg = SamplerConfig(seed=cfg.seed)
     features = np.asarray(features, dtype=np.float64)
     n, d = features.shape
     if n != labels.n_samples:
@@ -174,13 +168,10 @@ def train(
     _finite(features, "feature entry")  # else the first epoch's loss is NaN, blamed on the learning rate
     c = labels.n_classes
 
-    weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)
+    weights, margin_vec = _loss_terms(labels, loss_params, margin_override)
     _check_terms(weights, margin_vec)
-    if cfg.sampler == "cas":
-        r_class = class_repeat_factors(class_stats(labels).frequencies, sampler_cfg)
-        repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
-    else:
-        repeat = np.ones(n)
+    r_class = class_repeat_factors(class_stats(labels).frequencies, sampler_cfg)
+    repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
 
     model = LinearModel(
         weights=np.zeros((c, d)), bias=np.zeros(c), class_names=list(labels.class_names)
@@ -287,10 +278,10 @@ def run_comparison(
     db_params: DbLossParams = None,
     sampler_cfg: SamplerConfig = None,
 ):
-    """Two-arm experiment: db+cas versus plain-bce+uniform on one synthetic draw.
+    """Two-arm experiment: db+cas versus plain BCE + uniform shuffle on one synthetic draw.
 
-    Both arms share the data, the split, the learning rate, and the epoch
-    count; only the loss and the sampler differ.  Returns (summary, models,
+    Both arms share the data, the split, the learning rate, the epoch count and the sampler
+    seed; bce_uniform trains under `PLAIN_BCE` at r_max 1.  Returns (summary, models,
     reports), the last two keyed by arm; each report is the arm's macro
     report on the held-out split.
     """
@@ -298,17 +289,15 @@ def run_comparison(
         db_params = DbLossParams(alpha=0.5)
     if sampler_cfg is None:
         sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=spec.seed)
-    configs = {
-        name: TrainConfig(learning_rate, epochs, batch_size, loss_name, sampler_name, spec.seed)
-        for name, loss_name, sampler_name in (("db_cas", "db", "cas"), ("bce_uniform", "plain-bce", "uniform"))
-    }
+    cfg = TrainConfig(learning_rate, epochs, batch_size)
+    setups = {"db_cas": (db_params, sampler_cfg), "bce_uniform": (PLAIN_BCE, _uniform(sampler_cfg))}
     features, labels = generate_synthetic(spec)
     (x_train, y_train), (x_test, y_test) = holdout_split(features, labels)
     tercile_counts = class_stats(labels).counts
 
     arms, models, reports = {}, {}, {}
-    for name, cfg in configs.items():
-        model, trace = train(x_train, y_train, cfg, db_params, sampler_cfg)
+    for name, (params, sampling) in setups.items():
+        model, trace = train(x_train, y_train, cfg, params, sampling)
         arms[name], reports[name] = evaluate_arm(model, x_test, y_test, tercile_counts)
         arms[name]["final_train_loss"] = trace[-1]
         models[name] = model
@@ -339,7 +328,7 @@ def load_model(path) -> LinearModel:
     payload = _read_json(path)
     try:
         model = LinearModel(payload["weights"], payload["bias"], list(payload["class_names"]))
-    except (KeyError, TypeError, ValueError) as exc:  # a missing field, a bad value or a wrong shape
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a missing field, a bad value or shape, a huge int
         raise ValueError(f"{path}: not a model file: {exc!r}") from None
     # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf
     for name in ("weights", "bias"):

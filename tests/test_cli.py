@@ -315,6 +315,17 @@ class TestTrainMarginOverride:
         assert rc == 1
         assert "no margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", ["bce", "plain-bce"])
+    def test_margins_need_the_db_loss(self, tmp_path, capsys, loss):
+        """Checked with the flags, before the margins file is read: it does not exist here."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_samples": 40, "n_classes": 2, "feature_dim": 4}), encoding="utf-8")
+        model = tmp_path / "m.json"
+        argv = ["train", "--synth-spec", spec, "--loss", loss, "--margins", tmp_path / "missing.csv", "--model-out", model]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr() == ("", "error: --margins needs --loss db\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     @staticmethod
     def train_with_margins(tmp_path, raw):
         """Run `train` on a 2-class spec with ``raw`` as the margins file; return (exit code, its path)."""
@@ -822,6 +833,21 @@ class TestMalformedInputs:
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: {model}: not a model file: ValueError(")
 
+    @pytest.mark.parametrize("field", ["weights", "bias", "scalar weights", "scalar bias"])
+    def test_model_integer_past_float_range_names_the_file(self, tmp_path, capsys, field):
+        huge = "9" * 400  # json reads it as an int, which no float64 holds
+        weights = {"weights": f"[[{huge}]]", "scalar weights": huge}.get(field, "[[1.0]]")
+        bias = {"bias": f"[{huge}]", "scalar bias": huge}.get(field, "[0.0]")
+        model = tmp_path / "m.json"
+        model.write_text(f'{{"class_names": ["a"], "weights": {weights}, "bias": {bias}}}', encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: not a model file: OverflowError(") and err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
     def test_model_with_duplicate_class_names(self, tmp_path, capsys):
         # a scores CSV with a repeated column name would be rejected by every reader
         model = tmp_path / "m.json"
@@ -1176,6 +1202,15 @@ def test_pgm_faults_keep_their_message_and_order(tmp_path, capsys, data, message
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pixel", ["99999999999999999999", "9" * 400], ids=["past-int64", "400-digits"])
+def test_p2_pixel_past_int64_exceeds_maxval(tmp_path, capsys, pixel):
+    pgm = tmp_path / "scan.pgm"
+    pgm.write_text(f"P2\n1 1\n255\n{pixel}\n", encoding="ascii")
+    assert main(["preprocess", str(pgm), "--size", "2", "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {pgm}: pixel exceeds maxval\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "callee, argv, shown",
     [
@@ -1398,6 +1433,25 @@ def test_interrupted_run_leaves_no_temp(tmp_path, labels_csv, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(argv + ["--tta", "identity", "hflip"])
     assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("subcommand, callee", [("preprocess", "write_view"), ("demo", "save_model")])
+def test_failed_run_removes_only_the_directories_it_made(subcommand, callee, tmp_path, labels_csv, monkeypatch):
+    """A fresh --out-dir and its missing parents go, deepest first; a directory that was there
+    before the run stays, empty or with its files."""
+    argv, _, _, _ = _manifest_case(subcommand, tmp_path, labels_csv)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept" / "empty").mkdir(parents=True)
+    (tmp_path / "kept" / "old.txt").write_text("old")
+    real = getattr(cli, callee)
+    for out_dir in ("kept/new/sub", "kept/empty", "kept"):
+        monkeypatch.setattr(cli, callee, _fails_on_call(real, 1))
+        assert main(argv[:-1] + [out_dir]) == 1
+        assert sorted(p.as_posix() for p in Path("kept").rglob("*")) == ["kept/empty", "kept/old.txt"]
+        assert Path("kept/old.txt").read_text() == "old"
+    monkeypatch.setattr(cli, callee, real)
+    assert main(argv[:-1] + ["kept/new/sub"]) == 0  # once nothing fails, the run makes them
+    assert (tmp_path / "kept" / "new" / "sub" / "manifest.json").is_file()
 
 
 def test_symlinked_output_is_written_through(tmp_path, labels_csv):

@@ -262,6 +262,24 @@ class TestLoadPgm:
             load_pgm(path)
         assert str(info.value) == f"{path}: pixel exceeds maxval"
 
+    @pytest.mark.parametrize(
+        "header, pixels, message",
+        [
+            ("1 1\n255", "99999999999999999999", "pixel exceeds maxval"),  # past int64
+            ("2 1\n65535", "7 " + "9" * 400, "pixel exceeds maxval"),
+            # the faults checked before it keep their precedence
+            ("2 1\n255", "99999999999999999999 x", "bad ascii pixel b'x'"),
+            ("2 1\n255", "99999999999999999999", "truncated pixel data"),
+        ],
+        ids=["past-int64", "400-digits", "bad-pixel-first", "truncated-first"],
+    )
+    def test_p2_pixel_past_int64(self, tmp_path, header, pixels, message):
+        path = tmp_path / "huge.pgm"
+        path.write_text(f"P2\n{header}\n{pixels}\n", encoding="ascii")
+        with pytest.raises(ValueError) as info:
+            load_pgm(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_not_pgm(self, tmp_path):
         path = tmp_path / "h.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")

@@ -94,6 +94,14 @@ class TestClassRepeatFactors:
         cfg = SamplerConfig(threshold=0.04)
         assert class_repeat_factors([0.01], cfg)[0] == pytest.approx(2.0, abs=1e-12)
 
+    def test_subnormal_frequency_gives_inf_without_a_warning(self):
+        # threshold / 5e-324 overflows; RuntimeWarnings are errors under pytest
+        cfg = SamplerConfig(threshold=1.0, r_max=4.0)
+        r = class_repeat_factors([5e-324, 1e-300, 0.0], cfg)
+        assert r.tolist() == [math.inf, 1e150, 1.0]
+        labels = LabelMatrix(["a", "b"], [[1, 0, 0], [0, 0, 1]], ["c0", "c1", "c2"])
+        assert sample_repeat_factors(labels, r, cfg).tolist() == [4.0, 1.0]
+
     def test_zero_frequency_flagged(self):
         cfg = SamplerConfig(threshold=0.1)
         freqs = [0.0, 0.5, 0.0]
@@ -154,6 +162,27 @@ class TestSampleRepeatFactors:
         np.testing.assert_array_equal(
             sample_repeat_factors(labels, r, cfg), scalar_sample_repeat_factors(labels, r, cfg)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_unit_cap_is_a_plain_shuffle(self, n, c, label_seed, freqs, threshold):
+        """At r_max 1 every row's factor is exactly 1.0, an all-zero row and a class with no
+        positive included, so each epoch is the plan of np.ones(n): the trainer's uniform arm."""
+        gen = np.random.default_rng(label_seed)
+        values = (gen.random((n, c)) < gen.random()).astype(np.int8)
+        values[0], values[:, 0] = 0, 0
+        labels = LabelMatrix([f"s{i}" for i in range(n)], values, [f"c{j}" for j in range(c)])
+        cfg = SamplerConfig(threshold=threshold, r_max=1.0, seed=label_seed)
+        repeat = sample_repeat_factors(labels, class_repeat_factors(freqs[:c], cfg), cfg)
+        assert repeat.dtype == np.float64 and repeat.tolist() == [1.0] * n
+        for epoch in (0, 5):
+            assert build_epoch(repeat, cfg, epoch).indices.tolist() == build_epoch(np.ones(n), cfg, epoch).indices.tolist()
 
 
 class TestBuildEpoch:

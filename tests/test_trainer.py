@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from test_loss import db_loss_oracle
 
+from tailkit.data import LabelMatrix
 from tailkit.loss import DbLossParams
 from tailkit.sampler import (
     SamplerConfig,
@@ -13,10 +14,12 @@ from tailkit.sampler import (
     sample_repeat_factors,
 )
 from tailkit.trainer import (
+    PLAIN_BCE,
     LinearModel,
     SynthSpec,
     TrainConfig,
     _loss_terms,
+    _uniform,
     class_terciles,
     evaluate_arm,
     forward,
@@ -30,12 +33,19 @@ from tailkit.trainer import (
 )
 
 
-def train_oracle(features, labels, cfg, loss_params, sampler_cfg, margin_override=None):
-    """(weights, bias, trace, epoch lengths) of plain SGD with one `db_loss_oracle` per batch."""
-    weights, margin_vec = _loss_terms(labels, cfg, loss_params, margin_override)
+def train_oracle(features, labels, cfg, loss, sampler, loss_params, sampler_cfg, margin_override=None):
+    """(weights, bias, trace, epoch lengths) of plain SGD with one `db_loss_oracle` per batch.
+
+    `loss` is "db" or "plain-bce" and `sampler` "cas" or "uniform".  The plain arms are the reference
+    for `PLAIN_BCE` and `_uniform`: unit weights and zero margins, and a repeat factor of 1 per sample.
+    """
     n, d = features.shape
     c = labels.n_classes
-    if cfg.sampler == "cas":
+    if loss == "db":
+        weights, margin_vec = _loss_terms(labels, loss_params, margin_override)
+    else:
+        weights, margin_vec = np.ones(c), np.zeros(c)
+    if sampler == "cas":
         freqs = labels.values.sum(axis=0, dtype=np.int64) / float(n)
         r_class = class_repeat_factors(freqs, sampler_cfg)
         repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
@@ -174,14 +184,12 @@ class TestForward:
 
 def test_zero_positive_class_takes_the_terms_of_count_one():
     """A class without positives is weighted and margined as if it had one (counts 8, 2, 0 of 10)."""
-    from tailkit.data import LabelMatrix
     from tailkit.loss import class_weights, effective_numbers, margins
 
     values = [[int(i < 8), int(i < 2), 0] for i in range(10)]
     labels = LabelMatrix([f"s{i}" for i in range(10)], values, ["c0", "c1", "c2"])
     params = DbLossParams()
-    cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, loss="db", sampler="cas")
-    weights, margin_vec = _loss_terms(labels, cfg, params)
+    weights, margin_vec = _loss_terms(labels, params)
     counts = np.array([8, 2, 1])
     assert weights.tolist() == class_weights(effective_numbers(counts, params.beta), params.alpha).tolist()
     assert margin_vec.tolist() == margins(counts, params.margin_scale).tolist()
@@ -192,50 +200,50 @@ def test_zero_positive_class_takes_the_terms_of_count_one():
 class TestTrain:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         features, labels = generate_synthetic(small_spec(4))
-        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=16, loss="db", sampler="cas")
-        model, trace = train(features, labels, cfg)
+        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=16)
+        model, trace = train(features, labels, cfg, DbLossParams(), SamplerConfig())
         assert (model.weights == 0).all() and (model.bias == 0).all()
         assert len(trace) == 3
 
     def test_single_sample_converges(self):
         features = np.array([[1.0, 0.0]])
-        from tailkit.data import LabelMatrix
-
         labels = LabelMatrix(["s0"], [[1]], ["c0"])
-        cfg = TrainConfig(
-            learning_rate=1.0, epochs=300, batch_size=1, loss="plain-bce", sampler="uniform"
-        )
-        model, trace = train(features, labels, cfg)
+        cfg = TrainConfig(learning_rate=1.0, epochs=300, batch_size=1)
+        model, trace = train(features, labels, cfg, PLAIN_BCE, _uniform(SamplerConfig()))
         assert trace[-1] < 0.02
         assert trace == sorted(trace, reverse=True)
 
     def test_deterministic_end_to_end(self):
         features, labels = generate_synthetic(small_spec(6))
-        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=32, loss="db", sampler="cas", seed=9)
-        a, _ = train(features, labels, cfg)
-        b, _ = train(features, labels, cfg)
+        cfg = TrainConfig(learning_rate=0.3, epochs=4, batch_size=32)
+        a, _ = train(features, labels, cfg, DbLossParams(), SamplerConfig(seed=9))
+        b, _ = train(features, labels, cfg, DbLossParams(), SamplerConfig(seed=9))
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
 
     def test_db_with_neutral_terms_equals_plain_bce(self):
-        features, labels = generate_synthetic(small_spec(7))
-        params = DbLossParams(beta=0.0, alpha=0.0, margin_scale=0.0)
-        base = TrainConfig(learning_rate=0.2, epochs=3, batch_size=16, loss="db", sampler="uniform", seed=5)
-        plain = TrainConfig(
-            learning_rate=0.2, epochs=3, batch_size=16, loss="plain-bce", sampler="uniform", seed=5
-        )
-        m_db, t_db = train(features, labels, base, params)
-        m_bce, t_bce = train(features, labels, plain, params)
-        assert m_db.weights.tobytes() == m_bce.weights.tobytes()
-        assert t_db == t_bce
+        """`PLAIN_BCE` at r_max 1 gives the bits of the oracle's own plain BCE over a plain shuffle,
+        with a partial last batch and a class with no positive (whose count is clamped to 1)."""
+        cfg = TrainConfig(learning_rate=0.2, epochs=3, batch_size=16)
+        for seed in (0, 3, 7):
+            features, labels = generate_synthetic(small_spec(seed))
+            values = labels.values.copy()
+            values[:, 3] = 0
+            labels = LabelMatrix(labels.ids, values, labels.class_names)
+            sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=seed)
+            model, trace = train(features, labels, cfg, PLAIN_BCE, _uniform(sampler_cfg))
+            w, b, expected, lengths = train_oracle(
+                features, labels, cfg, "plain-bce", "uniform", DbLossParams(), sampler_cfg
+            )
+            assert model.weights.tobytes() == w.tobytes() and model.bias.tobytes() == b.tobytes()
+            assert trace == expected
+            assert lengths == [200] * 3 and 200 % cfg.batch_size
 
     def test_loss_trace_non_increasing_plain_bce(self):
         spec = small_spec(8, noise_std=0.0)
         features, labels = generate_synthetic(spec)
-        cfg = TrainConfig(
-            learning_rate=0.05, epochs=10, batch_size=200, loss="plain-bce", sampler="uniform"
-        )
-        _, trace = train(features, labels, cfg)
+        cfg = TrainConfig(learning_rate=0.05, epochs=10, batch_size=200)
+        _, trace = train(features, labels, cfg, PLAIN_BCE, _uniform(SamplerConfig()))
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
@@ -257,37 +265,31 @@ class TestTrain:
         margin = np.zeros(labels.n_classes)
         margin[2] = bad
         with pytest.raises(ValueError, match="margins"):
-            train(features, labels, cfg, margin_override=margin)
+            train(features, labels, cfg, DbLossParams(), SamplerConfig(), margin_override=margin)
 
     def test_divergence_detected(self):
-        from tailkit.data import LabelMatrix
-
         features = np.full((4, 2), 1e160)
         labels = LabelMatrix([f"s{i}" for i in range(4)], [[1], [1], [1], [0]], ["c0"])
-        cfg = TrainConfig(learning_rate=1e160, epochs=3, batch_size=4, loss="plain-bce", sampler="uniform")
+        cfg = TrainConfig(learning_rate=1e160, epochs=3, batch_size=4)
         with pytest.raises(ValueError, match="diverged"):
-            train(features, labels, cfg)
+            train(features, labels, cfg, PLAIN_BCE, _uniform(SamplerConfig()))
 
     def test_loss_past_float_range_names_the_margins(self):
         """Finite inputs whose loss overflows: margins of 1e308 make each positive's loss term 1e308
         at the first batch's zero logits, and eight such terms of weight 1 sum past the largest float."""
-        from tailkit.data import LabelMatrix
-
         labels = LabelMatrix([f"s{i}" for i in range(4)], [[1, 1]] * 4, ["c0", "c1"])
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4, sampler="uniform")
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=4)
         with pytest.raises(ValueError) as exc:
-            train(np.ones((4, 2)), labels, cfg, margin_override=[1e308, 1e308])
+            train(np.ones((4, 2)), labels, cfg, DbLossParams(), _uniform(SamplerConfig()), [1e308, 1e308])
         assert str(exc.value) == "training diverged at epoch 0: lower learning_rate or margins"
 
     def test_overflowing_last_step_names_the_parameters(self):
         """The logits are checked before each step, so only the last step's overflow reaches the
         final check: one batch of finite logits whose update, 1e300 times a gradient near 1e9, is inf."""
-        from tailkit.data import LabelMatrix
-
         labels = LabelMatrix([f"s{i}" for i in range(4)], [[1], [1], [1], [0]], ["c0"])
-        cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4, loss="plain-bce", sampler="uniform")
+        cfg = TrainConfig(learning_rate=1e300, epochs=1, batch_size=4)
         with pytest.raises(ValueError) as exc:
-            train(np.full((4, 2), 1e10), labels, cfg)
+            train(np.full((4, 2), 1e10), labels, cfg, PLAIN_BCE, _uniform(SamplerConfig()))
         assert str(exc.value) == "training diverged: non-finite parameters; lower learning_rate"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -296,17 +298,15 @@ class TestTrain:
         features, labels = generate_synthetic(small_spec(4))
         features[3, 1] = bad
         with pytest.raises(ValueError) as exc:
-            train(features, labels, TrainConfig(learning_rate=0.1, epochs=1, batch_size=16))
+            train(features, labels, TrainConfig(0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
         assert str(exc.value) == "non-finite feature entry"
 
     def test_inputs_that_do_not_fit_name_their_fault(self):
         features, labels = generate_synthetic(small_spec(4))
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16)
+        args = (TrainConfig(learning_rate=0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
         for call, message in [
-            (lambda: train(features[:-1], labels, cfg), "features and labels disagree on sample count"),
-            (lambda: train(features, labels, cfg, margin_override=[0.1]), "margin override needs one value per class"),
-            (lambda: TrainConfig(0.1, 1, 16, loss="focal"), "unknown loss 'focal'"),
-            (lambda: TrainConfig(0.1, 1, 16, sampler="random"), "unknown sampler 'random'"),
+            (lambda: train(features[:-1], labels, *args), "features and labels disagree on sample count"),
+            (lambda: train(features, labels, *args, [0.1]), "margin override needs one value per class"),
             (lambda: LinearModel(np.zeros((2, 3)), np.zeros(3), ["a", "b"]), "weights must be C x D with a C-vector bias"),
         ]:
             with pytest.raises(ValueError) as exc:
@@ -318,10 +318,13 @@ class TestFusedStepMatchesOracle:
     """`train` gives the bits of `train_oracle`."""
 
     @staticmethod
-    def assert_same_as_oracle(features, labels, cfg, params, sampler_cfg, margin_override=None):
-        model, trace = train(features, labels, cfg, params, sampler_cfg, margin_override)
+    def assert_same_as_oracle(features, labels, cfg, loss, sampler, params, sampler_cfg, margin_override=None):
+        # the plain arms as `train` takes them: PLAIN_BCE, and the sampler at r_max 1
+        loss_arg = PLAIN_BCE if loss == "plain-bce" else params
+        sampler_arg = _uniform(sampler_cfg) if sampler == "uniform" else sampler_cfg
+        model, trace = train(features, labels, cfg, loss_arg, sampler_arg, margin_override)
         w, b, expected, lengths = train_oracle(
-            features, labels, cfg, params, sampler_cfg, margin_override
+            features, labels, cfg, loss, sampler, params, sampler_cfg, margin_override
         )
         assert np.array_equal(model.weights, w) and np.array_equal(model.bias, b)
         assert trace == expected
@@ -332,27 +335,27 @@ class TestFusedStepMatchesOracle:
     def test_demo_arms(self, seed, loss, sampler):
         spec = SynthSpec(n_samples=400, n_classes=8, feature_dim=12, seed=seed)
         features, labels = generate_synthetic(spec)
-        cfg = TrainConfig(0.5, epochs=6, batch_size=64, loss=loss, sampler=sampler, seed=seed)
+        cfg = TrainConfig(0.5, epochs=6, batch_size=64)
         params = DbLossParams(alpha=0.5)
         sampler_cfg = SamplerConfig(threshold=0.05, r_max=10.0, seed=seed)
-        lengths = self.assert_same_as_oracle(features, labels, cfg, params, sampler_cfg)
+        lengths = self.assert_same_as_oracle(features, labels, cfg, loss, sampler, params, sampler_cfg)
         assert any(length % 64 for length in lengths)  # a partial last batch
 
     @pytest.mark.parametrize("lr", [0.0, 0.7])
     def test_margin_override(self, lr):
         features, labels = generate_synthetic(small_spec(5))
-        cfg = TrainConfig(lr, epochs=3, batch_size=24, loss="db", sampler="cas", seed=2)
+        cfg = TrainConfig(lr, epochs=3, batch_size=24)
         margin = np.linspace(0.0, 2.0, labels.n_classes)
         self.assert_same_as_oracle(
-            features, labels, cfg, DbLossParams(), SamplerConfig(seed=2), margin
+            features, labels, cfg, "db", "cas", DbLossParams(), SamplerConfig(seed=2), margin
         )
 
     def test_batches_longer_than_the_epoch(self):
         # every epoch is one batch, and a later epoch is longer than the first, so the scratch grows
         features, labels = generate_synthetic(small_spec(9, n_samples=50))
-        cfg = TrainConfig(0.4, epochs=5, batch_size=10_000, loss="db", sampler="cas", seed=9)
+        cfg = TrainConfig(0.4, epochs=5, batch_size=10_000)
         sampler_cfg = SamplerConfig(threshold=0.3, r_max=4.0, seed=9)
-        lengths = self.assert_same_as_oracle(features, labels, cfg, DbLossParams(), sampler_cfg)
+        lengths = self.assert_same_as_oracle(features, labels, cfg, "db", "cas", DbLossParams(), sampler_cfg)
         assert max(lengths) > lengths[0]
 
 
