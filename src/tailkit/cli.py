@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .data import (
     _check_int,
+    _check_real,
     _load_margins,
     _map_rows,
     _read_json,
@@ -154,14 +155,15 @@ class _Run:
 
 
 def cmd_weights(args, run):
+    params = DbLossParams(beta=args.beta, alpha=args.alpha, margin_scale=args.kappa)
     labels = load_labels(args.labels)
     stats = class_stats(labels)
     empty = [labels.class_names[i] for i in np.nonzero(stats.counts == 0)[0]]
     if empty:
         raise ValueError(f"classes with zero positives cannot be weighted: {', '.join(empty)}")
-    eff = effective_numbers(stats.counts, args.beta)
-    weights = class_weights(eff, args.alpha)
-    margin_vec = margins(stats.counts, args.kappa)
+    eff = effective_numbers(stats.counts, params.beta)
+    weights = class_weights(eff, params.alpha)
+    margin_vec = margins(stats.counts, params.margin_scale)
     header = ["class", "count", "frequency", "effective_number", "weight", "margin"]
     table = np.column_stack([stats.counts, stats.frequencies, eff, weights, margin_vec])
     _write_matrix(run.out(args.out), header, labels.class_names, table)
@@ -171,9 +173,9 @@ def cmd_weights(args, run):
 
 def cmd_sample(args, run):
     _check_int("epochs", args.epochs, 1)
+    cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
     labels = load_labels(args.labels)
     stats = class_stats(labels)
-    cfg = SamplerConfig(threshold=args.threshold, r_max=args.rmax, seed=args.seed)
     r_class = class_repeat_factors(stats.frequencies, cfg)
     silent = [labels.class_names[i] for i in np.nonzero(stats.counts == 0)[0]]
     if silent:
@@ -232,10 +234,7 @@ def cmd_predict(args, run):
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, found, logits, files = _map_rows(args.features, partial(forward, model), classes, dim)
-        if found != dim:
-            dims = f"{found} differs from {dim} in {args.model}"
-            raise ValueError(f"{args.features}: feature dimension {dims}")
+        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, args.model))
         # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
         values = stable_sigmoid(logits) if args.probabilities else logits
     if not np.isfinite(values).all():
@@ -254,8 +253,8 @@ def cmd_merge_tta(args, run):
 
 
 def cmd_ensemble(args, run):
-    members = [load_scores(p, kind="probabilities") for p in args.inputs]
     spec = EnsembleSpec.from_raw(args.weights)
+    members = [load_scores(p, kind="probabilities") for p in args.inputs]
     combined = ensemble(members, spec)
     save_scores(combined, run.out(args.out))
     weights = [round(float(w), 12) for w in spec.normalized_weights]
@@ -265,6 +264,7 @@ def cmd_ensemble(args, run):
 
 
 def cmd_gate(args, run):
+    _check_real("exponent", args.alpha_ng, "[0, inf]")
     scores = load_scores(args.input, kind="probabilities")
     try:
         index = int(args.normal_class)
@@ -284,10 +284,7 @@ def cmd_zeroshot(args, run):
     if prompts_path.is_dir():
         prompts_path = prompts_path / "manifest.json"
     bank = load_prompt_manifest(prompts_path)
-    ids, dim, values, files = score_file(args.images, bank, cfg)
-    if dim != bank.dim:
-        dims = f"{dim} differs from {bank.dim} in {prompts_path}"
-        raise ValueError(f"{args.images}: embedding dimension {dims}")
+    ids, values, files = score_file(args.images, bank, cfg)
     save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), run.out(args.out))
     counts = dict(images=len(ids), classes=len(bank.class_names))
     inputs = [*files, *bank.files]
@@ -295,11 +292,11 @@ def cmd_zeroshot(args, run):
 
 
 def cmd_eval(args, run):
+    _check_real("threshold", args.threshold, "[-inf, inf]")
+    ece_cfg = EceConfig(n_bins=args.ece_bins)
     scores = load_scores(args.scores, kind="probabilities")
     labels = load_labels(args.labels)
-    report = macro_report(
-        scores, labels, threshold=args.threshold, ece_cfg=EceConfig(n_bins=args.ece_bins)
-    )
+    report = macro_report(scores, labels, threshold=args.threshold, ece_cfg=ece_cfg)
     write_json(run.out(args.out), report.to_json_dict())
     inputs = [args.scores, args.labels]
     return run.finish(args, args.out, inputs, "report_written", out=args.out, **report.macro)

@@ -433,7 +433,7 @@ def class_stats(labels: LabelMatrix) -> ClassConfig:
 
 def load_embeddings(path) -> EmbeddingSet:
     """Load an embedding file, binary (EMB1 magic) or CSV, with normalized=False."""
-    ids, _, vectors, _ = _map_rows(path)
+    ids, vectors, _ = _map_rows(path)
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
 
@@ -444,14 +444,14 @@ def _ids_sidecar(path) -> Path:
 
 
 def _map_rows(path, fn=None, width=None, dim=None, unit=False):
-    """(ids, the file's dim, N x ``width`` array, by default N x D, files read): ``fn`` of each row block.
+    """(ids, N x ``width`` array, by default N x D, files read): ``fn`` of each row block.
 
     A CSV file is parsed and checked whole first; EMB1 rows pass ``_NORM_BLOCK_ROWS`` at a time
     through one buffer.  ``unit`` first divides each block by its row norms (``_unit_rows``).
-    Faults come in file order: header and length, each block, sidecar; then the first row that
-    ``unit`` cannot divide, named by file and id.  ``fn`` runs only before such a row and, if
-    ``dim`` is given, when the file's dim is ``dim``; the caller names a mismatch.  The files read
-    are ``path`` as given, then the ids sidecar if one was read."""
+    Faults come in file order: header and length, each block, sidecar; the first row that ``unit``
+    cannot divide, named by file and id; last, if ``dim`` is ``(D, source)``, a dimension other
+    than D, named by ``source``.  ``fn`` runs only before such a row and on a file of dimension D.
+    The files read are ``path`` as given, then the ids sidecar if one was read."""
     files, path = [path], Path(path)
     with open(path, "rb") as fh:
         size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
@@ -484,7 +484,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                 block = vectors[start : start + _NORM_BLOCK_ROWS]
             if unit and bad is None and (fault := _unit_rows(block)):
                 bad = (start + fault[0], fault[1])
-            if bad is None and dim in (None, found):
+            if bad is None and (dim is None or dim[0] == found):
                 out[start : start + len(block)] = block if fn is None else fn(block)
     buffer = rows = block = None  # freed before the sidecar's ids are parsed, which can reuse the memory
     sidecar = _ids_sidecar(path)
@@ -505,7 +505,9 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
         ids = [str(i) for i in range(count)]
     if bad is not None:
         raise ValueError(f"{path}: {bad[1]} (id {ids[bad[0]]!r})")
-    return ids, found, out, files
+    if dim is not None and dim[0] != found:
+        raise ValueError(f"{files[0]}: {'embedding' if unit else 'feature'} dimension {found} differs from {dim[0]} in {dim[1]}")
+    return ids, out, files
 
 
 def save_embeddings_binary(emb: EmbeddingSet, path) -> None:

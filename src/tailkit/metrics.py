@@ -56,6 +56,8 @@ def _as_1d(scores, labels):
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValueError("scores and labels length mismatch")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     if not ((labels == 0) | (labels == 1)).all():  # a 2 would otherwise count as a negative
         raise ValueError("labels must be 0 or 1")
     return scores, labels
@@ -86,7 +88,7 @@ def auc_roc(scores, labels):
         return None
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
-    # tie runs of the sorted scores; NaN != NaN, so each NaN is a run of its own
+    # tie runs of the sorted scores
     bounds = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
     starts = np.concatenate(([0], bounds))
     ends = np.concatenate((bounds, [scores.size])) - 1
@@ -113,7 +115,7 @@ def f1_at_threshold(scores, labels, threshold: float) -> float:
 def ece(scores, labels, cfg: EceConfig) -> float:
     """Expected calibration error over equal-width confidence bins."""
     scores, labels = _as_1d(scores, labels)
-    if not ((scores >= 0) & (scores <= 1)).all():  # NaN lies in no range
+    if not ((scores >= 0) & (scores <= 1)).all():
         raise ValueError("ECE requires scores in [0, 1]")
     n_bins = cfg.n_bins
     idx = np.ceil(scores * n_bins).astype(np.int64) - 1

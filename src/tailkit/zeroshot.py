@@ -93,11 +93,12 @@ def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreM
 
 
 def score_file(path, bank: PromptBank, cfg: ZsConfig):
-    """(ids, the file's dim, N x C probabilities, files read): ``score_batch`` of each
-    unit-normalized block of embedding file ``path`` (see ``data._map_rows``), under placeholder ids."""
+    """(ids, N x C probabilities, files read): ``score_batch`` of each unit-normalized block of
+    embedding file ``path`` of the bank's dimension (see ``data._map_rows``), under placeholder ids."""
     def score(block):
         return score_batch(EmbeddingSet(range(len(block)), block, normalized=True), bank, cfg).values
-    return _map_rows(path, score, len(bank.class_names), bank.dim, unit=True)
+    source = bank.files[0] if bank.files else "the prompt bank"
+    return _map_rows(path, score, len(bank.class_names), (bank.dim, source), unit=True)
 
 
 def load_prompt_manifest(path) -> PromptBank:
@@ -112,7 +113,7 @@ def load_prompt_manifest(path) -> PromptBank:
     entries = manifest.get("classes") if isinstance(manifest, dict) else None
     if not entries or not isinstance(entries, list):
         raise ValueError(f"{path}: manifest lists no classes")
-    class_names, embeddings, files = [], {}, [path]
+    class_names, embeddings, files, dim = [], {}, [path], None
     for entry in entries:
         fields = entry if isinstance(entry, dict) else {}
         name, emb_path = fields.get("name"), fields.get("embeddings")
@@ -121,13 +122,10 @@ def load_prompt_manifest(path) -> PromptBank:
         if name in embeddings:
             raise ValueError(f"{path}: duplicate class {name!r}")
         emb_file = path.parent / emb_path
-        ids, found, embeddings[name], read = _map_rows(emb_file, unit=True)
+        ids, embeddings[name], read = _map_rows(emb_file, dim=dim, unit=True)
         files += read
         if not ids:
             raise ValueError(f"{emb_file}: no prompt embeddings for class {name!r}")
-        if not class_names:
-            first_file, dim = emb_file, found
-        elif found != dim:
-            raise ValueError(f"{emb_file}: embedding dimension {found} differs from {dim} in {first_file}")
+        dim = dim or (embeddings[name].shape[1], emb_file)  # every later file must match the first
         class_names.append(name)
     return PromptBank(class_names=class_names, embeddings=embeddings, files=tuple(files))

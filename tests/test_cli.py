@@ -960,10 +960,12 @@ class TestMalformedInputs:
             (np.zeros((0, 2)), None, "g.emb: no prompt embeddings for class 'g'"),
             ([[0.0, 0.0]], None, "g.emb: zero-norm embedding row (id '0')"),
             ([[1.0, 0.0]], [{"name": "w", "embeddings": "w.emb"}], "w.emb: embedding dimension 3 differs from 2 in {g}"),
+            # a later file both empty and of another dimension fails on the dimension
+            ([[1.0, 0.0]], [{"name": "e", "embeddings": "e.emb"}], "e.emb: embedding dimension 3 differs from 2 in {g}"),
             ([[1.0, 0.0]], [{"name": 7, "embeddings": "h.emb"}], "manifest.json: each class needs 'name' and 'embeddings'"),
             ([[1.0, 0.0]], [{"name": "g", "embeddings": "h.emb"}], "manifest.json: duplicate class 'g'"),
         ],
-        ids=["images-dim", "no-rows", "zero-row", "class-dim", "name-not-str", "duplicate-class"],
+        ids=["images-dim", "no-rows", "zero-row", "class-dim", "empty-class-dim", "name-not-str", "duplicate-class"],
     )
     def test_prompt_bank_faults_name_the_file(self, tmp_path, capsys, prompt_rows, entries, shown):
         images = tmp_path / "img.emb"
@@ -972,6 +974,7 @@ class TestMalformedInputs:
         (tmp_path / "g.emb.ids.json").unlink()
         save_embeddings_binary(EmbeddingSet(["h0"], [[0.0, 1.0]]), tmp_path / "h.emb")
         save_embeddings_binary(EmbeddingSet(["w0"], [[0.0, 1.0, 0.0]]), tmp_path / "w.emb")
+        save_embeddings_binary(EmbeddingSet([], np.zeros((0, 3))), tmp_path / "e.emb")
         manifest = tmp_path / "manifest.json"
         classes = [{"name": "g", "embeddings": "g.emb"}] + (entries or [])
         manifest.write_text(json.dumps({"classes": classes}), encoding="utf-8")
@@ -1050,8 +1053,8 @@ def assert_fails_naming_field(tmp_path, capsys, subcommand, flag, values, field)
         ("sample", "--rmax", "nan", "r_max"),
         ("eval", "--threshold", "nan", "threshold"),
         ("weights", "--alpha", "nan", "alpha"),
-        ("weights", "--kappa", "nan", "kappa"),
-        ("weights", "--kappa", "inf", "kappa"),
+        ("weights", "--kappa", "nan", "margin_scale"),
+        ("weights", "--kappa", "inf", "margin_scale"),
         ("train", "--lr", "nan", "learning_rate"),
         ("train", "--lr", "inf", "learning_rate"),
         ("train", "--alpha", "nan", "alpha"),
@@ -1152,6 +1155,35 @@ def test_preprocess_checks_its_flags_before_reading_the_image(tmp_path, capsys, 
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["weights", "--labels", "y.csv", "--beta", "2"], "beta must be a number in [0, 1)"),
+        (["weights", "--labels", "y.csv", "--kappa", "nan"], "margin_scale must be a number in [0, inf)"),
+        (["sample", "--labels", "y.csv", "--threshold", "2"], "threshold must be a number in (0, 1]"),
+        (["eval", "--scores", "p.csv", "--labels", "y.csv", "--ece-bins", "0"], "n_bins must be >= 1"),
+        (["eval", "--scores", "p.csv", "--labels", "y.csv", "--threshold", "nan"], "threshold must be a number in [-inf, inf]"),
+        (["gate", "--in", "p.csv", "--alpha-ng", "-1"], "exponent must be a number in [0, inf]"),
+        (["ensemble", "--in", "p.csv", "q.csv", "--weights", "-1", "1"], "member weights must be finite and strictly positive"),
+    ],
+    ids=["weights-beta", "weights-kappa", "sample-threshold", "eval-ece-bins", "eval-threshold", "gate-alpha-ng", "ensemble-weights"],
+)
+def test_commands_check_their_flags_before_reading_inputs(tmp_path, capsys, argv, message):
+    # no input exists: a read would end in an io error, exit 2
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_weights_names_a_bad_flag_before_a_zero_positive_class(tmp_path, capsys):
+    labels = write_csv_file(tmp_path / "y.csv", ["id", "a", "b"], [["s0", "1", "0"]])
+    argv = ["weights", "--labels", labels, "--kappa", "nan", "--out", tmp_path / "w.csv"]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: margin_scale must be a number in [0, inf)\n"
+    assert not (tmp_path / "w.csv").exists()
 
 
 # PGM faults in the order they are checked, each with its message; the file gets every fault of a case
@@ -1667,7 +1699,7 @@ INTS = ["-1", "0", "1", str(10**30)]
 NUMERIC_FLAG_COMMANDS = {
     "weights": (
         ["weights", "--labels", "y.csv", "--out"],
-        {"--beta": (FLOATS, 1, ["beta"]), "--alpha": (FLOATS, 1, ["alpha"]), "--kappa": (FLOATS, 1, ["kappa"])},
+        {"--beta": (FLOATS, 1, ["beta"]), "--alpha": (FLOATS, 1, ["alpha"]), "--kappa": (FLOATS, 1, ["margin_scale", "kappa"])},
     ),
     "sample": (
         ["sample", "--labels", "y.csv", "--out"],

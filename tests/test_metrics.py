@@ -66,8 +66,8 @@ def tie_loop_auc(scores, labels):
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-# a handful of score values makes long tie runs; -0.0 == 0.0 ties, NaN ties nothing
-TIE_POOL = np.array([0.0, -0.0, 0.25, 0.5, 1.0, np.nan])
+# a handful of score values makes long tie runs; -0.0 == 0.0 ties
+TIE_POOL = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
 
 
 @st.composite
@@ -150,7 +150,11 @@ class TestAucRoc:
         assert auc_roc(scores, labels) == tie_loop_auc(scores, labels)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.floats(), st.integers(0, 1)), min_size=1, max_size=40))
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1)), min_size=1, max_size=40
+        )
+    )
     def test_equals_tie_loop_on_any_floats(self, pairs):
         scores, labels = (np.array(column) for column in zip(*pairs))
         assert auc_roc(scores, labels) == tie_loop_auc(scores, labels)
@@ -211,13 +215,14 @@ class TestEce:
         assert ece([0.9] * 5, [0] * 5, EceConfig(15)) == pytest.approx(0.9, abs=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             ece([1.2], [1], EceConfig(10))
+        assert str(exc.value) == "ECE requires scores in [0, 1]"
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError) as exc:
             ece([np.nan, 0.5], [1, 0], EceConfig(10))
-        assert str(exc.value) == "ECE requires scores in [0, 1]"
+        assert str(exc.value) == "scores must be finite"
 
     def test_bin_edges_right_closed(self):
         # with 2 bins, 0.5 lands in the first bin (0 is left-closed)
@@ -386,3 +391,12 @@ def test_labels_must_be_binary(kernel):
     expected = KERNELS[kernel]([0.9, 0.5, 0.2], [1, 0, 1])
     assert KERNELS[kernel]([0.9, 0.5, 0.2], [True, False, True]) == expected
     assert KERNELS[kernel]([0.9, 0.5, 0.2], [1.0, 0.0, 1.0]) == expected
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scores_must_be_finite(kernel, bad):
+    # a NaN score gave AP 0.5833, AUC 0.5 and F1 0.0 on these labels
+    with pytest.raises(ValueError) as exc:
+        KERNELS[kernel]([bad, 0.5, 0.2], [1, 0, 1])
+    assert str(exc.value) == "scores must be finite"

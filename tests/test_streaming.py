@@ -103,12 +103,12 @@ def test_cli_scores_of_a_row_do_not_depend_on_other_rows(tmp_path_factory, drawn
     model = LinearModel(rng.standard_normal((4, dim)), rng.standard_normal(4), list("abcd"))
     save_model(model, tmp / "model.json")
     zeroshot = partial(score_file, bank=bank, cfg=ZsConfig(scale=5.0))
-    predict = partial(_map_rows, fn=partial(forward, model), width=4, dim=dim)
+    predict = partial(_map_rows, fn=partial(forward, model), width=4, dim=(dim, tmp / "model.json"))
     for score, argv in [
         (zeroshot, ["zeroshot", "--prompts", tmp / "manifest.json", "--images"]),
         (predict, ["predict", "--model", tmp / "model.json", "--features"]),
     ]:
-        assert score(part)[2].tobytes() == score(whole)[2][rows].tobytes()
+        assert score(part)[1].tobytes() == score(whole)[1][rows].tobytes()
         lines = {}
         for path in (whole, part):
             assert main([str(a) for a in argv + [path, "--out", tmp / f"{path.stem}.csv"]]) == 0
@@ -127,11 +127,11 @@ def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):
     bank, cfg = bank_of(rng, 6, dim), ZsConfig(scale=5.0)
     tracemalloc.start()
     try:
-        ids, found, values, _ = score_file(path, bank, cfg)
+        ids, values, _ = score_file(path, bank, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(ids), found, values.shape) == (rows, dim, (rows, 6))
+    assert (len(ids), values.shape) == (rows, (rows, 6))
     assert peak <= 0.25 * rows * dim * 8
 
 

@@ -22,6 +22,7 @@ from tailkit.zeroshot import (
     ZsConfig,
     load_prompt_manifest,
     score_batch,
+    score_file,
     unit_normalize,
 )
 
@@ -140,7 +141,7 @@ def test_reader_and_unit_normalize_share_one_unit_row_rule(tmp_path_factory, n, 
         except ValueError as exc:
             return None, str(exc)
 
-    read = outcome(lambda: _map_rows(path, unit=True)[2])
+    read = outcome(lambda: _map_rows(path, unit=True)[1])
     normalized = outcome(lambda: unit_normalize(EmbeddingSet(ids, loaded)).vectors)
     bad = sorted(row for row, value in planted.items() if table[value])
     if bad:
@@ -269,6 +270,25 @@ class TestScoreBatch:
         bank = make_bank({"c": [[1.0, 0.0, 0.0]]})
         with pytest.raises(ValueError, match="dimension"):
             score_batch(images, bank, ZsConfig())
+
+
+@pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
+@pytest.mark.parametrize("loaded", [True, False], ids=["loaded-bank", "built-bank"])
+def test_score_file_rejects_another_dimension(tmp_path, save, loaded):
+    """A 5 x 3 file against a 4-dim bank fails naming the bank's manifest, or the bank built in code,
+    and returns no scores: the bank's dimension is checked by the reader, not by the caller."""
+    images = tmp_path / "img.emb"
+    save(EmbeddingSet([f"i{k}" for k in range(5)], np.ones((5, 3))), images)
+    bank = make_bank({"c": [[1.0, 0.0, 0.0, 0.0]]})
+    source = "the prompt bank"
+    if loaded:
+        save_embeddings_binary(EmbeddingSet(["p0"], bank.embeddings["c"]), tmp_path / "c.emb")
+        source = tmp_path / "manifest.json"
+        source.write_text(json.dumps({"classes": [{"name": "c", "embeddings": "c.emb"}]}), encoding="utf-8")
+        bank = load_prompt_manifest(source)
+    with pytest.raises(ValueError) as exc:
+        score_file(images, bank, ZsConfig())
+    assert str(exc.value) == f"{images}: embedding dimension 3 differs from 4 in {source}"
 
 
 class TestPromptManifest:
