@@ -3,7 +3,9 @@
 The CLI layer is a thin adapter over the library -- no numerical logic
 lives here.  Every run writes a manifest (resolved config, input digests,
 seed, tool version) with its outputs, all of them only if it succeeds, so
-identical invocations can be audited and reproduced byte-for-byte.
+identical invocations can be audited and reproduced byte-for-byte.  Each
+subcommand returns what its manifest and log line need; ``main`` finishes
+the run after it has returned, so its arrays are freed before any digest.
 
 Exit codes: 0 success, 1 validation/usage error, 2 IO error.
 """
@@ -11,7 +13,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 IO error.
 import argparse
 import contextlib
 import errno
-import hashlib
 import json
 import os
 import sys
@@ -77,6 +78,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path) -> str:
+    import hashlib  # OpenSSL's 3.5 MB are loaded at the first digest, not by every run at import
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -120,7 +123,7 @@ class _Run:
         self.staged.append((temp, target))
         return temp
 
-    def finish(self, args, target, inputs, event: str, seed=None, **fields) -> int:
+    def finish(self, args, target, inputs, event: str, seed, fields: dict) -> int:
         """Write the manifest (parsed arguments, sha256 of `inputs` as read, seed, tool version)
         next to the output file `target`, or inside it when it is a directory, then move every
         output into place, log `event` with `fields` and return exit code 0."""
@@ -168,7 +171,7 @@ def cmd_weights(args, run):
     table = np.column_stack([stats.counts, stats.frequencies, eff, weights, margin_vec])
     _write_matrix(run.out(args.out), header, labels.class_names, table)
     classes = len(labels.class_names)
-    return run.finish(args, args.out, [args.labels], "weights_written", out=args.out, classes=classes)
+    return args.out, [args.labels], "weights_written", None, dict(out=args.out, classes=classes)
 
 
 def cmd_sample(args, run):
@@ -186,9 +189,7 @@ def cmd_sample(args, run):
             plan = build_epoch(repeat, cfg, epoch=epoch)
             row = {"epoch": epoch, "epoch_len": plan.epoch_len, "indices": plan.indices.tolist()}
             fh.write(json.dumps(row) + "\n")
-    return run.finish(
-        args, args.out, [args.labels], "plans_written", args.seed, out=args.out, epochs=args.epochs
-    )
+    return args.out, [args.labels], "plans_written", args.seed, dict(out=args.out, epochs=args.epochs)
 
 
 def _load_synth_spec(path, seed_override=None) -> SynthSpec:
@@ -226,7 +227,7 @@ def cmd_train(args, run):
         _emit(args, "epoch", index=epoch, loss=round(value, 6))
     save_model(model, run.out(args.model_out))
     inputs = [args.synth_spec] + ([args.margins] if args.margins else [])
-    return run.finish(args, args.model_out, inputs, "model_written", spec.seed, out=args.model_out)
+    return args.model_out, inputs, "model_written", spec.seed, dict(out=args.model_out)
 
 
 def cmd_predict(args, run):
@@ -234,22 +235,21 @@ def cmd_predict(args, run):
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, args.model))
+        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, Path(args.model)))
         # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
         values = stable_sigmoid(logits) if args.probabilities else logits
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, run.out(args.out))
-    inputs = [args.model, *files]
-    return run.finish(args, args.out, inputs, "scores_written", out=args.out, kind=kind)
+    return args.out, [args.model, *files], "scores_written", None, dict(out=args.out, kind=kind)
 
 
 def cmd_merge_tta(args, run):
     views = [load_scores(p, kind="logits") for p in args.inputs]
     merged = tta_merge(views)
     save_scores(merged, run.out(args.out))
-    return run.finish(args, args.out, args.inputs, "merged", views=len(views), out=args.out)
+    return args.out, args.inputs, "merged", None, dict(views=len(views), out=args.out)
 
 
 def cmd_ensemble(args, run):
@@ -258,9 +258,7 @@ def cmd_ensemble(args, run):
     combined = ensemble(members, spec)
     save_scores(combined, run.out(args.out))
     weights = [round(float(w), 12) for w in spec.normalized_weights]
-    return run.finish(
-        args, args.out, args.inputs, "ensembled", members=len(members), normalized_weights=weights
-    )
+    return args.out, args.inputs, "ensembled", None, dict(members=len(members), normalized_weights=weights)
 
 
 def cmd_gate(args, run):
@@ -275,7 +273,7 @@ def cmd_gate(args, run):
     gated = normal_gate(scores, GateConfig(normal_class_index=index, exponent=args.alpha_ng))
     save_scores(gated, run.out(args.out))
     fields = dict(normal_class=scores.class_names[index], exponent=args.alpha_ng)
-    return run.finish(args, args.out, [args.input], "gated", **fields)
+    return args.out, [args.input], "gated", None, fields
 
 
 def cmd_zeroshot(args, run):
@@ -287,8 +285,7 @@ def cmd_zeroshot(args, run):
     ids, values, files = score_file(args.images, bank, cfg)
     save_scores(ScoreMatrix(ids, values, "probabilities", bank.class_names), run.out(args.out))
     counts = dict(images=len(ids), classes=len(bank.class_names))
-    inputs = [*files, *bank.files]
-    return run.finish(args, args.out, inputs, "zeroshot_scored", **counts)
+    return args.out, [*files, *bank.files], "zeroshot_scored", None, counts
 
 
 def cmd_eval(args, run):
@@ -298,8 +295,7 @@ def cmd_eval(args, run):
     labels = load_labels(args.labels)
     report = macro_report(scores, labels, threshold=args.threshold, ece_cfg=ece_cfg)
     write_json(run.out(args.out), report.to_json_dict())
-    inputs = [args.scores, args.labels]
-    return run.finish(args, args.out, inputs, "report_written", out=args.out, **report.macro)
+    return args.out, [args.scores, args.labels], "report_written", None, dict(out=args.out, **report.macro)
 
 
 def cmd_preprocess(args, run):
@@ -323,7 +319,7 @@ def cmd_preprocess(args, run):
             write_view(fh, frame, name, mean, std, work)
         sidecar = {"transform": name, "shape": [3, size, size], "dtype": "<f4", "source": str(args.image)}
         write_json(run.out(out_dir / f"{stem}__{name}.json"), sidecar)
-    return run.finish(args, out_dir, [args.image], "preprocessed", transforms=list(spec.transforms), size=size)
+    return out_dir, [args.image], "preprocessed", None, dict(transforms=list(spec.transforms), size=size)
 
 
 def cmd_demo(args, run):
@@ -356,7 +352,7 @@ def cmd_demo(args, run):
     }
     # a tercile whose classes have no held-out positive has no mAP, so no gain
     rounded = {k: None if v is None else round(v, 4) for k, v in fields.items()}
-    return run.finish(args, out_dir, [], "demo_complete", seed=args.seed, **rounded)
+    return out_dir, [], "demo_complete", args.seed, rounded
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,8 @@ def main(argv=None) -> int:
     parser, run = build_parser(), _Run()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, run)
+        # (target, inputs, event, seed, log fields): finished once the command's frame is gone
+        return run.finish(args, *args.func(args, run))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -451,7 +451,8 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
     Faults come in file order: header and length, each block, sidecar; the first row that ``unit``
     cannot divide, named by file and id; last, if ``dim`` is ``(D, source)``, a dimension other
     than D, named by ``source``.  ``fn`` runs only before such a row and on a file of dimension D.
-    The files read are ``path`` as given, then the ids sidecar if one was read."""
+    Every message spells the file as ``Path`` does, without a leading ``./``.  The files read
+    are ``path`` as given, then the ids sidecar if one was read."""
     files, path = [path], Path(path)
     with open(path, "rb") as fh:
         size, head = os.fstat(fh.fileno()).st_size, fh.read(12)
@@ -506,7 +507,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
     if bad is not None:
         raise ValueError(f"{path}: {bad[1]} (id {ids[bad[0]]!r})")
     if dim is not None and dim[0] != found:
-        raise ValueError(f"{files[0]}: {'embedding' if unit else 'feature'} dimension {found} differs from {dim[0]} in {dim[1]}")
+        raise ValueError(f"{path}: {'embedding' if unit else 'feature'} dimension {found} differs from {dim[0]} in {dim[1]}")
     return ids, out, files
 
 

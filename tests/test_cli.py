@@ -1411,6 +1411,28 @@ def test_in_place_run_digests_its_input_as_read(subcommand, tmp_path, labels_csv
     assert manifest["input_digests"] == {victim: hashlib.sha256(raw).hexdigest()}
 
 
+@pytest.mark.parametrize(
+    "subcommand",
+    ["weights", "sample", "train", "predict", "merge-tta", "ensemble", "gate", "zeroshot", "eval", "preprocess"],
+)
+def test_inputs_are_digested_after_the_command_returns(subcommand, tmp_path, labels_csv, monkeypatch):
+    """No digest runs inside a subcommand, so its arrays are freed before OpenSSL is loaded."""
+    argv, _, inputs, _ = _manifest_case(subcommand, tmp_path, labels_csv)
+    real, callers = cli._sha256, []
+
+    def digest(path):
+        frame = sys._getframe(1)
+        while frame is not None:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return real(path)
+
+    monkeypatch.setattr(cli, "_sha256", digest)
+    assert main(argv) == 0
+    assert callers.count("finish") == len(inputs)
+    assert [name for name in callers if name.startswith("cmd_")] == []
+
+
 def _files(directory) -> dict:
     return {p.relative_to(directory).as_posix(): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
 
@@ -1531,6 +1553,21 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tailkit" in proc.stdout
+
+
+def test_import_loads_no_openssl():
+    """hashlib's OpenSSL module adds 3.5 MB to a run's RSS; it is loaded at the first digest."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def loads_openssl(module) -> bool:
+        code = f"import sys, {module}; print('_hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return proc.stdout == "True\n"
+
+    if loads_openssl("numpy"):
+        pytest.skip("a bare `import numpy` loads _hashlib: numpy 1.x imports numpy.random, and so secrets, eagerly")
+    assert not loads_openssl("tailkit.cli")
 
 
 # examples per fuzz case: 40, or the ci profile's 500 (tests/conftest.py); a test's own max_examples

@@ -12,6 +12,7 @@ import struct
 import traceback
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +268,18 @@ def test_streamed_faults_come_in_the_loaders_order(tmp_path, capsys, faults):
 def test_csv_faults_come_in_the_loaders_order(tmp_path, capsys, faults):
     """As for EMB1: CSV images with each fault a CSV can carry, alone and in pairs."""
     check_fault_order(tmp_path, capsys, faults, csv=True)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "nan", "sidecar", "dim"])
+def test_dot_slash_inputs_are_named_as_path_spells_them(tmp_path, capsys, monkeypatch, fault):
+    """Inputs given as ``./x``: every fault, the dimension's ``in <source>`` included, names ``x``."""
+    monkeypatch.chdir(tmp_path)
+    # built under Path("."), so each message reads "img.emb: ...", "... in manifest.json"
+    for argv, messages in damaged_inputs(Path("."), (fault,)):
+        argv = [f"./{a}" if isinstance(a, Path) else a for a in argv]
+        assert main(argv + ["--out", "./out.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {messages[fault]}\n", argv[0]
+        assert not Path("out.csv").exists()
 
 
 def check_fault_order(tmp_path, capsys, faults, csv):
