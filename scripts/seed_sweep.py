@@ -1,68 +1,43 @@
 #!/usr/bin/env python3
-"""Sweep the two-arm experiment over seeds and tabulate tail/head macro-AP.
+"""Run `tailkit demo` on each seed and count the seeds where the reweighted arm wins.
 
-Prints one row per seed plus the win count, matching the release gate:
-the reweighted+oversampled arm should beat the plain arm on tail-tercile
-macro-AP on nearly every seed while leaving head classes intact.
+Every argument but --seeds passes to demo unchanged, so the sweep takes all of
+demo's flags (see `tailkit demo --help`) and runs through its checks.  Each seed
+writes its outputs into a temporary directory and prints demo's own
+demo_complete line.  The last line is the release gate's count: the seeds where
+the reweighted+oversampled arm beats the plain arm on tail-tercile macro-AP, and
+the mean head-tercile change.  A failing demo ends the sweep with its exit code.
 """
 
 import argparse
-import time
+import json
+import sys
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from tailkit.trainer import SynthSpec, run_comparison
-
-
-def _fmt(value, width: int, sign: str = "") -> str:
-    """`value` to 4 decimals, right-aligned to `width`; "n/a" when it is None."""
-    return f"{'n/a':>{width}}" if value is None else f"{value:>{sign}{width}.4f}"
+from tailkit.cli import main as tailkit
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--n-samples", type=int, default=4000)
-    parser.add_argument("--n-classes", type=int, default=20)
-    parser.add_argument("--feature-dim", type=int, default=32)
-    parser.add_argument("--exponent", type=float, default=1.5)
-    parser.add_argument("--noise-std", type=float, default=0.5)
-    parser.add_argument("--lr", type=float, default=0.5)
-    parser.add_argument("--epochs", type=int, default=40)
-    parser.add_argument("--batch-size", type=int, default=64)
-    args = parser.parse_args()
-
-    start = time.monotonic()
-    wins = 0
-    head_changes = []
-    print(f"{'seed':>5} {'tail db+cas':>12} {'tail bce':>10} {'gain':>8} {'head change':>12}")
-    for seed in args.seeds:
-        spec = SynthSpec(
-            n_samples=args.n_samples,
-            n_classes=args.n_classes,
-            feature_dim=args.feature_dim,
-            power_law_exponent=args.exponent,
-            noise_std=args.noise_std,
-            seed=seed,
-        )
-        summary, _, _ = run_comparison(
-            spec, learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size
-        )
-        arms = summary["arms"]
-        # a tercile with no held-out positive has no mAP: shown as n/a, never a win
-        tail_gain, head_change = summary["tail_gain"], summary["head_change"]
-        wins += tail_gain is not None and tail_gain > 0
-        if head_change is not None:
-            head_changes.append(head_change)
-        print(
-            f"{seed:>5} {_fmt(arms['db_cas']['tail_map'], 12)} "
-            f"{_fmt(arms['bce_uniform']['tail_map'], 10)} {_fmt(tail_gain, 8, '+')} "
-            f"{_fmt(head_change, 12, '+')}"
-        )
-    elapsed = time.monotonic() - start
-    mean_head = _fmt(np.mean(head_changes) if head_changes else None, 0, "+")
-    print(f"\nwins {wins}/{len(args.seeds)}, mean head change {mean_head}, elapsed {elapsed:.1f}s")
+    args, demo_args = parser.parse_known_args(argv)
+    summaries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            out_dir = Path(tmp, str(seed))
+            # the sweep's own --seed and --out-dir come last, so they win over passed ones
+            code = tailkit(["demo", *demo_args, "--seed", str(seed), "--out-dir", str(out_dir)])
+            if code:
+                return code
+            summaries.append(json.loads((out_dir / "summary.json").read_text(encoding="utf-8")))
+    # a tercile with no held-out positive has no mAP: its null gain is never a win
+    wins = sum(s["tail_gain"] is not None and s["tail_gain"] > 0 for s in summaries)
+    heads = [s["head_change"] for s in summaries if s["head_change"] is not None]
+    mean_head = f"{sum(heads) / len(heads):+.4f}" if heads else "n/a"
+    print(f"\nwins {wins}/{len(summaries)}, mean head change {mean_head}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -231,15 +231,16 @@ def cmd_train(args, run):
 
 
 def cmd_predict(args, run):
-    model = load_model(args.model)
+    model_path = Path(args.model)  # every message names it as `load_model` does
+    model = load_model(model_path)
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, Path(args.model)))
+        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, model_path))
         # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
         values = stable_sigmoid(logits) if args.probabilities else logits
     if not np.isfinite(values).all():
-        raise ValueError(f"non-finite score entry: the model {args.model} overflows on {args.features}")
+        raise ValueError(f"non-finite score entry: the model {model_path} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
     save_scores(scores, run.out(args.out))
     return args.out, [args.model, *files], "scores_written", None, dict(out=args.out, kind=kind)
@@ -254,6 +255,8 @@ def cmd_merge_tta(args, run):
 
 def cmd_ensemble(args, run):
     spec = EnsembleSpec.from_raw(args.weights)
+    if len(args.weights) != len(args.inputs):
+        raise ValueError("need one weight per ensemble member")
     members = [load_scores(p, kind="probabilities") for p in args.inputs]
     combined = ensemble(members, spec)
     save_scores(combined, run.out(args.out))

@@ -100,6 +100,7 @@ def auc_roc(scores, labels):
 
 
 def f1_at_threshold(scores, labels, threshold: float) -> float:
+    _check_real("threshold", threshold, "[-inf, inf]")
     scores, labels = _as_1d(scores, labels)
     predicted = scores >= threshold
     actual = labels == 1

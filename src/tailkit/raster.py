@@ -62,9 +62,13 @@ class Raster:
             raise ValueError("depth must be 8 or 16 bits")
         if self.width < 1 or self.height < 1:
             raise ValueError("raster must be at least 1x1")
-        self.pixels = np.asarray(self.pixels, dtype=np.uint16).reshape(self.height, self.width)
-        if int(self.pixels.max(initial=0)) > (1 << self.depth) - 1:
+        # checked before the uint16 cast, which would wrap 70000 and -1 and truncate 3.7
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype.kind not in "ui" or (pixels.dtype.kind == "i" and pixels.min(initial=0) < 0):
+            raise ValueError("pixel values must be non-negative integers")
+        if int(pixels.max(initial=0)) > self.maxval:
             raise ValueError("pixel intensity exceeds depth")
+        self.pixels = pixels.astype(np.uint16, copy=False).reshape(self.height, self.width)
 
     @property
     def maxval(self) -> int:

@@ -12,6 +12,7 @@ is deterministic given the configured seeds.
 import math
 import warnings
 from dataclasses import dataclass, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -219,6 +220,7 @@ def train(
 
 def holdout_split(features, labels: LabelMatrix, fraction: float = 0.2):
     """Deterministic split: the last `fraction` of samples by index is held out."""
+    _check_real("fraction", fraction, "[0, 1)")
     n = labels.n_samples
     n_train = n - int(n * fraction)
     train_labels = LabelMatrix(
@@ -272,9 +274,9 @@ def _difference(a, b):
 
 def run_comparison(
     spec: SynthSpec,
-    learning_rate: float = 0.5,
-    epochs: int = 40,
-    batch_size: int = 64,
+    learning_rate: float,
+    epochs: int,
+    batch_size: int,
     db_params: DbLossParams = None,
     sampler_cfg: SamplerConfig = None,
 ):
@@ -325,6 +327,7 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
+    path = Path(path)  # named as the embedding reader names it: `./m.json` as `m.json`
     payload = _read_json(path)
     try:
         model = LinearModel(payload["weights"], payload["bias"], list(payload["class_names"]))

@@ -30,7 +30,8 @@ class PromptBank:
     """Per-class prompt embeddings: a new dict of K x D unit rows per class, one D for all.
 
     ``files`` lists what ``load_prompt_manifest`` read: the manifest, then each class's embedding
-    file and its ids sidecar, if that was read too."""
+    file and its ids sidecar, if that was read too.  ``means`` is the C x D matrix of per-class
+    mean prompt embeddings (not re-normalized), built once here for every scoring call."""
 
     class_names: list
     embeddings: dict
@@ -53,16 +54,11 @@ class PromptBank:
                 raise ValueError(f"class {name!r} prompt embeddings are not unit norm")
             embeddings[name] = mat
         self.embeddings = embeddings
+        self.means = np.stack([embeddings[name].mean(axis=0) for name in self.class_names])
 
     @property
     def dim(self) -> int:
-        return self.embeddings[self.class_names[0]].shape[1]
-
-    def mean_prompt_matrix(self) -> np.ndarray:
-        """C x D matrix of per-class mean prompt embeddings (not re-normalized)."""
-        return np.stack(
-            [self.embeddings[name].mean(axis=0) for name in self.class_names]
-        )
+        return self.means.shape[1]
 
 
 def unit_normalize(emb: EmbeddingSet) -> EmbeddingSet:
@@ -83,7 +79,7 @@ def score_batch(images: EmbeddingSet, bank: PromptBank, cfg: ZsConfig) -> ScoreM
         raise ValueError("image embeddings must be unit-normalized first")
     if images.dim != bank.dim:
         raise ValueError("embedding dimension mismatch between images and prompts")
-    similarities = np.einsum("nd,cd->nc", images.vectors, bank.mean_prompt_matrix())
+    similarities = np.einsum("nd,cd->nc", images.vectors, bank.means)
     return ScoreMatrix(
         ids=images.ids,
         values=stable_sigmoid(cfg.scale * similarities),

@@ -33,7 +33,7 @@ from tailkit.data import (
     save_embeddings_binary,
     save_labels,
 )
-from tailkit.loss import class_weights, effective_numbers, margins
+from tailkit.loss import DbLossParams, class_weights, effective_numbers, margins
 from tailkit.raster import (
     CLIP_MEAN,
     CLIP_STD,
@@ -48,7 +48,7 @@ from tailkit.raster import (
     resize_bilinear,
     to_tensor3,
 )
-from tailkit.trainer import LinearModel, SynthSpec, generate_synthetic, save_model
+from tailkit.trainer import LinearModel, SynthSpec, generate_synthetic, run_comparison, save_model
 
 
 def write_csv_file(path, header, rows):
@@ -783,6 +783,27 @@ def test_predict_probabilities_of_overflowing_logits(tmp_path, capsys):
     assert "error: non-finite score entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "m.json: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"weights": [[1.0]], "bias": [0.0]}', "m.json: not a model file: KeyError('class_names')"),
+        ('{"class_names": ["a"], "weights": [[NaN]], "bias": [0.0]}', "m.json: non-finite value in model field 'weights'"),
+        ('{"class_names": ["a"], "weights": [[1.0, 2.0]], "bias": [0.0]}', "f.emb: feature dimension 1 differs from 2 in m.json"),
+        ('{"class_names": ["a"], "weights": [[1e308]], "bias": [0.0]}', "non-finite score entry: the model m.json overflows on f.emb"),
+    ],
+    ids=["bad-json", "missing-field", "non-finite", "dimension", "overflow"],
+)
+def test_predict_names_a_dot_relative_model_one_way(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(text, encoding="utf-8")
+    save_embeddings_binary(EmbeddingSet(["q0"], [[10.0]]), "f.emb")
+    with np.errstate(over="ignore"):
+        assert main(["predict", "--model", "./m.json", "--features", "f.emb", "--out", "p.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir()) == ["f.emb", "f.emb.ids.json", "m.json"]
+
+
 class TestMalformedInputs:
     """A malformed input file ends in exit 1 and an `error:` line naming it, not a traceback."""
 
@@ -1167,8 +1188,12 @@ def test_preprocess_checks_its_flags_before_reading_the_image(tmp_path, capsys, 
         (["eval", "--scores", "p.csv", "--labels", "y.csv", "--threshold", "nan"], "threshold must be a number in [-inf, inf]"),
         (["gate", "--in", "p.csv", "--alpha-ng", "-1"], "exponent must be a number in [0, inf]"),
         (["ensemble", "--in", "p.csv", "q.csv", "--weights", "-1", "1"], "member weights must be finite and strictly positive"),
+        (["ensemble", "--in", "p.csv", "missing.csv", "--weights", "1"], "need one weight per ensemble member"),
     ],
-    ids=["weights-beta", "weights-kappa", "sample-threshold", "eval-ece-bins", "eval-threshold", "gate-alpha-ng", "ensemble-weights"],
+    ids=[
+        "weights-beta", "weights-kappa", "sample-threshold", "eval-ece-bins", "eval-threshold", "gate-alpha-ng",
+        "ensemble-weights", "ensemble-weight-count",
+    ],
 )
 def test_commands_check_their_flags_before_reading_inputs(tmp_path, capsys, argv, message):
     # no input exists: a read would end in an io error, exit 2
@@ -1553,6 +1578,49 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "tailkit" in proc.stdout
+
+
+def _sweep_stdout(summaries) -> str:
+    """What scripts/seed_sweep.py prints for these `run_comparison` summaries: demo's lines, then the count."""
+    lines = []
+    for s in summaries:
+        arms = s["arms"]
+        fields = {
+            "tail_map_db_cas": arms["db_cas"]["tail_map"],
+            "tail_map_bce_uniform": arms["bce_uniform"]["tail_map"],
+            "tail_gain": s["tail_gain"],
+            "head_change": s["head_change"],
+        }
+        lines.append("demo_complete: " + " ".join(f"{k}={round(v, 4)}" for k, v in fields.items()))
+    wins = sum(s["tail_gain"] > 0 for s in summaries)
+    mean_head = sum(s["head_change"] for s in summaries) / len(summaries)
+    return "\n".join(lines) + f"\n\nwins {wins}/{len(summaries)}, mean head change {mean_head:+.4f}\n"
+
+
+def test_seed_sweep_runs_demo_per_seed(tmp_path):
+    """The sweep is `tailkit demo` per seed: demo's flags pass through, its own --seed and --out-dir win."""
+    script = Path(__file__).parents[1] / "scripts" / "seed_sweep.py"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def sweep(*argv):
+        return subprocess.run([sys.executable, script, *argv], cwd=tmp_path, capture_output=True, text=True, env=env)
+
+    def spec(seed):
+        return SynthSpec(4000, 20, 32, 1.5, 0.5, seed)
+
+    proc = sweep("--seeds", "1", "2", "--epochs", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _sweep_stdout([run_comparison(spec(seed), 0.5, 2, 64)[0] for seed in (1, 2)])
+
+    proc = sweep("--seeds", "1", "--epochs", "2", "--alpha", "0.25", "--seed", "9", "--out-dir", "elsewhere")
+    assert proc.returncode == 0, proc.stderr
+    expected = run_comparison(spec(1), 0.5, 2, 64, db_params=DbLossParams(alpha=0.25))[0]
+    assert proc.stdout == _sweep_stdout([expected])
+
+    proc = sweep("--seeds", "1", "2", "--epochs", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: epochs must be >= 1\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_import_loads_no_openssl():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,15 @@ class TestF1:
 
     def test_threshold_inclusive(self):
         assert f1_at_threshold([0.5], [1], 0.5) == 1.0
+
+    @pytest.mark.parametrize("threshold", [math.nan, "0.5", None, True])
+    def test_threshold_must_be_a_number(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be a number in \[-inf, inf\]$"):
+            f1_at_threshold([0.5, 0.2], [1, 0], threshold)
+
+    def test_infinite_thresholds_predict_all_or_none(self):
+        assert f1_at_threshold([0.5, 0.2], [1, 0], -math.inf) == 2 / 3
+        assert f1_at_threshold([0.5, 0.2], [1, 0], math.inf) == 0.0
 
 
 def ece_every_bin_oracle(scores, labels, n_bins):

@@ -835,3 +835,28 @@ def test_raster_validation():
         Raster(width=0, height=1, depth=8, pixels=np.zeros((1, 0)))
     with pytest.raises(ValueError):
         Raster(width=1, height=1, depth=8, pixels=[[256]])
+
+
+@pytest.mark.parametrize(
+    "pixels, message",
+    [
+        # each of these once passed, wrapped or truncated by the uint16 cast: 4464, 65535, 3 and 1
+        (np.array([[70000]]), "pixel intensity exceeds depth"),
+        (np.array([[-1]]), "pixel values must be non-negative integers"),
+        (np.array([[3.7]]), "pixel values must be non-negative integers"),
+        (np.array([[True]]), "pixel values must be non-negative integers"),
+        (np.array([[65536]], dtype=np.uint32), "pixel intensity exceeds depth"),
+    ],
+    ids=["past-16-bits", "negative", "float", "bool", "uint32-past-16-bits"],
+)
+def test_raster_checks_pixels_before_the_cast(pixels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Raster(width=1, height=1, depth=16, pixels=pixels)
+
+
+def test_raster_keeps_valid_pixels():
+    for pixels in ([[0, 65535]], np.array([[0, 65535]], dtype=np.int64), np.array([[0, 65535]], dtype=np.uint16)):
+        raster = Raster(width=2, height=1, depth=16, pixels=pixels)
+        assert raster.pixels.dtype == np.uint16 and raster.pixels.tolist() == [[0, 65535]]
+    frame = np.arange(6, dtype=np.uint16)
+    assert Raster(width=3, height=2, depth=8, pixels=frame).pixels.base is frame

@@ -366,6 +366,17 @@ class TestSplitAndTerciles:
         assert x_tr.shape[0] == 80 and x_te.shape[0] == 20
         assert y_te.ids == labels.ids[80:]
 
+    @pytest.mark.parametrize("fraction", [2.0, 1.0, -1.0, math.nan, None])
+    def test_holdout_fraction_must_be_in_range(self, fraction):
+        features, labels = generate_synthetic(small_spec(10, n_samples=10))
+        with pytest.raises(ValueError, match=r"^fraction must be a number in \[0, 1\)$"):
+            holdout_split(features, labels, fraction)
+
+    def test_holdout_fraction_zero_holds_out_nothing(self):
+        features, labels = generate_synthetic(small_spec(10, n_samples=10))
+        (x_tr, _), (x_te, y_te) = holdout_split(features, labels, 0.0)
+        assert x_tr.shape[0] == 10 and x_te.shape[0] == y_te.n_samples == 0
+
     def test_terciles_by_count_with_index_ties(self):
         tail, head = class_terciles([10, 2, 2, 50, 7, 100])
         assert tail == [1, 2]
