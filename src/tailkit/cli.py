@@ -16,6 +16,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -267,15 +268,14 @@ def cmd_ensemble(args, run):
 def cmd_gate(args, run):
     _check_real("exponent", args.alpha_ng, "[0, inf]")
     scores = load_scores(args.input, kind="probabilities")
-    try:
-        index = int(args.normal_class)
+    names, wanted = scores.class_names, args.normal_class
+    try:  # a class name wins; an index only names a column when no class has that name
+        index = names.index(wanted) if wanted in names else int(wanted)
     except ValueError:
-        if args.normal_class not in scores.class_names:
-            raise ValueError(f"normal class {args.normal_class!r} not in header") from None
-        index = scores.class_names.index(args.normal_class)
+        raise ValueError(f"normal class {wanted!r} not in header") from None
     gated = normal_gate(scores, GateConfig(normal_class_index=index, exponent=args.alpha_ng))
     save_scores(gated, run.out(args.out))
-    fields = dict(normal_class=scores.class_names[index], exponent=args.alpha_ng)
+    fields = dict(normal_class=names[index], exponent=args.alpha_ng)
     return args.out, [args.input], "gated", None, fields
 
 
@@ -297,7 +297,7 @@ def cmd_eval(args, run):
     scores = load_scores(args.scores, kind="probabilities")
     labels = load_labels(args.labels)
     report = macro_report(scores, labels, threshold=args.threshold, ece_cfg=ece_cfg)
-    write_json(run.out(args.out), report.to_json_dict())
+    write_json(run.out(args.out), asdict(report))
     return args.out, [args.scores, args.labels], "report_written", None, dict(out=args.out, **report.macro)
 
 
@@ -344,7 +344,7 @@ def cmd_demo(args, run):
     out_dir = run.mkdir(args.out_dir)
     for arm, model in models.items():
         save_model(model, run.out(out_dir / f"model_{arm}.json"))
-        write_json(run.out(out_dir / f"report_{arm}.json"), reports[arm].to_json_dict())
+        write_json(run.out(out_dir / f"report_{arm}.json"), asdict(reports[arm]))
     write_json(run.out(out_dir / "summary.json"), summary)
     arms = summary["arms"]
     fields = {

@@ -32,21 +32,44 @@ EMB_MAGIC = b"EMB1"
 _NORM_BLOCK_ROWS = 1024
 
 
+def _inside(x, interval: str):
+    """Whether ``x``, a float or each entry of an array, lies in ``interval``, spelled ``"(0, inf]"``."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= x if interval[0] == "[" else low < x
+    return above & (x <= high if interval[-1] == "]" else x < high)
+
+
+def _float(value) -> float:
+    """``float(value)`` of a real number; NaN for a non-number and for an int past the float range."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def _check_real(name: str, value, interval: str) -> None:
     """``value`` must be a real number in ``interval``, spelled as in the message: ``"(0, inf]"``.
 
     bool and non-numbers fail; NaN and an int past the float range lie in no interval.
     """
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        x = float(value) if real else math.nan
-    except OverflowError:  # an int past the float range
-        x = math.nan
-    above = low <= x if interval[0] == "[" else low < x
-    below = x <= high if interval[-1] == "]" else x < high
-    if not (above and below):
+    if not _inside(math.nan if isinstance(value, bool) else _float(value), interval):
         raise ValueError(f"{name} must be a number in {interval}")
+
+
+def _check_values(name: str, values, interval: str, whole: bool = False) -> np.ndarray:
+    """``values`` as an array; its entries must be numbers in ``interval``, as ``_check_real``'s, and whole if ``whole``.
+
+    A numeric array is compared as given, with no cast or copy; bool entries count as 0 and 1.
+    An object array goes through float64 by ``_float``, so None, a string or an int past the
+    float range fails; so does any other dtype.  NaN lies in no interval; an empty array passes.
+    """
+    values = np.asarray(values)
+    if values.dtype == object:
+        values = np.array([_float(v) for v in values.flat], dtype=np.float64).reshape(values.shape)
+    inside = values.dtype.kind in "biuf" and _inside(values, interval).all()
+    if not inside or (whole and values.dtype.kind == "f" and (np.floor(values) != values).any()):
+        raise ValueError(f"{name} must be {'whole ' if whole else ''}numbers in {interval}")
+    return values
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -83,9 +106,8 @@ class LabelMatrix:
     class_names: list
 
     def __post_init__(self):
+        self.values = _check_values("label values", self.values, "[0, 1]", whole=True)
         _check_table(self, "label", np.int8)
-        if not np.isin(self.values, (0, 1)).all():
-            raise ValueError("non-binary label value")
 
     @property
     def n_samples(self) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_real
+from .data import _check_real, _check_values
 
 
 @dataclass
@@ -57,20 +57,14 @@ def stable_sigmoid(z):
 
 def effective_numbers(counts, beta: float) -> np.ndarray:
     """eff_c = (1 - beta) / (1 - beta^{n_c}); rare classes get larger values."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if (counts < 1).any():
-        raise ValueError("zero-count class: drop or smooth it before weighting")
+    counts = _check_values("counts", counts, "[1, inf)", whole=True)
     _check_real("beta", beta, "[0, 1)")
-    if beta == 0.0:
-        return np.ones(counts.shape, dtype=np.float64)
     return (1.0 - beta) / (1.0 - np.power(beta, counts.astype(np.float64)))
 
 
 def class_weights(eff, alpha: float) -> np.ndarray:
     """w_c = eff_c^alpha rescaled so the class mean is exactly 1."""
-    eff = np.asarray(eff, dtype=np.float64)
-    if not (eff > 0).all():  # NaN is not positive
-        raise ValueError("effective numbers must be positive")
+    eff = np.asarray(_check_values("effective numbers", eff, "(0, inf)"), dtype=np.float64)
     _check_real("alpha", alpha, "[0, inf)")
     with np.errstate(all="ignore"):  # a weight of 0 or inf fails below
         raw = np.power(eff, alpha)
@@ -82,23 +76,20 @@ def class_weights(eff, alpha: float) -> np.ndarray:
 
 def margins(counts, kappa: float) -> np.ndarray:
     """m_c = kappa * ln(n_max / n_c); the most frequent class gets margin 0."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if (counts < 1).any():
-        raise ValueError("zero-count class has no defined margin")
+    counts = _check_values("counts", counts, "[1, inf)", whole=True).astype(np.float64)
     _check_real("kappa", kappa, "[0, inf)")
     with np.errstate(over="ignore"):  # an infinite margin fails below
-        m = kappa * np.log(counts.max() / counts.astype(np.float64))
+        m = kappa * np.log(counts.max() / counts)
     if not np.isfinite(m).all():
         raise ValueError(f"kappa {kappa} takes a margin to inf")
     return m
 
 
-def _check_terms(w, m) -> None:
-    """Reject class weights that are not all finite and > 0, or margins not all finite and >= 0."""
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        raise ValueError("weights must be finite and > 0")
-    if not (np.isfinite(m).all() and (m >= 0).all()):
-        raise ValueError("margins must be finite and >= 0")
+def _check_terms(w, m):
+    """Class weights in (0, inf) and margins in [0, inf), checked, then as float64 arrays."""
+    w = _check_values("weights", w, "(0, inf)")
+    m = _check_values("margins", m, "[0, inf)")
+    return np.asarray(w, dtype=np.float64), np.asarray(m, dtype=np.float64)
 
 
 def db_loss(z, y, w, m) -> DbLossResult:
@@ -106,18 +97,14 @@ def db_loss(z, y, w, m) -> DbLossResult:
 
     Checks its inputs, then runs `db_loss_fused` on a copy of z.
     """
-    z = np.array(z, dtype=np.float64)  # a copy: the kernel overwrites it
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
+    z = np.array(_check_values("logits", z, "(-inf, inf)"), dtype=np.float64)  # a copy: the kernel overwrites it
+    y = np.asarray(_check_values("labels", y, "[0, 1]", whole=True), dtype=np.float64)
+    w, m = _check_terms(w, m)
     if z.ndim != 2 or z.shape != y.shape:
         raise ValueError("logits and labels must share an N x C shape")
     n, c = z.shape
     if w.shape != (c,) or m.shape != (c,):
         raise ValueError("weights and margins must have one entry per class")
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite logit")
-    _check_terms(w, m)
     grad, work = np.empty_like(z), np.empty_like(z)
     loss = db_loss_fused(z, y, w, m, w / (n * c), grad, work, np.empty(z.shape, dtype=bool))
     return DbLossResult(loss=loss, grad_z=grad)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values
 from .pipeline import _align_to
 
 
@@ -43,23 +43,12 @@ class MetricReport:
     macro: dict
     skipped_classes: list
 
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class": self.per_class,
-            "macro": self.macro,
-            "skipped_classes": self.skipped_classes,
-        }
-
 
 def _as_1d(scores, labels):
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
+    scores = np.asarray(_check_values("scores", scores, "(-inf, inf)"), dtype=np.float64).ravel()
+    labels = _check_values("labels", labels, "[0, 1]", whole=True).ravel()  # a 2 would otherwise count as a negative
     if scores.shape != labels.shape:
         raise ValueError("scores and labels length mismatch")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    if not ((labels == 0) | (labels == 1)).all():  # a 2 would otherwise count as a negative
-        raise ValueError("labels must be 0 or 1")
     return scores, labels
 
 
@@ -116,8 +105,7 @@ def f1_at_threshold(scores, labels, threshold: float) -> float:
 def ece(scores, labels, cfg: EceConfig) -> float:
     """Expected calibration error over equal-width confidence bins."""
     scores, labels = _as_1d(scores, labels)
-    if not ((scores >= 0) & (scores <= 1)).all():
-        raise ValueError("ECE requires scores in [0, 1]")
+    _check_values("scores", scores, "[0, 1]")
     n_bins = cfg.n_bins
     idx = np.ceil(scores * n_bins).astype(np.int64) - 1
     idx[scores == 0.0] = 0

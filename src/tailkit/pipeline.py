@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values
 from .loss import stable_sigmoid
 
 
@@ -24,11 +24,9 @@ class EnsembleSpec:
     member_weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.member_weights, dtype=np.float64)
+        w = np.asarray(_check_values("member weights", self.member_weights, "(0, inf)"), dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("need at least one member weight")
-        if not (np.isfinite(w) & (w > 0)).all():
-            raise ValueError("member weights must be finite and strictly positive")
         with np.errstate(over="ignore"):
             total = w.sum()
         if not np.isfinite(total):

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import _check_real
+from .data import _check_real, _check_values
 
 TTA_TRANSFORMS = ("identity", "hflip", "rot+5", "rot-5", "zoom1.1", "zoom0.9")
 
@@ -309,14 +309,10 @@ def _lerp_columns(grid, ys, x0, x1, not_wx, wx, window, work):
 
 def _check_mean_std(mean, std):
     """``mean`` and ``std`` as float64 3-vectors, every entry finite and every std entry positive."""
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
+    mean = np.asarray(_check_values("mean", mean, "(-inf, inf)"), dtype=np.float64)
+    std = np.asarray(_check_values("std", std, "(0, inf)"), dtype=np.float64)
     if mean.shape != (3,) or std.shape != (3,):
         raise ValueError("mean and std must have 3 entries")
-    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-        raise ValueError("mean and std entries must be finite")
-    if not (std > 0).all():
-        raise ValueError("std entries must be > 0")
     return mean, std
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, _check_int, _check_real
+from .data import LabelMatrix, _check_int, _check_real, _check_values
 from .rng import BLOCK_BOUND_LIMIT, GOLDEN_GAMMA, MASK64, bounded_block, float_block, splitmix64_block
 
 
@@ -50,9 +50,7 @@ class EpochPlan:
 
 def class_repeat_factors(frequencies, cfg: SamplerConfig) -> np.ndarray:
     """Uncapped per-class repeat factors; zero-frequency classes stay at 1."""
-    f = np.asarray(frequencies, dtype=np.float64)
-    if not ((f >= 0) & (f <= 1)).all():  # NaN lies in no range
-        raise ValueError("frequencies must lie in [0, 1]")
+    f = np.asarray(_check_values("frequencies", frequencies, "[0, 1]"), dtype=np.float64)
     r = np.ones_like(f)
     nonzero = f > 0
     with np.errstate(over="ignore"):  # a subnormal frequency gives r = inf, which r_max caps
@@ -73,14 +71,11 @@ def sample_repeat_factors(labels: LabelMatrix, r, cfg: SamplerConfig) -> np.ndar
 
 def build_epoch(repeat, cfg: SamplerConfig, epoch: int = 0) -> EpochPlan:
     """Materialize one epoch: floor(r_i) copies plus a seeded Bernoulli extra, shuffled."""
-    repeat = np.asarray(repeat, dtype=np.float64)
+    repeat = np.asarray(_check_values("repeat factors", repeat, "[1, inf)"), dtype=np.float64)
     if repeat.ndim != 1:
         raise ValueError("repeat factors must be a 1-D array")
-    if not np.isfinite(repeat).all():
-        raise ValueError("repeat factors must be finite")
-    if (repeat < 1.0).any():
-        raise ValueError("repeat factors must be >= 1")
-    state = (cfg.seed + epoch * GOLDEN_GAMMA) & MASK64
+    _check_int("epoch", epoch, 0)
+    state = (int(cfg.seed) + int(epoch) * GOLDEN_GAMMA) & MASK64
     whole = np.floor(repeat)
     copies = whole + (float_block(splitmix64_block(state, repeat.size)) < repeat - whole)
     with np.errstate(over="ignore"):  # factors near the float maximum sum to inf, still rejected

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _finite, _read_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _check_values, _finite, _read_json
 from .data import class_stats, write_json
 from .loss import (
     DbLossParams,
@@ -139,7 +139,7 @@ def _loss_terms(labels: LabelMatrix, params: DbLossParams, margin_override=None)
     counts = np.maximum(class_stats(labels).counts, 1)
     weights = class_weights(effective_numbers(counts, params.beta), params.alpha)
     if margin_override is not None:
-        margin_vec = np.asarray(margin_override, dtype=np.float64)
+        margin_vec = np.asarray(_check_values("margins", margin_override, "[0, inf)"), dtype=np.float64)
         if margin_vec.shape != (c,):
             raise ValueError("margin override needs one value per class")
         return weights, margin_vec
@@ -241,7 +241,7 @@ def class_terciles(counts):
 
     Tercile size is C // 3 (at least 1); ties break by class index.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _check_values("counts", counts, "[0, inf)", whole=True)
     c = counts.shape[0]
     k = max(1, c // 3)
     by_count = sorted(range(c), key=lambda j: (counts[j], j))

@@ -437,6 +437,23 @@ class TestScorePipelineCommands:
         assert rc == 1
         assert "Missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, flag, normal, gated",
+        [
+            (["1", "0"], "0", "0", [0.6, 0.36]),
+            (["1", "0"], "1", "1", [0.75, 0.18]),
+            (["-1", "x"], "-1", "-1", [0.75, 0.18]),
+            (["Normal", "a"], "1", "a", [0.6, 0.36]),
+        ],
+    )
+    def test_gate_reads_a_class_name_before_an_index(self, tmp_path, capsys, header, flag, normal, gated):
+        # the factor is sqrt(1 - 0.75) = 0.5 with the first column normal, sqrt(1 - 0.36) = 0.8 with the second
+        scores = write_csv_file(tmp_path / "s.csv", ["id", *header], [["s0", "0.75", "0.36"]])
+        out = tmp_path / "o.csv"
+        assert main(["gate", "--in", str(scores), "--normal-class", flag, "--out", str(out)]) == 0
+        assert load_scores(out, kind="probabilities").values.tolist() == [gated]
+        assert capsys.readouterr().out == f"gated: normal_class={normal} exponent=0.5\n"
+
 
 class TestZeroshotCommand:
     def test_end_to_end(self, tmp_path):
@@ -1187,7 +1204,7 @@ def test_preprocess_checks_its_flags_before_reading_the_image(tmp_path, capsys, 
         (["eval", "--scores", "p.csv", "--labels", "y.csv", "--ece-bins", "0"], "n_bins must be >= 1"),
         (["eval", "--scores", "p.csv", "--labels", "y.csv", "--threshold", "nan"], "threshold must be a number in [-inf, inf]"),
         (["gate", "--in", "p.csv", "--alpha-ng", "-1"], "exponent must be a number in [0, inf]"),
-        (["ensemble", "--in", "p.csv", "q.csv", "--weights", "-1", "1"], "member weights must be finite and strictly positive"),
+        (["ensemble", "--in", "p.csv", "q.csv", "--weights", "-1", "1"], "member weights must be numbers in (0, inf)"),
         (["ensemble", "--in", "p.csv", "missing.csv", "--weights", "1"], "need one weight per ensemble member"),
     ],
     ids=[

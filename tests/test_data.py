@@ -29,6 +29,7 @@ from tailkit.data import (
     save_scores,
     _check_int,
     _check_real,
+    _check_values,
 )
 
 
@@ -1095,10 +1096,93 @@ def test_check_int(value, low, message):
             _check_int("k_field", value, low)
 
 
+# interval -> (arrays inside, arrays outside) of _check_values, each end hit, just inside and just outside
+VALUES_CASES = {
+    "[0, 1]": (
+        [[0.0, 1.0], [-0.0], [_TINY, _BELOW_ONE], np.array([0, 1], np.int8), [True, False], np.array([1], np.uint64)],
+        [[-_TINY], [_ABOVE_ONE], np.array([2], np.int8), np.array([-1], np.int8), np.array([257]), [0.5, -1.0]],
+    ),
+    "[0, 1)": ([[0.0], [_BELOW_ONE], [False]], [[-_TINY], [1.0], [True], np.array([1], np.int8)]),
+    "(0, 1]": ([[_TINY], [1.0], [True]], [[0.0], [-0.0], [_ABOVE_ONE], [False]]),
+    "(0, inf)": ([[_TINY, _HUGE], np.array([1, 127], np.int8)], [[0.0], [-_TINY], [math.inf], np.array([0], np.int8)]),
+    "[0, inf)": ([[0.0, _HUGE], np.array([0, 2**64 - 1], np.uint64)], [[-_TINY], [math.inf], np.array([-128], np.int8)]),
+    "[1, inf)": ([[1.0, _ABOVE_ONE, _HUGE], [True]], [[_BELOW_ONE], [math.inf], [False], np.array([0], np.int8)]),
+    "[0, inf]": ([[0.0, math.inf]], [[-_TINY], [-math.inf]]),
+    "(-inf, inf)": ([[-_HUGE, 0.0, _HUGE], np.array([-128, 127], np.int8)], [[-math.inf], [math.inf], [0.0, -math.inf]]),
+    "[-inf, inf]": ([[-math.inf, math.inf], np.array([-128], np.int8)], []),
+}
+# no interval holds these: NaN, None, an int past the float range, strings and other non-numbers
+NOT_VALUES = [
+    [math.nan],
+    [0.5, np.float32("nan")],
+    np.array([None], dtype=object),
+    np.array([0.5, 10**400], dtype=object),
+    np.array([-(10**400)], dtype=object),
+    ["0.5"],
+    np.array(["0.5"], dtype=object),
+    np.array([b"0"]),
+    [0.5 + 0j],
+    np.array([0], dtype="timedelta64[s]"),
+]
+# every interval holds an empty array, whatever its dtype or shape
+EMPTY_VALUES = [[], np.empty((0, 3)), np.array([], dtype=np.int8), np.array([], dtype=object)]
+
+
+@pytest.mark.parametrize(
+    "interval, values, inside",
+    [(i, v, True) for i, (ins, _) in VALUES_CASES.items() for v in ins]
+    + [(i, v, False) for i, (_, outs) in VALUES_CASES.items() for v in outs]
+    + [(i, v, False) for i in VALUES_CASES for v in NOT_VALUES]
+    + [(i, v, True) for i in VALUES_CASES for v in EMPTY_VALUES],
+)
+def test_check_values(interval, values, inside):
+    """The array twin of _check_real: the same intervals, each entry compared, one message."""
+    if inside:
+        checked = _check_values("x_field", values, interval)
+        assert checked.shape == np.shape(values)
+    else:
+        with pytest.raises(ValueError, match=rf"^x_field must be numbers in {re.escape(interval)}$"):
+            _check_values("x_field", values, interval)
+
+
+@pytest.mark.parametrize(
+    "values, interval, inside",
+    [
+        ([1.0, 0.0, -0.0], "[0, 1]", True),
+        ([0.5], "[0, 1]", False),
+        ([1.5], "[1, inf)", False),
+        (np.array([[1.0, 0.5]], np.float32), "[0, 1]", False),
+        ([2.0, 3.0], "[1, inf)", True),
+        ([_ABOVE_ONE], "[1, inf)", False),
+        ([2.0**53 + 2.0], "[1, inf)", True),
+        (np.array([1, 3], np.int8), "[1, inf)", True),
+        ([True, False], "[0, 1]", True),
+        (np.array([1, 0.5], dtype=object), "[0, 1]", False),
+        ([], "[0, 1]", True),
+    ],
+)
+def test_check_values_whole(values, interval, inside):
+    if inside:
+        _check_values("k_field", values, interval, whole=True)
+    else:
+        with pytest.raises(ValueError, match=rf"^k_field must be whole numbers in {re.escape(interval)}$"):
+            _check_values("k_field", values, interval, whole=True)
+
+
+def test_check_values_compares_numeric_arrays_as_given():
+    floats, ints = np.array([0.0, 1.0]), np.array([[0, 1]], np.int8)
+    assert _check_values("v", floats, "[0, 1]") is floats  # no copy
+    assert _check_values("v", ints, "[0, 1]", whole=True) is ints  # no cast
+    assert _check_values("v", np.float64(0.5), "[0, 1]").shape == ()
+    assert _check_values("v", [0, 1], "[0, 1]").dtype == np.int64
+    objects = _check_values("v", np.array([1, 0.5, True], dtype=object), "[0, 1]")
+    assert objects.dtype == np.float64 and objects.tolist() == [1.0, 0.5, 1.0]
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: LabelMatrix(["s0"], [[2]], ["c0"]), "non-binary label value"),
+        (lambda: LabelMatrix(["s0"], [[2]], ["c0"]), "label values must be whole numbers in [0, 1]"),
         (lambda: EmbeddingSet(["e0"], [1.0, 0.0]), "embedding vectors must be a 2-D matrix"),
         (lambda: EmbeddingSet(["e0", "e1"], [[1.0, 0.0]]), "embedding count does not match ids"),
         (lambda: EmbeddingSet(["e0"], [[2.0, 0.0]], normalized=True), "normalized flag set but rows are not unit norm"),
@@ -1109,6 +1193,22 @@ def test_containers_reject_bad_values(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("values", [[[1.5]], [[0.9]], [[-1]], np.array([[257]]), np.array([[2]], np.int16), [[math.nan]], [[None]]])
+def test_label_values_are_checked_before_the_int8_cast(values):
+    # the cast held 1.5 as 1, 0.9 as 0 and the int64 257 as 1
+    with pytest.raises(ValueError) as exc:
+        LabelMatrix(["s0"], values, ["c0"])
+    assert str(exc.value) == "label values must be whole numbers in [0, 1]"
+
+
+def test_label_values_keep_their_bits():
+    for values in ([[1, 0]], [[True, False]], [[1.0, -0.0]], np.array([[1, 0]], np.uint8), np.array([[1, 0]], dtype=object)):
+        labels = LabelMatrix(["s0"], values, ["a", "b"])
+        assert labels.values.dtype == np.int8 and labels.values.tolist() == [[1, 0]]
+    int8 = np.array([[0, 1]], np.int8)
+    assert LabelMatrix(["s0"], int8, ["a", "b"]).values is int8
 
 
 def test_load_scores_rejects_an_unknown_kind(tmp_path):

@@ -75,8 +75,22 @@ class TestEffectiveNumbers:
         assert effective_numbers([1, 10, 500], 0.0).tolist() == [1.0, 1.0, 1.0]
 
     def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="zero-count"):
+        with pytest.raises(ValueError, match=r"^counts must be whole numbers in \[1, inf\)$"):
             effective_numbers([3, 0], 0.9)
+
+    @pytest.mark.parametrize("counts", [[1.5, 3], [3, math.inf], [3, math.nan], [3, None]])
+    def test_counts_are_whole_and_finite(self, counts):
+        # 1.5 was truncated to a count of 1, and inf raised OverflowError, in both functions
+        for call in (lambda: effective_numbers(counts, 0.9), lambda: margins(counts, 0.1)):
+            with pytest.raises(ValueError, match=r"^counts must be whole numbers in \[1, inf\)$"):
+                call()
+
+    def test_whole_float_counts_match_int_counts(self):
+        counts = [1, 7, 2**40]
+        floats = [float(n) for n in counts]
+        for beta in (0.0, 0.5, 0.9999):
+            assert effective_numbers(floats, beta).tolist() == effective_numbers(counts, beta).tolist()
+        assert margins(floats, 0.3).tolist() == margins(counts, 0.3).tolist()
 
     @settings(max_examples=100)
     @given(st.integers(min_value=1, max_value=40), st.floats(min_value=0.5, max_value=0.99999))
@@ -198,6 +212,29 @@ class TestDbLoss:
     def test_non_finite_logit(self):
         with pytest.raises(ValueError):
             db_loss(np.array([[np.inf]]), np.array([[1.0]]), np.ones(1), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "logit, label, message",
+        [
+            (math.nan, 1.0, r"^logits must be numbers in \(-inf, inf\)$"),
+            (-math.inf, 1.0, r"^logits must be numbers in \(-inf, inf\)$"),
+            # a label of 2 gave a finite loss, and NaN a NaN loss
+            (0.0, 2.0, r"^labels must be whole numbers in \[0, 1\]$"),
+            (0.0, -1.0, r"^labels must be whole numbers in \[0, 1\]$"),
+            (0.0, 0.5, r"^labels must be whole numbers in \[0, 1\]$"),
+            (0.0, math.nan, r"^labels must be whole numbers in \[0, 1\]$"),
+        ],
+    )
+    def test_logits_and_labels_are_checked(self, logit, label, message):
+        with pytest.raises(ValueError, match=message):
+            db_loss(np.array([[0.0, logit]]), np.array([[1.0, label]]), np.ones(2), np.zeros(2))
+
+    def test_bool_and_int_labels_match_float_labels(self):
+        z, w, m = np.array([[0.3, -2.0]]), np.array([1.0, 2.0]), np.array([0.5, 0.1])
+        expected = db_loss(z, np.array([[1.0, 0.0]]), w, m)
+        for y in (np.array([[True, False]]), np.array([[1, 0]], np.int8)):
+            result = db_loss(z, y, w, m)
+            assert result.loss == expected.loss and np.array_equal(result.grad_z, expected.grad_z)
 
 
 # NaN, +-inf, +-0.0, the range where exp(-|z|) is subnormal or 0, and |z| up to 1e308
@@ -349,10 +386,10 @@ class TestFusedKernel:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: class_weights([1.0, 0.0], 1.0), "effective numbers must be positive"),
+        (lambda: class_weights([1.0, 0.0], 1.0), "effective numbers must be numbers in (0, inf)"),
         # not blamed on alpha: a NaN effective number is no positive number
-        (lambda: class_weights([math.nan, 1.0], 1.0), "effective numbers must be positive"),
-        (lambda: margins([3, 0], 0.1), "zero-count class has no defined margin"),
+        (lambda: class_weights([math.nan, 1.0], 1.0), "effective numbers must be numbers in (0, inf)"),
+        (lambda: margins([3, 0], 0.1), "counts must be whole numbers in [1, inf)"),
         (
             lambda: db_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3), np.zeros(2)),
             "weights and margins must have one entry per class",

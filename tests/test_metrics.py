@@ -228,12 +228,12 @@ class TestEce:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError) as exc:
             ece([1.2], [1], EceConfig(10))
-        assert str(exc.value) == "ECE requires scores in [0, 1]"
+        assert str(exc.value) == "scores must be numbers in [0, 1]"
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError) as exc:
             ece([np.nan, 0.5], [1, 0], EceConfig(10))
-        assert str(exc.value) == "scores must be finite"
+        assert str(exc.value) == "scores must be numbers in (-inf, inf)"
 
     def test_bin_edges_right_closed(self):
         # with 2 bins, 0.5 lands in the first bin (0 is left-closed)
@@ -398,7 +398,7 @@ def test_labels_must_be_binary(kernel):
     # a label of 2 was read as a negative: AP 0.333, AUC 0.0 and ECE 0.733 on these scores
     with pytest.raises(ValueError) as exc:
         KERNELS[kernel]([0.9, 0.5, 0.2], [2, 0, 1])
-    assert str(exc.value) == "labels must be 0 or 1"
+    assert str(exc.value) == "labels must be whole numbers in [0, 1]"
     expected = KERNELS[kernel]([0.9, 0.5, 0.2], [1, 0, 1])
     assert KERNELS[kernel]([0.9, 0.5, 0.2], [True, False, True]) == expected
     assert KERNELS[kernel]([0.9, 0.5, 0.2], [1.0, 0.0, 1.0]) == expected
@@ -410,4 +410,4 @@ def test_scores_must_be_finite(kernel, bad):
     # a NaN score gave AP 0.5833, AUC 0.5 and F1 0.0 on these labels
     with pytest.raises(ValueError) as exc:
         KERNELS[kernel]([bad, 0.5, 0.2], [1, 0, 1])
-    assert str(exc.value) == "scores must be finite"
+    assert str(exc.value) == "scores must be numbers in (-inf, inf)"

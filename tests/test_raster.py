@@ -628,9 +628,9 @@ class TestToTensor3:
     @pytest.mark.parametrize(
         "mean, std, message",
         [
-            ((0.5, np.nan, 0.5), (1.0, 1.0, 1.0), "mean and std entries must be finite"),
-            ((0.5, 0.5, 0.5), (1.0, np.nan, 1.0), "mean and std entries must be finite"),
-            ((0.5, 0.5, 0.5), (1.0, 0.0, 1.0), "std entries must be > 0"),
+            ((0.5, np.nan, 0.5), (1.0, 1.0, 1.0), "mean must be numbers in (-inf, inf)"),
+            ((0.5, 0.5, 0.5), (1.0, np.nan, 1.0), "std must be numbers in (0, inf)"),
+            ((0.5, 0.5, 0.5), (1.0, 0.0, 1.0), "std must be numbers in (0, inf)"),
         ],
         ids=["nan-mean", "nan-std", "zero-std"],
     )

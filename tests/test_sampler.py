@@ -260,9 +260,9 @@ class TestBuildEpoch:
     @pytest.mark.parametrize(
         "repeat, message",
         [
-            ([1.0, float("nan")], "finite"),
-            ([float("inf")], "finite"),
-            ([1.0, -float("inf")], "finite"),
+            ([1.0, float("nan")], r"repeat factors must be numbers in \[1, inf\)"),
+            ([float("inf")], r"repeat factors must be numbers in \[1, inf\)"),
+            ([1.0, -float("inf")], r"repeat factors must be numbers in \[1, inf\)"),
             ([[1.0, 2.0]], "1-D"),
             (2.0, "1-D"),
             ([1e308, 1e308], "2\\^32"),
@@ -275,6 +275,20 @@ class TestBuildEpoch:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 build_epoch(repeat, SamplerConfig())
+
+    @pytest.mark.parametrize(
+        "epoch, message", [(1.5, "an integer"), (True, "an integer"), (-1, ">= 0"), (None, "an integer")]
+    )
+    def test_epoch_must_be_a_non_negative_integer(self, epoch, message):
+        # 1.5 raised TypeError, -1 was accepted, and True was read as epoch 1
+        with pytest.raises(ValueError, match=f"^epoch must be {message}$"):
+            build_epoch([1.0, 2.5], SamplerConfig(), epoch=epoch)
+
+    def test_numpy_integer_seed_and_epoch_give_the_same_plan(self):
+        # a numpy seed or epoch raised OverflowError against GOLDEN_GAMMA, once past epoch 0
+        expected = build_epoch([1.0, 2.5, 1.5], SamplerConfig(seed=3), epoch=2).indices.tolist()
+        for seed, epoch in ((np.int64(3), 2), (3, np.int64(2)), (np.uint8(3), np.int32(2))):
+            assert build_epoch([1.0, 2.5, 1.5], SamplerConfig(seed=seed), epoch=epoch).indices.tolist() == expected
 
     def test_epoch_length_limit(self, monkeypatch):
         monkeypatch.setattr("tailkit.sampler.BLOCK_BOUND_LIMIT", 12)
@@ -353,14 +367,14 @@ def test_nan_frequency_is_rejected():
     """Not given the repeat factor 1 of a zero-frequency class."""
     with pytest.raises(ValueError) as exc:
         class_repeat_factors([math.nan, 0.5], SamplerConfig())
-    assert str(exc.value) == "frequencies must lie in [0, 1]"
+    assert str(exc.value) == "frequencies must be numbers in [0, 1]"
 
 
 def test_repeat_factor_inputs_are_checked():
     cfg = SamplerConfig()
     with pytest.raises(ValueError) as exc:
         class_repeat_factors([0.5, 1.5], cfg)
-    assert str(exc.value) == "frequencies must lie in [0, 1]"
+    assert str(exc.value) == "frequencies must be numbers in [0, 1]"
     labels = LabelMatrix(["s0", "s1"], [[1, 0], [0, 1]], ["a", "b"])
     with pytest.raises(ValueError) as exc:
         sample_repeat_factors(labels, [1.0], cfg)

@@ -267,6 +267,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="margins"):
             train(features, labels, cfg, DbLossParams(), SamplerConfig(), margin_override=margin)
 
+    @pytest.mark.parametrize("margin", [np.array([0.0, 10**400, 0.0, 0.0, 0.0], dtype=object), [0.1, "0.2", 0.0, 0.0, 0.0]])
+    def test_margin_override_is_checked_before_the_cast(self, margin):
+        # the float64 cast raised OverflowError on 10**400 and parsed the string "0.2"
+        features, labels = generate_synthetic(small_spec(4))
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=16)
+        with pytest.raises(ValueError, match=r"^margins must be numbers in \[0, inf\)$"):
+            train(features, labels, cfg, DbLossParams(), SamplerConfig(), margin_override=margin)
+
     def test_divergence_detected(self):
         features = np.full((4, 2), 1e160)
         labels = LabelMatrix([f"s{i}" for i in range(4)], [[1], [1], [1], [0]], ["c0"])
@@ -385,6 +393,15 @@ class TestSplitAndTerciles:
     def test_tercile_minimum_one(self):
         tail, head = class_terciles([3, 1])
         assert len(tail) == 1 and len(head) == 1
+
+    @pytest.mark.parametrize("counts", [[3, 1.5, 2], [3, math.nan, 2], [3, -1, 2], [3, math.inf, 2]])
+    def test_tercile_counts_are_checked(self, counts):
+        # 1.5 was truncated to 1, and NaN raised numpy's cast error
+        with pytest.raises(ValueError, match=r"^counts must be whole numbers in \[0, inf\)$"):
+            class_terciles(counts)
+
+    def test_whole_float_tercile_counts_match_int_counts(self):
+        assert class_terciles([10.0, 2.0, 2.0, 50.0, 7.0, 100.0]) == class_terciles([10, 2, 2, 50, 7, 100])
 
 
 class TestModelSerialization:
