@@ -28,8 +28,8 @@ SCORE_KINDS = ("logits", "probabilities")
 EMB_MAGIC = b"EMB1"
 
 # rows per block of the EMB1 reader, _map_rows's unit division and the CSV writer's float
-# conversion: 4 MiB of float64 at D = 512, and 20k Python floats at C = 20
-_NORM_BLOCK_ROWS = 1024
+# conversion: 1 MiB of float64 (and a 0.5 MiB float32 buffer) at D = 512, and 5k Python floats at C = 20
+_NORM_BLOCK_ROWS = 256
 
 
 def _inside(x, interval: str):

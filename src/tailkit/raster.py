@@ -20,7 +20,10 @@ the grid held once inside a zero border, and a zoom computes only the rows and
 columns it keeps; ``write_view`` writes a view's file strip by strip.  Each
 output value goes through the same float operations in the same order as in a
 whole-frame computation, so outputs depend neither on the strips nor on what
-the buffer or the work arrays held.
+the buffer or the work arrays held.  Strips are 16 rows: for a 1024^2 view,
+rotation's four float64 and two int64 work arrays, the view strip, its channel
+and the float32 strip each channel is divided into come to 1.06 MiB, beside the
+8 MiB frame.
 """
 
 import os
@@ -40,9 +43,9 @@ IMAGENET_STD = (0.229, 0.224, 0.225)
 CLIP_MEAN = (0.48145466, 0.4578275, 0.40821073)
 CLIP_STD = (0.26862954, 0.26130258, 0.27577711)
 
-# output rows per strip in _resize_into, _rotate and write_view: each
-# float64 work array of a 1024-pixel-wide output then takes 256 KiB
-_STRIP_ROWS = 32
+# output rows per strip in _resize_into, _rotate and write_view: each float64 work array of a
+# 1024-pixel-wide output then takes 128 KiB, and write_view's work arrays 1.06 MiB in all
+_STRIP_ROWS = 16
 # the zero border that bordered adds: _rotate clips tap corners to [-2, h], so every tap lands in it
 _BORDER = 2
 # pixels per np.bincount call in _nearest_rank_values, each cast into one reused 512 KiB intp block; the
@@ -354,13 +357,13 @@ def _rotate(padded, degrees: float, out, row0: int = 0, work=None):
     for start in range(0, len(out), _STRIP_ROWS):
         rows = slice(start, start + _STRIP_ROWS)
         taps = out[rows]
-        fx, fy, not_fx, not_fy, weight, tap = _scratch(work, "float", taps.shape, count=6)
+        fx, fy, weight, tap = _scratch(work, "float", taps.shape, count=4)
         corner, index = _scratch(work, "int", taps.shape, np.int64, 2)
         np.add(x_of_x, x_of_y[rows], out=fx)
         fx += cx
         np.add(y_of_x, y_of_y[rows], out=fy)
         fy += cy
-        floor_x, floor_y = np.floor(fx, out=not_fx), np.floor(fy, out=not_fy)
+        floor_x, floor_y = np.floor(fx, out=weight), np.floor(fy, out=tap)
         fx -= floor_x
         fy -= floor_y
         # flat index of the top-left tap in the padded frame
@@ -370,13 +373,13 @@ def _rotate(padded, degrees: float, out, row0: int = 0, work=None):
         np.copyto(index, np.clip(floor_x, -_BORDER, w, out=floor_x), casting="unsafe")
         corner += index
         corner += _BORDER
-        np.subtract(1, fx, out=not_fx)
-        np.subtract(1, fy, out=not_fy)
         # the taps add up from a zeroed strip, as in a fresh zero frame: -0.0 products sum to +0.0
         taps.fill(0.0)
-        for dy, weight_y in ((0, not_fy), (1, fy)):
-            for dx, weight_x in ((0, not_fx), (1, fx)):
-                np.multiply(weight_y, weight_x, out=weight)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                # (1 - fy or fy) * (1 - fx or fx): each 1 - f is made anew per tap in weight or tap
+                weight_y = np.subtract(1, fy, out=weight) if dy == 0 else fy
+                np.multiply(weight_y, np.subtract(1, fx, out=tap) if dx == 0 else fx, out=weight)
                 np.add(corner, dy * stride + dx, out=index)
                 weight *= np.take(flat, index, out=tap, mode="clip")
                 taps += weight
@@ -436,7 +439,7 @@ def write_view(fh, frame, name: str, mean, std, work: dict) -> None:
         strip = fill_view(frame, name, view[:rows], row0=row0, work=work)
         for k in range(3):
             np.subtract(strip, mean[k], out=channel[:rows])
-            channel[:rows] /= std[k]
-            np.copyto(cast[:rows], channel[:rows], casting="same_kind")
+            # divided in float64 and rounded once to float32, as to_tensor3(...).astype("<f4") does
+            np.divide(channel[:rows], std[k], out=cast[:rows], casting="same_kind")
             fh.seek((k * h + row0) * w * 4)
             fh.write(cast[:rows])

@@ -40,6 +40,7 @@ from tailkit.raster import (
     IMAGENET_MEAN,
     IMAGENET_STD,
     TTA_TRANSFORMS,
+    _STRIP_ROWS,
     apply_transform,
     load_pgm,
     normalize_clip_style,
@@ -655,12 +656,14 @@ class TestPreprocessCommand:
     def test_peak_stays_near_the_output_grid(self, tmp_path, write_pgm, task):
         """tracemalloc peak of the benchmark's shape, a 2048^2 16-bit P5 raster to 1024 with all
         six views: at most one float64 1028^2 frame (the grid inside rotation's zero border,
-        8.06 MiB) plus 4 MiB.
+        8.06 MiB) plus 2 MiB.
 
-        Measured at 11.38 MiB (task 1) and 11.19 MiB (task 2), with P5 rows read as each resize
-        strip needs them, the resize written straight into the frame and every view made and
-        written 32 rows at a time in work arrays that all strips reuse; task 1's histogram pass,
-        before the frame, peaks at 1.6 MiB.
+        Measured at frame + 1.62 MiB (task 1) and frame + 1.45 MiB (task 2), with P5 rows read as
+        each resize strip needs them, the resize written straight into the frame and every view made
+        and written 16 rows at a time in work arrays that all strips reuse, four float64 ones for
+        rotation, and each channel divided straight into its float32 strip; task 1's histogram pass,
+        before the frame, peaks at 1.6 MiB.  With 32-row strips, six rotation work arrays and a
+        float64 channel copied into the float32 strip, it peaked at frame + 3.30 and + 3.14 MiB.
         Decoding the whole raster, resizing into a grid that was then copied into the frame, and
         refilling a whole-view buffer peaked at 18.90 MiB and 18.72 MiB.
         """
@@ -672,7 +675,7 @@ class TestPreprocessCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1028 * 1028 * 8 + 4 * 2**20
+        assert peak <= 1028 * 1028 * 8 + 2 * 2**20
 
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     @pytest.mark.parametrize("maxval", [255, 65535])
@@ -680,14 +683,14 @@ class TestPreprocessCommand:
     def test_streamed_views_equal_the_whole_frame_oracle(self, tmp_path, write_pgm, binary, maxval, task):
         """Every view, written by strips from rows read on demand, is the float32 bytes of the
         whole-frame tensor of the grid that load_pgm, the window and resize_bilinear give; sizes
-        around the 32-row strip leave partial strips, and the sources are not square."""
+        around one and two strips leave partial strips, and the sources are not square."""
         mean_std = (IMAGENET_MEAN, IMAGENET_STD) if task == 1 else (CLIP_MEAN, CLIP_STD)
         for shape in [(37, 53), (64, 2)]:
             pixels = np.random.default_rng([maxval, task, *shape]).integers(0, maxval + 1, shape)
             pgm = write_pgm("scan.pgm", pixels, maxval=maxval, binary=binary)
             raster = load_pgm(pgm)
             window = percentile_window(raster) if task == 1 else (0, raster.maxval)
-            for size in [1, 2, 31, 32, 33, 65]:
+            for size in [1, 2, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 1]:
                 out_dir = tmp_path / f"views{shape}-{size}"
                 argv = ["preprocess", str(pgm), "--task", str(task), "--size", str(size), "--tta", *TTA_TRANSFORMS]
                 assert main(argv + ["--out-dir", str(out_dir)]) == 0

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -183,9 +184,9 @@ def rasters(draw, heights=st.integers(1, 12), widths=st.integers(1, 12)):
 signed_cells = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6))
 ROTATION_ANGLES = (5.0, -5.0, 33.0, 90.0, 180.0)
 
-# heights on either side of one and two 32-row strips, and odd widths; heights 31, 32 and 33
-# and width 33 leave zoom0.9 an odd pad remainder (3 rows or columns)
-STRIP_HEIGHTS = (1, 31, 32, 33, 65)
+# heights on either side of one and two strips, and odd widths; width 33 leaves zoom0.9 an odd pad
+# remainder (3 columns) at any strip height
+STRIP_HEIGHTS = (1, _STRIP_ROWS - 1, _STRIP_ROWS, _STRIP_ROWS + 1, 2 * _STRIP_ROWS + 1)
 ODD_WIDTHS = (1, 3, 17, 33)
 
 
@@ -558,8 +559,8 @@ class TestRescaleInsideResize:
         assert view.tobytes() == to_tensor3_oracle(apply_transform(expected, name), *mean_std).astype("<f4").tobytes()
 
     def test_each_strip_reads_one_span_of_a_p5_file(self, write_pgm, monkeypatch):
-        """A strip's top and bottom source rows come from one read, into one reused buffer: 65 output
-        rows are 3 strips."""
+        """A strip's top and bottom source rows come from one read, into one reused buffer: one read per
+        strip of the 65 output rows."""
         path = write_pgm("s.pgm", np.random.default_rng(3).integers(0, 65536, (130, 9)), maxval=65535)
         source, spans = PgmRows(path), set()
         rows_at = source.rows_at
@@ -571,7 +572,7 @@ class TestRescaleInsideResize:
 
         monkeypatch.setattr(source, "rows_at", spy)
         out = resize_bilinear(source, 65, 5, window=(0, 65535))
-        assert len(spans) == 3 and len({data for *_, data in spans}) == 1
+        assert len(spans) == math.ceil(65 / _STRIP_ROWS) and len({data for *_, data in spans}) == 1
         assert out.tobytes() == resize_bilinear(load_pgm(path).pixels, 65, 5, window=(0, 65535)).tobytes()
 
     @pytest.mark.parametrize("depth", [8, 16])
@@ -765,17 +766,18 @@ class TestViewBuffer:
             assert np.concatenate(strips).tobytes() == apply_transform(grid, name).tobytes(), name
 
     def test_warm_strips_make_no_work_array(self):
-        """Once the work arrays exist, no 32-row strip of a 1024^2 view allocates as much as one of
-        them, 256 KiB: measured at most 175 KiB, numpy's own ufunc buffers and the coordinate vectors.
-        Each strip that made its own work arrays took 2.0 MiB (rotation) and 1.1 MiB (zoom1.1)."""
+        """Once the work arrays exist, no 32-row strip of a 1024^2 view allocates as much as the strip,
+        256 KiB: measured at most 174 KiB, numpy's own ufunc buffers and the coordinate vectors, with
+        32-row work arrays (``_STRIP_ROWS`` 32) and with 16-row ones alike.  Each strip that made its
+        own 32-row work arrays took 2.0 MiB (rotation) and 1.1 MiB (zoom1.1)."""
         grid = np.random.default_rng(8).random((1024, 1024))
-        padded, strip, work = bordered(grid), np.empty((_STRIP_ROWS, 1024)), {}
+        padded, strip, work = bordered(grid), np.empty((32, 1024)), {}
         for name in TTA_TRANSFORMS:
             fill_view(padded, name, strip, work=work)
         for name in TTA_TRANSFORMS:
             tracemalloc.start()
             try:
-                for row0 in range(0, 1024, _STRIP_ROWS):
+                for row0 in range(0, 1024, 32):
                     fill_view(padded, name, strip, row0=row0, work=work)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -822,9 +824,9 @@ class TestViewBuffer:
             tracer.uninstall()
         assert code == 0
         assert [name for name, *_ in tracer.spans].count("raster.write_view") == len(views)
-        # 70 rows are three strips, the last one partial
+        # one fill per strip of the 70 rows, the last one partial
         fills = [parent for name, _, _, parent in tracer.spans if name == "raster.fill_view"]
-        assert len(fills) == 3 * len(views)
+        assert len(fills) == math.ceil(70 / _STRIP_ROWS) * len(views)
         assert all(tracer.spans[parent][0] == "raster.write_view" for parent in fills)
 
 
