@@ -358,9 +358,14 @@ def test_writer_matches_per_cell_writer(tmp_path_factory, n, c, data):
         assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "n", [0, 1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 1]
+# either side of one and two writer blocks, and of 1024 and 2048 rows, which span several
+WRITER_ROWS = sorted(
+    {0, 1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 1}
+    | {1023, 1024, 1025, 2049}
 )
+
+
+@pytest.mark.parametrize("n", WRITER_ROWS)
 def test_writer_blocks_match_the_whole_matrix_writer(tmp_path, n):
     # quoted ids on both sides of every block boundary, and one empty id, which a table
     # of no columns writes as ""
@@ -935,7 +940,7 @@ def test_emb1_read_that_ends_early_is_truncated(tmp_path, monkeypatch):
     assert str(info.value) == f"{path}: truncated data"
 
 
-@pytest.mark.parametrize("count", [1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("count", sorted({1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 1024, 1025}))
 def test_embedding_set_finds_non_finite_entry_in_last_block(count):
     vectors = np.ones((count, 3))
     vectors[-1, -1] = np.inf
