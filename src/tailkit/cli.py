@@ -236,10 +236,10 @@ def cmd_predict(args, run):
     model = load_model(model_path)
     dim, classes = model.weights.shape[1], len(model.class_names)
     kind = "probabilities" if args.probabilities else "logits"
+    # each block's sigmoid of its raw logits, so logits that overflow to +-inf give 1/0
+    score = (lambda block: stable_sigmoid(forward(model, block))) if args.probabilities else partial(forward, model)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails below
-        ids, logits, files = _map_rows(args.features, partial(forward, model), classes, (dim, model_path))
-        # the sigmoid of the raw logits, so logits that overflow to +-inf give 1/0
-        values = stable_sigmoid(logits) if args.probabilities else logits
+        ids, values, files = _map_rows(args.features, score, classes, (dim, model_path))
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite score entry: the model {model_path} overflows on {args.features}")
     scores = ScoreMatrix(ids=ids, values=values, kind=kind, class_names=model.class_names)
@@ -269,8 +269,9 @@ def cmd_gate(args, run):
     _check_real("exponent", args.alpha_ng, "[0, inf]")
     scores = load_scores(args.input, kind="probabilities")
     names, wanted = scores.class_names, args.normal_class
-    try:  # a class name wins; an index only names a column when no class has that name
-        index = names.index(wanted) if wanted in names else int(wanted)
+    digits = wanted.isascii() and wanted.isdigit()  # as in a PGM header: int() also takes " 2", "+1", "1_0"
+    try:  # a class name wins; ASCII digits name a column only when no class has that name
+        index = names.index(wanted) if wanted in names or not digits else int(wanted)
     except ValueError:
         raise ValueError(f"normal class {wanted!r} not in header") from None
     gated = normal_gate(scores, GateConfig(normal_class_index=index, exponent=args.alpha_ng))

@@ -85,13 +85,6 @@ def margins(counts, kappa: float) -> np.ndarray:
     return m
 
 
-def _check_terms(w, m):
-    """Class weights in (0, inf) and margins in [0, inf), checked, then as float64 arrays."""
-    w = _check_values("weights", w, "(0, inf)")
-    m = _check_values("margins", m, "[0, inf)")
-    return np.asarray(w, dtype=np.float64), np.asarray(m, dtype=np.float64)
-
-
 def db_loss(z, y, w, m) -> DbLossResult:
     """Weighted margin-adjusted BCE over an N x C batch, with exact gradient.
 
@@ -99,7 +92,8 @@ def db_loss(z, y, w, m) -> DbLossResult:
     """
     z = np.array(_check_values("logits", z, "(-inf, inf)"), dtype=np.float64)  # a copy: the kernel overwrites it
     y = np.asarray(_check_values("labels", y, "[0, 1]", whole=True), dtype=np.float64)
-    w, m = _check_terms(w, m)
+    w = np.asarray(_check_values("weights", w, "(0, inf)"), dtype=np.float64)
+    m = np.asarray(_check_values("margins", m, "[0, inf)"), dtype=np.float64)
     if z.ndim != 2 or z.shape != y.shape:
         raise ValueError("logits and labels must share an N x C shape")
     n, c = z.shape
@@ -117,7 +111,8 @@ def db_loss_fused(z, y, w, m, scale, grad, work, mask) -> float:
     C-contiguous.  `w`, `m` and `scale` = w / (N*C) are per-class vectors,
     or the same tiled to N rows.  Returns the loss and writes the gradient
     into `grad`; `z`, `work` and `mask` are overwritten.  The caller has
-    checked that z is finite and the terms with `_check_terms`.
+    checked that z is finite, the weights in (0, inf) and the margins in
+    [0, inf).
     """
     z_adj = np.subtract(z, np.multiply(y, m, out=work), out=z)
     np.greater_equal(z_adj, 0.0, out=mask)

@@ -20,7 +20,6 @@ from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_uniq
 from .data import class_stats, write_json
 from .loss import (
     DbLossParams,
-    _check_terms,
     class_weights,
     db_loss_fused,
     effective_numbers,
@@ -127,20 +126,20 @@ def forward(model: LinearModel, x) -> np.ndarray:
     return np.einsum("nd,cd->nc", x, model.weights) + model.bias
 
 
-def _loss_terms(labels: LabelMatrix, params: DbLossParams, margin_override=None):
-    """Per-class weights and margins of the DB loss under `params`.
+def _loss_terms(counts, params: DbLossParams, margin_override=None):
+    """Per-class weights and margins of the DB loss under `params`, from the classes' positive counts.
 
+    `class_weights` and `margins` check the terms they make; an explicit
+    margin vector, which bypasses the count-based generator, is checked here.
     A class with zero training positives gets the weight and margin of a
     class with one (counts clamped to 1).  Its margin never applies, since it
-    has no positive; its weight scales every negative of that class.  An
-    explicit margin vector bypasses the count-based generator.
+    has no positive; its weight scales every negative of that class.
     """
-    c = labels.n_classes
-    counts = np.maximum(class_stats(labels).counts, 1)
+    counts = np.maximum(counts, 1)
     weights = class_weights(effective_numbers(counts, params.beta), params.alpha)
     if margin_override is not None:
         margin_vec = np.asarray(_check_values("margins", margin_override, "[0, inf)"), dtype=np.float64)
-        if margin_vec.shape != (c,):
+        if margin_vec.shape != counts.shape:
             raise ValueError("margin override needs one value per class")
         return weights, margin_vec
     return weights, margins(counts, params.margin_scale)
@@ -158,9 +157,9 @@ def train(
 
     Returns (model, trace) where trace[e] is the epoch-mean loss.  Aborts
     with ValueError if the loss stops being finite.  The class weights and
-    margins are checked once; each batch then runs `db_loss_fused` in
-    scratch arrays allocated once per batch size, with the same bits as
-    calling `db_loss` on it.
+    margins are checked once, where `_loss_terms` makes them; each batch
+    then runs `db_loss_fused` in scratch arrays allocated once per batch
+    size, with the same bits as calling `db_loss` on it.
     """
     features = np.asarray(features, dtype=np.float64)
     n, d = features.shape
@@ -169,9 +168,9 @@ def train(
     _finite(features, "feature entry")  # else the first epoch's loss is NaN, blamed on the learning rate
     c = labels.n_classes
 
-    weights, margin_vec = _loss_terms(labels, loss_params, margin_override)
-    _check_terms(weights, margin_vec)
-    r_class = class_repeat_factors(class_stats(labels).frequencies, sampler_cfg)
+    stats = class_stats(labels)
+    weights, margin_vec = _loss_terms(stats.counts, loss_params, margin_override)
+    r_class = class_repeat_factors(stats.frequencies, sampler_cfg)
     repeat = sample_repeat_factors(labels, r_class, sampler_cfg)
 
     model = LinearModel(
@@ -330,7 +329,10 @@ def load_model(path) -> LinearModel:
     path = Path(path)  # named as the embedding reader names it: `./m.json` as `m.json`
     payload = _read_json(path)
     try:
-        model = LinearModel(payload["weights"], payload["bias"], list(payload["class_names"]))
+        weights, bias, names = payload["weights"], payload["bias"], payload["class_names"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise ValueError("class_names must be a list of strings")
+        model = LinearModel(weights, bias, names)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a missing field, a bad value or shape, a huge int
         raise ValueError(f"{path}: not a model file: {exc!r}") from None
     # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf

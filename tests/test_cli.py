@@ -455,6 +455,16 @@ class TestScorePipelineCommands:
         assert load_scores(out, kind="probabilities").values.tolist() == [gated]
         assert capsys.readouterr().out == f"gated: normal_class={normal} exponent=0.5\n"
 
+    @pytest.mark.parametrize("flag", [" 2", "+1", "-0", "\u0662", "1_0", ""])
+    def test_gate_reads_an_index_only_in_ascii_digits(self, tmp_path, capsys, flag):
+        # int() reads the first five as 2, 1, 0, 2 (Arabic-Indic two) and 10
+        header = ["id", *(f"c{j}" for j in range(11))]
+        scores = write_csv_file(tmp_path / "s.csv", header, [["s0", *["0.5"] * 11]])
+        out = tmp_path / "o.csv"
+        assert main(["gate", "--in", str(scores), "--normal-class", flag, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: normal class {flag!r} not in header\n"
+        assert not out.exists()
+
 
 class TestZeroshotCommand:
     def test_end_to_end(self, tmp_path):

@@ -27,11 +27,13 @@ from tailkit.data import (
     ScoreMatrix,
     _map_rows,
     _write_matrix,
+    load_embeddings,
     load_scores,
     save_embeddings_binary,
     save_embeddings_csv,
     save_scores,
 )
+from tailkit.loss import stable_sigmoid
 from tailkit.pipeline import tta_merge
 from tailkit.trainer import LinearModel, forward, save_model
 from tailkit.zeroshot import PromptBank, ZsConfig, score_batch, score_file, unit_normalize
@@ -115,6 +117,29 @@ def test_cli_scores_of_a_row_do_not_depend_on_other_rows(tmp_path_factory, drawn
             assert main([str(a) for a in argv + [path, "--out", tmp / f"{path.stem}.csv"]]) == 0
             lines[path] = (tmp / f"{path.stem}.csv").read_text(encoding="utf-8").splitlines()
         assert lines[part] == [lines[whole][0]] + [lines[whole][1 + i] for i in rows]
+
+
+@pytest.mark.parametrize("save", [save_embeddings_binary, save_embeddings_csv])
+def test_predict_probabilities_match_the_whole_matrix_sigmoid(tmp_path, save):
+    """`predict --probabilities` makes each block's probabilities as it reads the block, and writes the
+    bytes of `stable_sigmoid` of the whole file's logits: over 2 blocks and 1 row, with a row whose logits
+    overflow to +inf and -inf."""
+    rows, rng = 2 * B + 1, np.random.default_rng(6)
+    vectors = rng.standard_normal((rows, 4)).astype(np.float32)
+    vectors[:, 0] = 0.0  # the first column, where the model's weights are huge, is 0 but in one row
+    vectors[B + 3, 0] = 1e10
+    features = tmp_path / f"f.{'emb' if save is save_embeddings_binary else 'csv'}"
+    save(EmbeddingSet([f"r{i}" for i in range(rows)], vectors), features)
+    weights = np.column_stack([[1e300, -1e300, 0.0], rng.standard_normal((3, 3))])
+    model = LinearModel(weights, rng.standard_normal(3), list("abc"))
+    save_model(model, tmp_path / "model.json")
+    argv = ["predict", "--model", tmp_path / "model.json", "--features", features, "--probabilities"]
+    assert main([str(a) for a in argv + ["--out", tmp_path / "p.csv"]]) == 0
+    with np.errstate(over="ignore"):
+        whole = stable_sigmoid(forward(model, load_embeddings(features).vectors))
+    assert whole[B + 3, :2].tolist() == [1.0, 0.0]
+    save_scores(ScoreMatrix([f"r{i}" for i in range(rows)], whole, "probabilities", list("abc")), tmp_path / "w.csv")
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
 
 
 def test_streamed_zeroshot_holds_no_n_by_d_matrix(tmp_path):

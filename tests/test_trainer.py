@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from test_loss import db_loss_oracle
 
-from tailkit.data import LabelMatrix
+from tailkit.data import LabelMatrix, class_stats
 from tailkit.loss import DbLossParams
 from tailkit.sampler import (
     SamplerConfig,
@@ -42,7 +42,7 @@ def train_oracle(features, labels, cfg, loss, sampler, loss_params, sampler_cfg,
     n, d = features.shape
     c = labels.n_classes
     if loss == "db":
-        weights, margin_vec = _loss_terms(labels, loss_params, margin_override)
+        weights, margin_vec = _loss_terms(class_stats(labels).counts, loss_params, margin_override)
     else:
         weights, margin_vec = np.ones(c), np.zeros(c)
     if sampler == "cas":
@@ -189,7 +189,7 @@ def test_zero_positive_class_takes_the_terms_of_count_one():
     values = [[int(i < 8), int(i < 2), 0] for i in range(10)]
     labels = LabelMatrix([f"s{i}" for i in range(10)], values, ["c0", "c1", "c2"])
     params = DbLossParams()
-    weights, margin_vec = _loss_terms(labels, params)
+    weights, margin_vec = _loss_terms(class_stats(labels).counts, params)
     counts = np.array([8, 2, 1])
     assert weights.tolist() == class_weights(effective_numbers(counts, params.beta), params.alpha).tolist()
     assert margin_vec.tolist() == margins(counts, params.margin_scale).tolist()
@@ -434,6 +434,18 @@ class TestModelSerialization:
         with pytest.raises(ValueError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: non-finite value in model field {field!r}"
+
+    @pytest.mark.parametrize(
+        "names", ['"abc"', '{"a": 0, "b": 1, "c": 2}', '["a", null, "c"]', '["a", 7, "c"]'],
+        ids=["string", "object", "null-entry", "number-entry"],
+    )
+    def test_class_names_must_be_a_list_of_strings(self, tmp_path, names):
+        # list() of "abc" or of the object would give three names that match the three weight rows
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"class_names": {names}, "weights": [[1.0], [2.0], [3.0]], "bias": [0, 0, 0]}}', encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: not a model file: ValueError('class_names must be a list of strings')"
 
 
 def test_run_comparison_shares_config_across_arms():

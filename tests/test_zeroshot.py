@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailkit.cli import main
 from tailkit.data import (
     _NORM_BLOCK_ROWS,
     EmbeddingSet,
@@ -17,6 +18,7 @@ from tailkit.data import (
     save_embeddings_csv,
 )
 from tailkit.metrics import average_precision
+from tailkit.trainer import LinearModel, save_model
 from tailkit.zeroshot import (
     PromptBank,
     ZsConfig,
@@ -383,6 +385,18 @@ def test_load_unit_peak_stays_near_one_float64_array(tmp_path):
     assert peak <= 1.25 * vectors.nbytes
 
 
+def write_benchmark_images(path, rng):
+    """The ids of 20000 x 512 random EMB1 rows written to `path` with an ids sidecar, the benchmark's shape."""
+    rows, dim = 20000, 512
+    with open(path, "wb") as fh:
+        fh.write(b"EMB1" + np.array([rows, dim], "<u4").tobytes())
+        for _ in range(rows // 1000):
+            fh.write(rng.standard_normal((1000, dim), dtype=np.float32).tobytes())
+    ids = [f"img{i:05d}" for i in range(rows)]
+    path.with_name(path.name + ".ids.json").write_text(json.dumps(ids), encoding="utf-8")
+    return ids
+
+
 def test_score_file_peak_stays_near_its_result(tmp_path):
     """``score_file`` at the benchmark's shape, 20000 x 512 EMB1 images with an ids sidecar against 6
     classes, peaks at most at 6 MiB traced: the 0.9 MiB N x C result, the ids and their parse, and
@@ -392,12 +406,7 @@ def test_score_file_peak_stays_near_its_result(tmp_path):
     """
     rows, dim, rng = 20000, 512, np.random.default_rng(4)
     path = tmp_path / "images.emb"
-    with open(path, "wb") as fh:
-        fh.write(b"EMB1" + np.array([rows, dim], "<u4").tobytes())
-        for _ in range(rows // 1000):
-            fh.write(rng.standard_normal((1000, dim), dtype=np.float32).tobytes())
-    ids = [f"img{i:05d}" for i in range(rows)]
-    path.with_name("images.emb.ids.json").write_text(json.dumps(ids), encoding="utf-8")
+    ids = write_benchmark_images(path, rng)
     bank = make_bank({f"class{k}": unit_rows(rng, 16, dim) for k in range(6)})
     tracemalloc.start()
     try:
@@ -407,3 +416,26 @@ def test_score_file_peak_stays_near_its_result(tmp_path):
         tracemalloc.stop()
     assert read == ids and values.shape == (rows, 6)
     assert peak <= 6 * 2**20
+
+
+def test_predict_probabilities_peak_stays_near_its_result(tmp_path):
+    """``predict --probabilities`` on the same 20000 x 512 EMB1 features with a 30-class model peaks at
+    most at 10 MiB traced: the 4.6 MiB N x C result, the ids, and one block's logits and sigmoid.
+
+    Measured at 8.68 MiB.  A sigmoid of the whole N x C logits after the read held the logits, two more
+    N x C float64 arrays and an N x C mask at once, and peaked at 15.76 MiB.
+    """
+    rng = np.random.default_rng(5)
+    features, model, out = tmp_path / "features.emb", tmp_path / "model.json", tmp_path / "p.csv"
+    write_benchmark_images(features, rng)
+    names = [f"class{k}" for k in range(30)]
+    save_model(LinearModel(rng.standard_normal((30, 512)) / 16, rng.standard_normal(30), names), model)
+    argv = ["predict", "--model", str(model), "--features", str(features), "--probabilities", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text(encoding="utf-8").count("\n") == 20001
+    assert peak <= 10 * 2**20
