@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-SCORE_KINDS = ("logits", "probabilities")
+# each score kind's values must be numbers in its interval
+SCORE_KINDS = {"logits": "(-inf, inf)", "probabilities": "[0, 1]"}
 
 EMB_MAGIC = b"EMB1"
 
@@ -120,7 +121,11 @@ class LabelMatrix:
 
 @dataclass
 class ScoreMatrix:
-    """N x C real-valued scores, tagged as logits or probabilities."""
+    """N x C real-valued scores, tagged as logits or probabilities.
+
+    The values are checked first, before the float64 cast, as numbers in the
+    kind's ``SCORE_KINDS`` interval; ``load_scores`` checks each cell so too.
+    """
 
     ids: list
     values: np.ndarray
@@ -130,8 +135,8 @@ class ScoreMatrix:
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
+        self.values = _check_values("score values", self.values, SCORE_KINDS[self.kind])
         _check_table(self, "score", np.float64)
-        (_probabilities if self.kind == "probabilities" else _finite)(self.values)
 
 
 @dataclass
@@ -150,7 +155,8 @@ class EmbeddingSet:
     binary file format is float32, applied at write time (exact for data
     that came from a file, since float32 -> float64 is lossless).  A float64
     ``vectors`` is kept as given, not copied; the loaders hand over one that
-    nothing else holds.
+    nothing else holds.  The values are checked first, before that cast, as
+    numbers in (-inf, inf); the readers check each CSV cell and EMB1 block so too.
     """
 
     ids: list
@@ -159,13 +165,12 @@ class EmbeddingSet:
 
     def __post_init__(self):
         self.ids = list(self.ids)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        self.vectors = np.asarray(_check_values("embedding values", self.vectors, "(-inf, inf)"), dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValueError("embedding vectors must be a 2-D matrix")
         if self.vectors.shape[0] != len(self.ids):
             raise ValueError("embedding count does not match ids")
         _check_unique(self.ids, "id in embedding set")
-        _finite(self.vectors, "embedding entry")
         if self.normalized and not _unit_norm(self.vectors):
             raise ValueError("normalized flag set but rows are not unit norm")
 
@@ -344,19 +349,6 @@ def _plain_floats(lines, c) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2, usecols=range(1, c + 1))
 
 
-def _finite(values, what: str = "score") -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError(f"non-finite {what}")
-    return values
-
-
-def _probabilities(values) -> np.ndarray:
-    values = _finite(values)
-    if ((values < 0.0) | (values > 1.0)).any():
-        raise ValueError("probability out of range")
-    return values
-
-
 # a field that csv.writer's minimal quoting quotes: it holds a delimiter, quote or line break
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -417,10 +409,10 @@ def save_labels(labels: LabelMatrix, path) -> None:
 
 
 def load_scores(path, kind: str) -> ScoreMatrix:
-    """Parse a scores CSV.  kind='probabilities' enforces entries in [0, 1]."""
+    """Parse a scores CSV; each entry must be a number in the kind's ``SCORE_KINDS`` interval."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    check = _probabilities if kind == "probabilities" else _finite
+    check = partial(_check_values, "score values", interval=SCORE_KINDS[kind])
     ids, class_names, values = _read_matrix(path, _floats, _plain_floats, check)
     return ScoreMatrix(ids=ids, values=values, kind=kind, class_names=class_names)
 
@@ -483,7 +475,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
             # anything non-textual that is not EMB1 is a corrupt binary, not a CSV
             if b"\x00" in head[:4]:
                 raise ValueError(f"{path}: bad magic {head[:4]!r}")
-            check = partial(_finite, what="embedding entry")
+            check = partial(_check_values, "embedding values", interval="(-inf, inf)")
             ids, _, vectors = _read_matrix(path, _floats, _plain_floats, check)
             count, found = vectors.shape
         elif len(head) < 12:
@@ -500,9 +492,7 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                 rows = buffer[: count - start]
                 if fh.readinto(rows) != rows.nbytes:
                     raise ValueError(f"{path}: truncated data")
-                if not np.isfinite(rows).all():
-                    raise ValueError(f"{path}: non-finite embedding entry")
-                block = rows.astype(np.float64)
+                block = _check_values(f"{path}: embedding values", rows, "(-inf, inf)").astype(np.float64)
             else:
                 block = vectors[start : start + _NORM_BLOCK_ROWS]
             if unit and bad is None and (fault := _unit_rows(block)):

@@ -77,6 +77,10 @@ class Raster:
     def maxval(self) -> int:
         return (1 << self.depth) - 1
 
+    @property
+    def shape(self) -> tuple:
+        return self.pixels.shape
+
     def rows_at(self, ys):
         return self.pixels.reshape(-1), ys * self.width
 
@@ -252,10 +256,10 @@ def _framed(frame, border: int = 0):
 
 
 def resize_bilinear(grid, out_h: int, out_w: int, *, window=None, framed=False):
-    """Bilinear resize with half-pixel-centered sampling and edge clamping; with ``window=(lo, hi)``,
-    ``grid`` holds raw pixels, or is a ``PgmRows`` whose rows are read as the strips need them, and each
-    strip rescales the values it reads.  ``framed`` returns the resize inside the zero border ``bordered``
-    adds, the frame that every view reads."""
+    """Bilinear resize with half-pixel-centered sampling and edge clamping of ``grid``, an array, a ``Raster``
+    or a ``PgmRows`` whose rows are read as the strips need them; with ``window=(lo, hi)``, ``grid`` holds raw
+    pixels and each strip rescales the values it reads.  ``framed`` returns the resize inside the zero border
+    ``bordered`` adds, the frame that every view reads."""
     if not hasattr(grid, "rows_at"):
         grid = _framed(np.ascontiguousarray(grid, dtype=np.float64 if window is None else None))
     if out_h < 1 or out_w < 1:
@@ -267,8 +271,8 @@ def resize_bilinear(grid, out_h: int, out_w: int, *, window=None, framed=False):
 
 
 def _resize_into(out, grid, full_h: int, full_w: int, row0: int = 0, col0: int = 0, window=None, work=None):
-    """Fill ``out`` with the rows from ``row0`` and the columns from ``col0`` of the ``full_h`` x ``full_w``
-    resize of ``grid``, a ``PgmRows`` or a ``_framed`` frame; the rows and columns outside are not computed.
+    """Fill ``out`` with the rows from ``row0`` and the columns from ``col0`` of the ``full_h`` x ``full_w`` resize
+    of ``grid``, a ``Raster``, ``PgmRows`` or ``_framed`` frame; the rows and columns outside are not computed.
     Every strip takes its work arrays from the dict ``work``, which later calls may reuse."""
     work = {} if work is None else work
     in_h, in_w = grid.shape
@@ -300,11 +304,13 @@ def _lerp_columns(grid, ys, x0, x1, not_wx, wx, window, work):
     (index,), (left, right) = _scratch(work, "int", shape, np.int64), _scratch(work, "float", shape, count=2)
     for xs, weight, values in ((x0, not_wx, left), (x1, wx, right)):
         np.add(starts[:, None], xs, out=index)
-        if window is None:
-            np.take(flat, index, out=values, mode="clip")
-        else:
-            raw = np.take(flat, index, out=_scratch(work, "raw", shape, flat.dtype)[0], mode="clip")
+        # gathered in the source's dtype: np.take(out=) does not cast, so raw pixels take a scratch array
+        raw = values if flat.dtype == values.dtype else _scratch(work, "raw", shape, flat.dtype)[0]
+        np.take(flat, index, out=raw, mode="clip")
+        if window is not None:
             _rescale(raw, *window, out=values)
+        elif raw is not values:
+            np.copyto(values, raw)
         values *= weight
     left += right
     return left

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _check_values, _finite, _read_json
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_unique, _check_values, _read_json
 from .data import class_stats, write_json
 from .loss import (
     DbLossParams,
@@ -36,13 +36,15 @@ PLAIN_BCE = DbLossParams(beta=0.0, alpha=0.0, margin_scale=0.0)
 
 @dataclass
 class LinearModel:
+    """C x D ``weights`` and a C-vector ``bias``, checked first, before the float64 cast, as numbers in (-inf, inf)."""
+
     weights: np.ndarray
     bias: np.ndarray
     class_names: list
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = np.asarray(_check_values("weights", self.weights, "(-inf, inf)"), dtype=np.float64)
+        self.bias = np.asarray(_check_values("bias", self.bias, "(-inf, inf)"), dtype=np.float64)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("weights must be C x D with a C-vector bias")
         if len(self.class_names) != self.weights.shape[0]:
@@ -155,17 +157,18 @@ def train(
 ):
     """SGD on the DB loss under `loss_params` over epochs of the class-aware sampler.
 
-    Returns (model, trace) where trace[e] is the epoch-mean loss.  Aborts
-    with ValueError if the loss stops being finite.  The class weights and
-    margins are checked once, where `_loss_terms` makes them; each batch
-    then runs `db_loss_fused` in scratch arrays allocated once per batch
-    size, with the same bits as calling `db_loss` on it.
+    Returns (model, trace) where trace[e] is the epoch-mean loss.  The features
+    are checked first, before the float64 cast, as numbers in (-inf, inf): else
+    the first epoch's NaN loss would be blamed on the learning rate.  Aborts with
+    ValueError if the loss stops being finite.  The class weights and margins
+    are checked once, where `_loss_terms` makes them; each batch then runs
+    `db_loss_fused` in scratch arrays allocated once per batch size, with the
+    same bits as calling `db_loss` on it.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(_check_values("feature values", features, "(-inf, inf)"), dtype=np.float64)
     n, d = features.shape
     if n != labels.n_samples:
         raise ValueError("features and labels disagree on sample count")
-    _finite(features, "feature entry")  # else the first epoch's loss is NaN, blamed on the learning rate
     c = labels.n_classes
 
     stats = class_stats(labels)
@@ -221,6 +224,8 @@ def holdout_split(features, labels: LabelMatrix, fraction: float = 0.2):
     """Deterministic split: the last `fraction` of samples by index is held out."""
     _check_real("fraction", fraction, "[0, 1)")
     n = labels.n_samples
+    if len(features) != n:
+        raise ValueError("features and labels disagree on sample count")
     n_train = n - int(n * fraction)
     train_labels = LabelMatrix(
         ids=labels.ids[:n_train],
@@ -255,6 +260,8 @@ def evaluate_arm(model: LinearModel, features, labels: LabelMatrix, tercile_coun
 
     Each mAP is the mean AP over its classes, skipping those with no positives.
     """
+    if np.shape(tercile_counts) != (labels.n_classes,):
+        raise ValueError("tercile_counts needs one count per class")
     probs = stable_sigmoid(forward(model, features))
     scores = ScoreMatrix(labels.ids, probs, "probabilities", labels.class_names)
     report = macro_report(scores, labels)
@@ -332,11 +339,7 @@ def load_model(path) -> LinearModel:
         weights, bias, names = payload["weights"], payload["bias"], payload["class_names"]
         if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
             raise ValueError("class_names must be a list of strings")
-        model = LinearModel(weights, bias, names)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # a missing field, a bad value or shape, a huge int
+        # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf: LinearModel rejects them
+        return LinearModel(weights, bias, names)
+    except (KeyError, TypeError, ValueError) as exc:  # a missing field, a bad value or shape
         raise ValueError(f"{path}: not a model file: {exc!r}") from None
-    # json.loads takes the literals NaN and Infinity, and reads 1e400 as inf
-    for name in ("weights", "bias"):
-        if not np.isfinite(getattr(model, name)).all():
-            raise ValueError(f"{path}: non-finite value in model field {name!r}")
-    return model

@@ -818,7 +818,7 @@ def test_predict_probabilities_of_overflowing_logits(tmp_path, capsys):
     [
         ("not json", "m.json: not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ('{"weights": [[1.0]], "bias": [0.0]}', "m.json: not a model file: KeyError('class_names')"),
-        ('{"class_names": ["a"], "weights": [[NaN]], "bias": [0.0]}', "m.json: non-finite value in model field 'weights'"),
+        ('{"class_names": ["a"], "weights": [[NaN]], "bias": [0.0]}', "m.json: not a model file: ValueError('weights must be numbers in (-inf, inf)')"),
         ('{"class_names": ["a"], "weights": [[1.0, 2.0]], "bias": [0.0]}', "f.emb: feature dimension 1 differs from 2 in m.json"),
         ('{"class_names": ["a"], "weights": [[1e308]], "bias": [0.0]}', "non-finite score entry: the model m.json overflows on f.emb"),
     ],
@@ -864,7 +864,7 @@ class TestMalformedInputs:
         save_embeddings_binary(EmbeddingSet(["q0"], [[1.0, 2.0]]), feats)
         argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
         assert main([str(a) for a in argv]) == 1
-        assert capsys.readouterr().err == f"error: {model}: non-finite value in model field 'weights'\n"
+        assert capsys.readouterr().err == f"error: {model}: not a model file: ValueError('weights must be numbers in (-inf, inf)')\n"
 
     @pytest.mark.parametrize(
         "payload",
@@ -895,9 +895,21 @@ class TestMalformedInputs:
         save_embeddings_binary(EmbeddingSet(["q0"], [[1.0]]), feats)
         argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
         assert main([str(a) for a in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: not a model file: OverflowError(") and err.count("\n") == 1
+        err, name = capsys.readouterr().err, field.split()[-1]
+        assert err.startswith(f"error: {model}: not a model file: ValueError('{name} must be numbers in (-inf, inf)')")
+        assert err.count("\n") == 1
         assert not (tmp_path / "s.csv").exists()
+
+    def test_model_with_string_weights_writes_nothing(self, tmp_path, capsys):
+        # the float64 cast parsed the JSON string "1.5" as a weight, and predict exited 0
+        model = tmp_path / "m.json"
+        model.write_text('{"class_names": ["a"], "weights": [["1.5"]], "bias": [0.0]}', encoding="utf-8")
+        feats = tmp_path / "f.emb"
+        save_embeddings_binary(EmbeddingSet(["q0"], [[1.0]]), feats)
+        argv = ["predict", "--model", model, "--features", feats, "--out", tmp_path / "s.csv"]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {model}: not a model file: ValueError('weights must be numbers in (-inf, inf)')\n"
+        assert sorted(os.listdir(tmp_path)) == ["f.emb", "f.emb.ids.json", "m.json"]
 
     def test_model_with_duplicate_class_names(self, tmp_path, capsys):
         # a scores CSV with a repeated column name would be rejected by every reader

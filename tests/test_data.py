@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import re
@@ -31,6 +32,9 @@ from tailkit.data import (
     _check_real,
     _check_values,
 )
+from tailkit.loss import DbLossParams
+from tailkit.sampler import SamplerConfig
+from tailkit.trainer import LinearModel, TrainConfig, load_model, train
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +110,10 @@ def oracle_load_scores(path, kind):
                 v = float(tok)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: non-finite score")
             if kind == "probabilities" and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: probability out of range")
+                raise ValueError(f"{path}: line {lineno}: score values must be numbers in [0, 1]")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: score values must be numbers in (-inf, inf)")
             values[lineno - 2, j] = v
     return ScoreMatrix(ids=ids, values=values, kind=kind, class_names=class_names)
 
@@ -142,7 +146,7 @@ def oracle_load_embeddings_csv(path):
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: bad number {tok!r}") from None
             if not math.isfinite(v):
-                raise ValueError(f"{path}: line {lineno}: non-finite embedding entry")
+                raise ValueError(f"{path}: line {lineno}: embedding values must be numbers in (-inf, inf)")
             vectors[lineno - 2, j] = v
     return EmbeddingSet(ids=ids, vectors=vectors, normalized=False)
 
@@ -583,12 +587,15 @@ def test_plain_looking_files_load_as_the_oracles_do(tmp_path, kind, text):
         _assert_loads_as_oracle(kind, path)
 
 
+# the value checks of load_scores for logits and for probabilities
+_finite_scores = partial(_check_values, "score values", interval="(-inf, inf)")
+_probability_scores = partial(_check_values, "score values", interval="[0, 1]")
 # kind -> (key, plain parser, check, loader, the message of an empty cell)
 EMPTY_CELL_KINDS = {
     "labels": ("id", data._plain_labels, lambda v: v, load_labels, "non-binary label ''"),
-    "logits": ("id", data._plain_floats, data._finite, lambda p: load_scores(p, "logits"), "bad number ''"),
+    "logits": ("id", data._plain_floats, _finite_scores, lambda p: load_scores(p, "logits"), "bad number ''"),
     "probabilities": (
-        "id", data._plain_floats, data._probabilities, lambda p: load_scores(p, "probabilities"), "bad number ''"
+        "id", data._plain_floats, _probability_scores, lambda p: load_scores(p, "probabilities"), "bad number ''"
     ),
     "margins": ("class", data._plain_floats, lambda v: v, lambda p: data._load_margins(p, ["x"]), "bad number ''"),
 }
@@ -615,9 +622,9 @@ def test_an_empty_cell_is_declined_by_the_plain_path(tmp_path, kind, body, line)
 @pytest.mark.parametrize(
     "kind, row, message",
     [
-        ("logits", "x,inf,zz", "non-finite score"),
-        ("probabilities", "x,2,1_0,zz", "probability out of range"),
-        ("embeddings", ",inf,1_0,", "non-finite embedding entry"),
+        ("logits", "x,inf,zz", "score values must be numbers in (-inf, inf)"),
+        ("probabilities", "x,2,1_0,zz", "score values must be numbers in [0, 1]"),
+        ("embeddings", ",inf,1_0,", "embedding values must be numbers in (-inf, inf)"),
         ("labels", "x, 2 ,zz", "non-binary label '2'"),
     ],
 )
@@ -683,7 +690,7 @@ def test_underscore_in_a_cell_reads_through_csv(tmp_path):
         np.loadtxt(["1_0"], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     path = tmp_path / "s.csv"
     path.write_text("id,a\nimg_1,1_0\n", encoding="ascii")
-    assert data._read_plain(path, data._plain_floats, data._finite) is None
+    assert data._read_plain(path, data._plain_floats, _finite_scores) is None
     assert load_scores(path, "logits").values.tolist() == [[10.0]]
 
 
@@ -734,7 +741,7 @@ class TestLoadScores:
 
     def test_probability_out_of_range(self, write_csv):
         path = write_csv("s.csv", ["id", "a"], [["x1", "1.2"]])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=re.escape("score values must be numbers in [0, 1]")):
             load_scores(path, kind="probabilities")
 
     def test_logits_unbounded(self, write_csv):
@@ -744,7 +751,7 @@ class TestLoadScores:
 
     def test_nan_rejected(self, write_csv):
         path = write_csv("s.csv", ["id", "a"], [["x1", "nan"]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=re.escape("score values must be numbers in (-inf, inf)")):
             load_scores(path, kind="logits")
 
 
@@ -888,7 +895,7 @@ def oracle_load_emb1(path):
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
     vectors = np.frombuffer(raw, dtype="<f4", offset=12).reshape(count, dim)
     if not np.isfinite(vectors).all():
-        raise ValueError(f"{path}: non-finite embedding entry")
+        raise ValueError(f"{path}: embedding values must be numbers in (-inf, inf)")
     return vectors.astype(np.float64)
 
 
@@ -944,7 +951,7 @@ def test_emb1_read_that_ends_early_is_truncated(tmp_path, monkeypatch):
 def test_embedding_set_finds_non_finite_entry_in_last_block(count):
     vectors = np.ones((count, 3))
     vectors[-1, -1] = np.inf
-    with pytest.raises(ValueError, match="^non-finite embedding entry$"):
+    with pytest.raises(ValueError, match=f"^{re.escape('embedding values must be numbers in (-inf, inf)')}$"):
         EmbeddingSet([str(i) for i in range(count)], vectors)
 
 
@@ -985,10 +992,10 @@ def test_label_and_score_matrices_check_their_table_alike(what, ids, values, nam
 @pytest.mark.parametrize(
     "kind, values, message",
     [
-        ("logits", [[np.nan]], "non-finite score"),
-        ("probabilities", [[np.inf]], "non-finite score"),
-        ("probabilities", [[1.5]], "probability out of range"),
-        ("probabilities", [[-0.25]], "probability out of range"),
+        ("logits", [[np.nan]], "score values must be numbers in (-inf, inf)"),
+        ("probabilities", [[np.inf]], "score values must be numbers in [0, 1]"),
+        ("probabilities", [[1.5]], "score values must be numbers in [0, 1]"),
+        ("probabilities", [[-0.25]], "score values must be numbers in [0, 1]"),
         # the kind is checked before the values are cast
         ("odds", [["x"]], "unknown score kind 'odds'"),
     ],
@@ -1131,6 +1138,19 @@ NOT_VALUES = [
 ]
 # every interval holds an empty array, whatever its dtype or shape
 EMPTY_VALUES = [[], np.empty((0, 3)), np.array([], dtype=np.int8), np.array([], dtype=object)]
+# float32 arrays, as EMB1 blocks are, at each end and its float32 neighbours: numpy 1.x compares them
+# with a Python-float bound by value-based casting, numpy 2 by NEP 50
+_F32 = partial(np.array, dtype=np.float32)
+_F32_TINY, _F32_HUGE = np.nextafter(np.float32(0), np.float32(1)), np.finfo(np.float32).max
+_F32_BELOW_ONE, _F32_ABOVE_ONE = np.nextafter(np.float32(1), np.float32(0)), np.nextafter(np.float32(1), np.float32(2))
+FLOAT32_CASES = {
+    "[0, 1]": (
+        [_F32([0.0, _F32_TINY, _F32_BELOW_ONE, 1.0]), _F32([-0.0])],
+        [_F32([_F32_ABOVE_ONE]), _F32([-_F32_TINY]), _F32([0.5, np.nan])],
+    ),
+    "(0, inf)": ([_F32([_F32_TINY, _F32_HUGE])], [_F32([0.0]), _F32([-0.0]), _F32([np.inf])]),
+    "(-inf, inf)": ([_F32([-_F32_HUGE, 0.0, _F32_HUGE])], [_F32([0.5, np.inf]), _F32([-np.inf]), _F32([np.nan])]),
+}
 
 
 @pytest.mark.parametrize(
@@ -1138,7 +1158,8 @@ EMPTY_VALUES = [[], np.empty((0, 3)), np.array([], dtype=np.int8), np.array([], 
     [(i, v, True) for i, (ins, _) in VALUES_CASES.items() for v in ins]
     + [(i, v, False) for i, (_, outs) in VALUES_CASES.items() for v in outs]
     + [(i, v, False) for i in VALUES_CASES for v in NOT_VALUES]
-    + [(i, v, True) for i in VALUES_CASES for v in EMPTY_VALUES],
+    + [(i, v, True) for i in VALUES_CASES for v in EMPTY_VALUES]
+    + [(i, v, inside) for i, cases in FLOAT32_CASES.items() for inside, vs in zip((True, False), cases) for v in vs],
 )
 def test_check_values(interval, values, inside):
     """The array twin of _check_real: the same intervals, each entry compared, one message."""
@@ -1182,6 +1203,113 @@ def test_check_values_compares_numeric_arrays_as_given():
     assert _check_values("v", [0, 1], "[0, 1]").dtype == np.int64
     objects = _check_values("v", np.array([1, 0.5, True], dtype=object), "[0, 1]")
     assert objects.dtype == np.float64 and objects.tolist() == [1.0, 0.5, 1.0]
+
+
+# entries that no input site takes: NaN, +-inf, a string, None, an int past the float range, a complex
+BAD_ENTRIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "string": "0.5", "none": None, "huge": 10**400, "complex": 0.5 + 2j}
+JSON_ENTRIES = ["nan", "inf", "-inf", "string", "none", "huge"]  # json.dumps writes NaN, Infinity, "0.5", null and digits
+CSV_ENTRIES = ["nan", "inf", "-inf", "huge"]  # as repr() spells them; float() reads the digits of 10**400 as inf
+EMB1_ENTRIES = ["nan", "inf", "-inf"]
+
+
+def _csv_file(tmp_path, entry):
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,a,b\nx,0.5,{entry!r}\n", encoding="utf-8")
+    return path
+
+
+def _emb1_file(tmp_path, entry):
+    path = tmp_path / "m.emb"
+    path.write_bytes(data.EMB_MAGIC + struct.pack("<II", 1, 2) + np.array([0.5, entry], "<f4").tobytes())
+    return path
+
+
+def _model_file(tmp_path, weights, bias):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"class_names": ["a"], "weights": weights, "bias": bias}), encoding="utf-8")
+    return path
+
+
+def _train(features):
+    return train(features, LabelMatrix(["x"], [[1]], ["a"]), TrainConfig(0.1, 1, 1), DbLossParams(), SamplerConfig())
+
+
+NOT_A_MODEL = "{tmp}/m.json: not a model file: ValueError('{field} must be numbers in (-inf, inf)')"
+# site -> (the call with a bad entry, in tmp; its message, {tmp} the directory; the entries it can be given)
+VALUE_SITES = {
+    "ScoreMatrix logits": (
+        lambda tmp, v: ScoreMatrix(["x"], [[0.5, v]], "logits", ["a", "b"]),
+        "score values must be numbers in (-inf, inf)",
+        list(BAD_ENTRIES),
+    ),
+    "ScoreMatrix probabilities": (
+        lambda tmp, v: ScoreMatrix(["x"], [[0.5, v]], "probabilities", ["a", "b"]),
+        "score values must be numbers in [0, 1]",
+        list(BAD_ENTRIES),
+    ),
+    "EmbeddingSet": (
+        lambda tmp, v: EmbeddingSet(["x"], [[0.5, v]]), "embedding values must be numbers in (-inf, inf)", list(BAD_ENTRIES)
+    ),
+    "train features": (lambda tmp, v: _train([[0.5, v]]), "feature values must be numbers in (-inf, inf)", list(BAD_ENTRIES)),
+    "LinearModel weights": (
+        lambda tmp, v: LinearModel([[0.5, v]], [0.0], ["a"]), "weights must be numbers in (-inf, inf)", list(BAD_ENTRIES)
+    ),
+    "LinearModel bias": (lambda tmp, v: LinearModel([[0.5]], [v], ["a"]), "bias must be numbers in (-inf, inf)", list(BAD_ENTRIES)),
+    "load_model weights": (
+        lambda tmp, v: load_model(_model_file(tmp, [[0.5, v]], [0.0])), NOT_A_MODEL.replace("{field}", "weights"), JSON_ENTRIES
+    ),
+    "load_model bias": (
+        lambda tmp, v: load_model(_model_file(tmp, [[0.5]], [v])), NOT_A_MODEL.replace("{field}", "bias"), JSON_ENTRIES
+    ),
+    "load_scores logits": (
+        lambda tmp, v: load_scores(_csv_file(tmp, v), "logits"),
+        "{tmp}/m.csv: line 2: score values must be numbers in (-inf, inf)",
+        CSV_ENTRIES,
+    ),
+    "load_scores probabilities": (
+        lambda tmp, v: load_scores(_csv_file(tmp, v), "probabilities"),
+        "{tmp}/m.csv: line 2: score values must be numbers in [0, 1]",
+        CSV_ENTRIES,
+    ),
+    "embedding CSV cell": (
+        lambda tmp, v: load_embeddings(_csv_file(tmp, v)),
+        "{tmp}/m.csv: line 2: embedding values must be numbers in (-inf, inf)",
+        CSV_ENTRIES,
+    ),
+    "EMB1 block": (
+        lambda tmp, v: load_embeddings(_emb1_file(tmp, v)), "{tmp}/m.emb: embedding values must be numbers in (-inf, inf)", EMB1_ENTRIES
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "site, entry", [(site, entry) for site, (_, _, entries) in VALUE_SITES.items() for entry in entries]
+)
+def test_every_input_site_checks_its_values_before_the_cast(tmp_path, site, entry):
+    """One message per site, for each entry it can be given.  The float64 cast parsed the string
+    "0.5", raised OverflowError on 10**400 and kept the real part of 0.5+2j."""
+    call, message, _ = VALUE_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the cast of a complex warned and went on
+        with pytest.raises(ValueError) as info:
+            call(tmp_path, BAD_ENTRIES[entry])
+    assert str(info.value) == message.format(tmp=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ScoreMatrix(["x", "x"], [[math.nan]], "logits", ["a"]), "score values must be numbers in (-inf, inf)"),
+        (lambda: EmbeddingSet(["x", "x"], [[math.nan]]), "embedding values must be numbers in (-inf, inf)"),
+        (lambda: LinearModel([[math.nan]], [0.0, 0.0], ["a"]), "weights must be numbers in (-inf, inf)"),
+        (lambda: _train([[math.nan], [0.0]]), "feature values must be numbers in (-inf, inf)"),
+    ],
+    ids=["scores", "embeddings", "model", "features"],
+)
+def test_values_are_checked_before_the_shape(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

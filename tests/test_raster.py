@@ -575,6 +575,18 @@ class TestRescaleInsideResize:
         assert len(spans) == math.ceil(65 / _STRIP_ROWS) and len({data for *_, data in spans}) == 1
         assert out.tobytes() == resize_bilinear(load_pgm(path).pixels, 65, 5, window=(0, 65535)).tobytes()
 
+    @pytest.mark.parametrize("framed", [False, True])
+    @pytest.mark.parametrize("window", [None, (3, 200)], ids=["no-window", "window"])
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_a_raster_resizes_as_its_pixels(self, depth, window, framed):
+        # a Raster passed the rows_at test of a pixel source, then failed on its missing shape
+        pixels = np.random.default_rng(depth).integers(0, 1 << depth, (37, 11))
+        raster = Raster(width=11, height=37, depth=depth, pixels=pixels)
+        assert raster.shape == (37, 11)
+        for out_h, out_w in [(70, 5), (9, 23)]:
+            got = resize_bilinear(raster, out_h, out_w, window=window, framed=framed)
+            assert got.tobytes() == resize_bilinear(raster.pixels, out_h, out_w, window=window, framed=framed).tobytes()
+
     @pytest.mark.parametrize("depth", [8, 16])
     def test_maxval_window_is_the_division_for_every_value(self, depth):
         maxval = (1 << depth) - 1

@@ -262,7 +262,7 @@ def damaged_inputs(tmp_path, faults, csv=False):
     messages = {
         "truncated": f"{images}: expected {len(raw)} bytes, found {len(raw) - 1}",
         # the CSV reader names the record: the header is line 1, the last row line N + 1
-        "nan": f"{images}: {f'line {N + 1}: ' if csv else ''}non-finite embedding entry",
+        "nan": f"{images}: {f'line {N + 1}: ' if csv else ''}embedding values must be numbers in (-inf, inf)",
         "sidecar": f"{sidecar}: ids sidecar does not match count {N}",
         "zero": f"{images}: zero-norm embedding row (id 'r{ZERO_ROW}')",
     }

@@ -307,7 +307,7 @@ class TestTrain:
         features[3, 1] = bad
         with pytest.raises(ValueError) as exc:
             train(features, labels, TrainConfig(0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
-        assert str(exc.value) == "non-finite feature entry"
+        assert str(exc.value) == "feature values must be numbers in (-inf, inf)"
 
     def test_inputs_that_do_not_fit_name_their_fault(self):
         features, labels = generate_synthetic(small_spec(4))
@@ -385,6 +385,20 @@ class TestSplitAndTerciles:
         (x_tr, _), (x_te, y_te) = holdout_split(features, labels, 0.0)
         assert x_tr.shape[0] == 10 and x_te.shape[0] == y_te.n_samples == 0
 
+    def test_holdout_features_and_labels_must_agree_on_sample_count(self):
+        # 3 feature rows against 4 label rows were split 2 + 1 against 2 + 2
+        features, labels = generate_synthetic(small_spec(10, n_samples=4))
+        with pytest.raises(ValueError, match="^features and labels disagree on sample count$"):
+            holdout_split(features[:3], labels, 0.5)
+
+    @pytest.mark.parametrize("n_counts", [2, 6])
+    def test_evaluate_arm_needs_one_tercile_count_per_class(self, n_counts):
+        # with 3 classes, 6 counts raised IndexError and 2 gave tiers over the wrong classes
+        features, labels = generate_synthetic(small_spec(10, n_samples=20, n_classes=3))
+        model = LinearModel(np.zeros((3, features.shape[1])), np.zeros(3), labels.class_names)
+        with pytest.raises(ValueError, match="^tercile_counts needs one count per class$"):
+            evaluate_arm(model, features, labels, [1] * n_counts)
+
     def test_terciles_by_count_with_index_ties(self):
         tail, head = class_terciles([10, 2, 2, 50, 7, 100])
         assert tail == [1, 2]
@@ -433,7 +447,7 @@ class TestModelSerialization:
         path.write_text(f'{{"class_names": ["a"], "weights": {weights}, "bias": {bias}}}', encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_model(path)
-        assert str(info.value) == f"{path}: non-finite value in model field {field!r}"
+        assert str(info.value) == f"{path}: not a model file: ValueError('{field} must be numbers in (-inf, inf)')"
 
     @pytest.mark.parametrize(
         "names", ['"abc"', '{"a": 0, "b": 1, "c": 2}', '["a", null, "c"]', '["a", 7, "c"]'],
