@@ -28,16 +28,20 @@ SCORE_KINDS = {"logits": "(-inf, inf)", "probabilities": "[0, 1]"}
 
 EMB_MAGIC = b"EMB1"
 
-# rows per block of the EMB1 reader, _map_rows's unit division and the CSV writer's float
-# conversion: 1 MiB of float64 (and a 0.5 MiB float32 buffer) at D = 512, and 5k Python floats at C = 20
+# rows per block of the EMB1 reader, _map_rows's unit division, the CSV writer's float
+# conversion and pipeline's tta_merge, ensemble and normal_gate: 1 MiB of float64 (and a
+# 0.5 MiB float32 buffer) at D = 512, and 5k Python floats or 40 KiB of float64 at C = 20
 _NORM_BLOCK_ROWS = 256
 
 
 def _inside(x, interval: str):
     """Whether ``x``, a float or each entry of an array, lies in ``interval``, spelled ``"(0, inf]"``."""
+    if interval == "(-inf, inf)":
+        return np.isfinite(x)
     low, high = (float(end) for end in interval[1:-1].split(","))
-    above = low <= x if interval[0] == "[" else low < x
-    return above & (x <= high if interval[-1] == "]" else x < high)
+    inside = low <= x if interval[0] == "[" else low < x
+    inside &= x <= high if interval[-1] == "]" else x < high
+    return inside
 
 
 def _float(value) -> float:

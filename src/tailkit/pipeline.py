@@ -9,13 +9,18 @@ abnormal findings.
 
 Inputs are aligned by sample id, never by row order; a mismatched id set or
 class order is a hard error.
+
+Each stage works in blocks of ``_NORM_BLOCK_ROWS`` rows: beside its inputs it
+holds its output matrix and at most one aligned copy of one input, and each
+output cell goes through the float operations of the whole-matrix form, in
+the same order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values
+from .data import _NORM_BLOCK_ROWS, LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values
 from .loss import stable_sigmoid
 
 
@@ -66,6 +71,11 @@ def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.nd
     return other.values[perm]
 
 
+def _row_blocks(n: int):
+    """Slices of ``_NORM_BLOCK_ROWS`` rows covering ``range(n)`` in order."""
+    return (slice(start, start + _NORM_BLOCK_ROWS) for start in range(0, n, _NORM_BLOCK_ROWS))
+
+
 def tta_merge(views) -> ScoreMatrix:
     """Mean of per-view sigmoids: one logit ScoreMatrix per augmentation view."""
     views = list(views)
@@ -77,7 +87,10 @@ def tta_merge(views) -> ScoreMatrix:
             raise ValueError("tta_merge expects logit views")
     total = np.zeros_like(first.values)
     for v in views:
-        total += stable_sigmoid(_align_to(first, v))
+        aligned = _align_to(first, v)
+        for rows in _row_blocks(len(total)):
+            total[rows] += stable_sigmoid(aligned[rows])
+        del aligned  # before the next view's copy is made
     total /= len(views)
     return ScoreMatrix(
         ids=first.ids,
@@ -98,9 +111,12 @@ def ensemble(members, spec: EnsembleSpec) -> ScoreMatrix:
     for mtx in members:
         if mtx.kind != "probabilities":
             raise ValueError("ensemble expects probability members")
-    combined, product = np.zeros_like(first.values), np.empty_like(first.values)
+    combined = np.zeros_like(first.values)
     for weight, mtx in zip(spec.normalized_weights, members):
-        combined += np.multiply(weight, _align_to(first, mtx), out=product)
+        aligned = _align_to(first, mtx)
+        for rows in _row_blocks(len(combined)):
+            combined[rows] += weight * aligned[rows]
+        del aligned  # before the next member's copy is made
     np.clip(combined, 0.0, 1.0, out=combined)
     return ScoreMatrix(
         ids=first.ids, values=combined, kind="probabilities", class_names=first.class_names
@@ -113,10 +129,13 @@ def normal_gate(p: ScoreMatrix, cfg: GateConfig) -> ScoreMatrix:
         raise ValueError("normal_gate expects probabilities")
     if cfg.normal_class_index >= len(p.class_names):
         raise ValueError("normal class index out of range")
+    normal = cfg.normal_class_index
     values = p.values.copy()
-    factor = np.power(1.0 - values[:, cfg.normal_class_index], cfg.exponent)
-    abnormal = np.arange(values.shape[1]) != cfg.normal_class_index
-    values[:, abnormal] *= factor[:, None]
+    for rows in _row_blocks(len(values)):
+        block = values[rows]
+        factor = np.power(1.0 - block[:, normal], cfg.exponent)[:, None]
+        block[:, :normal] *= factor
+        block[:, normal + 1 :] *= factor
     return ScoreMatrix(
         ids=p.ids, values=values, kind="probabilities", class_names=p.class_names
     )

@@ -166,6 +166,8 @@ def train(
     same bits as calling `db_loss` on it.
     """
     features = np.asarray(_check_values("feature values", features, "(-inf, inf)"), dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError("feature values must be an N x D matrix")
     n, d = features.shape
     if n != labels.n_samples:
         raise ValueError("features and labels disagree on sample count")
@@ -262,6 +264,8 @@ def evaluate_arm(model: LinearModel, features, labels: LabelMatrix, tercile_coun
     """
     if np.shape(tercile_counts) != (labels.n_classes,):
         raise ValueError("tercile_counts needs one count per class")
+    if len(features) != labels.n_samples:
+        raise ValueError("features and labels disagree on sample count")
     probs = stable_sigmoid(forward(model, features))
     scores = ScoreMatrix(labels.ids, probs, "probabilities", labels.class_names)
     report = macro_report(scores, labels)

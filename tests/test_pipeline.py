@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailkit.data import ScoreMatrix
+from tailkit.data import _NORM_BLOCK_ROWS, ScoreMatrix
 from tailkit.loss import stable_sigmoid
 from tailkit.metrics import auc_roc, average_precision
-from tailkit.pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
+from tailkit.pipeline import EnsembleSpec, GateConfig, _align_to, ensemble, normal_gate, tta_merge
 
 
 def logits(values, ids=None, classes=None):
@@ -208,6 +208,98 @@ class TestNormalGate:
     def test_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):
             normal_gate(probs([[0.5, 0.5]]), GateConfig(normal_class_index=5))
+
+
+def oracle_tta_merge(views):
+    """The whole-matrix merge: every view's sigmoid at once, summed in view order."""
+    first = views[0]
+    total = np.zeros_like(first.values)
+    for v in views:
+        total += stable_sigmoid(_align_to(first, v))
+    total /= len(views)
+    return total
+
+
+def oracle_ensemble(members, spec):
+    """The whole-matrix ensemble: each member's weighted copy added in member order, then clipped."""
+    first = members[0]
+    combined, product = np.zeros_like(first.values), np.empty_like(first.values)
+    for weight, mtx in zip(spec.normalized_weights, members):
+        combined += np.multiply(weight, _align_to(first, mtx), out=product)
+    np.clip(combined, 0.0, 1.0, out=combined)
+    return combined
+
+
+def oracle_normal_gate(p, cfg):
+    """The whole-matrix gate: the abnormal columns gathered, scaled and scattered back."""
+    values = p.values.copy()
+    factor = np.power(1.0 - values[:, cfg.normal_class_index], cfg.exponent)
+    abnormal = np.arange(values.shape[1]) != cfg.normal_class_index
+    values[:, abnormal] *= factor[:, None]
+    return values
+
+
+B = _NORM_BLOCK_ROWS
+BLOCK_SIZES = [1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def stage_inputs(values, kind, order, seed):
+    """One ScoreMatrix per value matrix, all over one id set; the first in id order, the others
+    in id order too (``order`` "same") or each in a row permutation of its own ("permuted")."""
+    rng = np.random.default_rng(seed)
+    n, c = values[0].shape
+    ids, classes = [f"s{i:05d}" for i in range(n)], [f"c{j}" for j in range(c)]
+    out = [ScoreMatrix(ids, values[0], kind, classes)]
+    for v in values[1:]:
+        perm = rng.permutation(n) if order == "permuted" else np.arange(n)
+        out.append(ScoreMatrix([ids[i] for i in perm], v[perm], kind, classes))
+    return out
+
+
+class TestBlockedStagesMatchTheWholeMatrix:
+    """Each stage's row blocks give the bytes of its whole-matrix oracle, either side of a block edge."""
+
+    @pytest.mark.parametrize("order", ["same", "permuted"])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_tta_merge(self, n, order):
+        rng = np.random.default_rng(n)
+        values = [rng.normal(0.0, 3.0, (n, 7)) for _ in range(3)]
+        # huge logits saturate the sigmoid; exp(-746) underflows to 0
+        for v, huge in zip(values, (1e308, 746.0, 40.0)):
+            v[rng.integers(0, n), :2] = (huge, -huge)
+        views = stage_inputs(values, "logits", order, seed=n + 1)
+        # +-inf logits pass a view built unchecked; the sigmoid takes them to 1 and 0
+        views[-1].values[-1, -2:] = (np.inf, -np.inf)
+        got = tta_merge(views)
+        assert got.ids == views[0].ids and got.kind == "probabilities"
+        assert got.values.tobytes() == oracle_tta_merge(views).tobytes()
+
+    @pytest.mark.parametrize("order", ["same", "permuted"])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_ensemble(self, n, order):
+        rng = np.random.default_rng(n)
+        values = [rng.random((n, 5)) for _ in range(3)]
+        values[0][0, :2] = (0.0, 1.0)
+        values[1][-1, :2] = (1.0, 1.0)
+        members = stage_inputs(values, "probabilities", order, seed=n + 2)
+        spec = EnsembleSpec.from_raw([1.0, 1.5, 0.3])
+        got = ensemble(members, spec)
+        assert got.ids == members[0].ids
+        assert got.values.tobytes() == oracle_ensemble(members, spec).tobytes()
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, math.inf])
+    @pytest.mark.parametrize("normal", [0, 2, 4])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_normal_gate(self, n, normal, exponent):
+        rng = np.random.default_rng(n)
+        values = rng.random((n, 5))
+        values[0, normal] = 0.0  # 0 ** 0 and 1 ** inf are 1
+        values[-1, normal] = 1.0  # 0 ** inf is 0
+        p = probs(values)
+        cfg = GateConfig(normal_class_index=normal, exponent=exponent)
+        got = normal_gate(p, cfg)
+        assert got.values.tobytes() == oracle_normal_gate(p, cfg).tobytes()
+        assert p.values.tobytes() == values.tobytes()  # the input is not written
 
 
 @pytest.mark.parametrize(

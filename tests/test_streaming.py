@@ -3,8 +3,9 @@
 EMB1 rows are read, checked and scored one block at a time.  Pinned here:
 a row's scores do not depend on the other rows of its file; no N x D matrix
 is held; and a damaged file reports the same fault as the whole-file loaders.
-The score CSV reader, `tta_merge` and the writer each peak within a small
-multiple of the N x C float64 table they load, merge or save.
+The score CSV reader, `tta_merge`, `ensemble`, `normal_gate` and the writer
+each peak within a small multiple of the N x C float64 table they load,
+refine or save.
 """
 
 import json
@@ -34,7 +35,7 @@ from tailkit.data import (
     save_scores,
 )
 from tailkit.loss import stable_sigmoid
-from tailkit.pipeline import tta_merge
+from tailkit.pipeline import EnsembleSpec, GateConfig, ensemble, normal_gate, tta_merge
 from tailkit.trainer import LinearModel, forward, save_model
 from tailkit.zeroshot import PromptBank, ZsConfig, score_batch, score_file, unit_normalize
 
@@ -196,16 +197,43 @@ def test_score_csv_load_peaks_within_five_tables(refine_scores):
     assert peak / want.values.nbytes <= 5
 
 
-def test_tta_merge_of_three_views_peaks_within_five_tables(refine_scores):
-    # at the peak: the sum, one realigned view, the sigmoid's two arrays and its bool mask
-    first = refine_scores[0]
-    views = [first]
-    for seed in (1, 2):
-        perm = np.random.default_rng(seed).permutation(len(first.ids))
-        views.append(ScoreMatrix([first.ids[i] for i in perm], first.values[perm], "logits", first.class_names))
+def permuted_copies(table, kind, seeds):
+    """``table`` and one copy of it per seed, each in a row permutation drawn from that seed."""
+    copies = [table]
+    for seed in seeds:
+        perm = np.random.default_rng(seed).permutation(len(table.ids))
+        copies.append(ScoreMatrix([table.ids[i] for i in perm], table.values[perm], kind, table.class_names))
+    return copies
+
+
+def test_tta_merge_of_three_views_peaks_within_two_and_a_half_tables(refine_scores):
+    # at the peak: the sum, one realigned view and the id map that realigns it; the sigmoid's
+    # two arrays and mask over a whole view beside them would pass 4x
+    views = permuted_copies(refine_scores[0], "logits", (1, 2))
     merged, peak = traced_peak(lambda: tta_merge(views))
-    assert merged.values.shape == first.values.shape
-    assert peak / first.values.nbytes <= 5
+    assert merged.values.shape == views[0].values.shape
+    assert peak / views[0].values.nbytes <= 2.5
+
+
+def test_ensemble_of_two_members_peaks_within_two_and_a_half_tables(refine_scores):
+    # at the peak: the sum, one realigned member and the id map that realigns it; a whole
+    # weighted copy of the member beside them would pass 3.4x
+    first = refine_scores[0]
+    table = ScoreMatrix(first.ids, stable_sigmoid(first.values), "probabilities", first.class_names)
+    members = permuted_copies(table, "probabilities", (1,))
+    combined, peak = traced_peak(lambda: ensemble(members, EnsembleSpec.from_raw([1.0, 1.5])))
+    assert combined.values.shape == table.values.shape
+    assert peak / table.values.nbytes <= 2.5
+
+
+def test_normal_gate_peaks_within_one_and_three_quarter_tables(refine_scores):
+    # at the peak: the output and the result's id checks; the abnormal columns gathered
+    # into an N x (C - 1) temporary would pass 2x
+    first = refine_scores[0]
+    p = ScoreMatrix(first.ids, stable_sigmoid(first.values), "probabilities", first.class_names)
+    gated, peak = traced_peak(lambda: normal_gate(p, GateConfig(normal_class_index=0)))
+    assert gated.values.shape == p.values.shape
+    assert peak / p.values.nbytes <= 1.75
 
 
 def test_score_csv_save_peaks_within_two_tables(refine_scores, tmp_path):

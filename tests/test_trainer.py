@@ -309,6 +309,16 @@ class TestTrain:
             train(features, labels, TrainConfig(0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
         assert str(exc.value) == "feature values must be numbers in (-inf, inf)"
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2), (2,)], ids=["1-D", "3-D", "1-D-short"])
+    def test_features_that_are_not_a_matrix_are_named(self, shape):
+        # Python's unpacking message came first; the shape is named before the sample count
+        _, labels = generate_synthetic(small_spec(4, n_samples=3))
+        args = (TrainConfig(learning_rate=0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
+        with pytest.raises(ValueError, match=r"^feature values must be an N x D matrix$"):
+            train(np.zeros(shape), labels, *args)
+        with pytest.raises(ValueError, match=r"^feature values must be numbers in \(-inf, inf\)$"):
+            train(np.full(shape, np.nan), labels, *args)
+
     def test_inputs_that_do_not_fit_name_their_fault(self):
         features, labels = generate_synthetic(small_spec(4))
         args = (TrainConfig(learning_rate=0.1, epochs=1, batch_size=16), DbLossParams(), SamplerConfig())
@@ -398,6 +408,15 @@ class TestSplitAndTerciles:
         model = LinearModel(np.zeros((3, features.shape[1])), np.zeros(3), labels.class_names)
         with pytest.raises(ValueError, match="^tercile_counts needs one count per class$"):
             evaluate_arm(model, features, labels, [1] * n_counts)
+
+    @pytest.mark.parametrize("n_rows", [2, 4])
+    def test_evaluate_arm_features_and_labels_must_agree_on_sample_count(self, n_rows):
+        # the scores made from 2 rows against 3 labels failed as a ScoreMatrix shape fault
+        features, labels = generate_synthetic(small_spec(10, n_samples=4, n_classes=2))
+        labels = LabelMatrix(labels.ids[:3], labels.values[:3], labels.class_names)
+        model = LinearModel(np.zeros((2, features.shape[1])), np.zeros(2), labels.class_names)
+        with pytest.raises(ValueError, match="^features and labels disagree on sample count$"):
+            evaluate_arm(model, features[:n_rows], labels, [1, 1])
 
     def test_terciles_by_count_with_index_ties(self):
         tail, head = class_terciles([10, 2, 2, 50, 7, 100])
