@@ -2,15 +2,17 @@
 
 Conventions are pinned so results are reproducible and oracle-checkable:
 
-* AP is non-interpolated: sort by score descending (ties broken by original
-  order via a stable sort) and average precision at each positive rank.
+* AP is the step AP over distinct scores, sum of (R_n - R_{n-1}) * P_n: tied
+  scores count as one threshold, so AP does not depend on row order.  Without
+  ties it is the mean precision at each positive's rank.
 * AUC uses the Mann-Whitney formulation: the fraction of
   (positive, negative) pairs ranked correctly, ties counting 0.5.
   Ranks are average ranks over the runs of tied scores.
 * F1 thresholds with ``score >= threshold`` and returns 0 when the
   denominator 2TP + FP + FN is 0.
 * ECE uses equal-width bins on [0, 1], right-closed with bin 0 left-closed;
-  empty bins contribute nothing.
+  empty bins contribute nothing.  A bin's mean sums in row order, so ECE and
+  the macro ``mece`` may differ in their last bits when the rows are permuted.
 
 Score rows are matched to label rows by id, as in the pipeline; a differing
 id set or class order is an error.
@@ -52,19 +54,25 @@ def _as_1d(scores, labels):
     return scores, labels
 
 
+def _tie_run_ends(sorted_scores):
+    """Index of the last element of each run of equal values in sorted scores; -0.0 ties 0.0."""
+    return np.concatenate((np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), [sorted_scores.size - 1]))
+
+
 def average_precision(scores, labels):
-    """Non-interpolated AP; None when the class has no positive labels."""
+    """Step AP over distinct scores; None when the class has no positive labels."""
     scores, labels = _as_1d(scores, labels)
     positive = labels == 1
     n_pos = int(positive.sum())
     if n_pos == 0:
         return None
     order = np.argsort(-scores, kind="stable")
-    pos_sorted = positive[order]
-    cum_pos = np.cumsum(pos_sorted)
-    ranks = np.arange(1, scores.size + 1)
-    precision_at_pos = cum_pos[pos_sorted] / ranks[pos_sorted]
-    return float(precision_at_pos.sum() / n_pos)
+    ends = _tie_run_ends(scores[order])
+    run_pos = np.cumsum(positive[order])[ends]
+    # a run's new positives share the precision at its end; tie-free, each term is 1 * (cum_pos / rank)
+    new_pos = np.diff(run_pos, prepend=0)
+    hit = new_pos > 0
+    return float((new_pos[hit] * (run_pos[hit] / (ends[hit] + 1))).sum() / n_pos)
 
 
 def auc_roc(scores, labels):
@@ -76,11 +84,8 @@ def auc_roc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    # tie runs of the sorted scores
-    bounds = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [scores.size])) - 1
+    ends = _tie_run_ends(scores[order])
+    starts = np.concatenate(([0], ends[:-1] + 1))
     # average rank over the tie run gives exactly 0.5 credit per tied pair
     ranks = np.empty(scores.size, dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)

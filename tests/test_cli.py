@@ -568,7 +568,7 @@ class TestEvalCommand:
         assert report["macro"]["map"] == pytest.approx(macro_ap)
 
     def test_row_permuted_scores_give_identical_report(self, tmp_path, labels_csv):
-        # tied scores across rows, so AP's stable tie order would expose a row-order effect
+        # tied scores across rows, so a tie rule that followed row order would show
         rows = [
             ["s0", "0.5", "0.5", "0.8"],
             ["s1", "0.5", "0.2", "0.5"],
@@ -585,6 +585,37 @@ class TestEvalCommand:
             assert rc == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_gated_zeros_give_one_report_in_any_label_row_order(self, tmp_path):
+        # gate writes exact zeros where p_normal reads 1, so each abnormal column holds a long tie run
+        rng = np.random.default_rng(36)
+        n, names = 48, ["Normal", "a", "b", "c"]
+        ids = [f"s{i:02d}" for i in range(n)]
+        probs = np.round(rng.random((n, len(names))), 3)
+        probs[rng.permutation(n)[:16], 0] = 1.0
+        labels = (rng.random((n, len(names))) < 0.3).astype(int)
+        labels[:2] = [[0, 1, 1, 1], [1, 0, 0, 0]]  # every class has a positive and a negative
+        rows = [[i, *map(repr, row)] for i, row in zip(ids, probs.tolist())]
+        scores = write_csv_file(tmp_path / "p.csv", ["id", *names], rows)
+        gated = tmp_path / "gated.csv"
+        assert main(["gate", "--in", str(scores), "--out", str(gated)]) == 0
+        assert (load_scores(gated, kind="probabilities").values[:, 1:] == 0.0).sum(axis=0).min() >= 16
+
+        reports = []
+        for k, order in enumerate((np.arange(n), np.arange(n)[::-1], rng.permutation(n))):
+            rows = [[ids[i], *map(str, labels[i])] for i in order]
+            labels_csv = write_csv_file(tmp_path / f"y{k}.csv", ["id", *names], rows)
+            out = tmp_path / f"r{k}.json"
+            assert main(["eval", "--scores", str(gated), "--labels", str(labels_csv), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+
+        def exact(report):
+            macro = {k: report["macro"][k] for k in ("map", "mauc", "mf1")}
+            return macro | {(c, k): report["per_class"][c][k] for c in names for k in ("ap", "auc", "f1")}
+
+        for report in reports[1:]:
+            assert exact(report) == exact(reports[0])
+            assert report["macro"]["mece"] == pytest.approx(reports[0]["macro"]["mece"], rel=1e-15, abs=0)
 
     def test_misaligned_ids_fail(self, tmp_path, labels_csv, capsys):
         scores = write_csv_file(

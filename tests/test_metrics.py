@@ -68,6 +68,21 @@ def tie_loop_auc(scores, labels):
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def stable_order_ap(scores, labels):
+    """The AP kernel before tie runs: ties broken by row order, mean precision at each positive's rank."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positive = np.asarray(labels).ravel() == 1
+    n_pos = int(positive.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    pos_sorted = positive[order]
+    cum_pos = np.cumsum(pos_sorted)
+    ranks = np.arange(1, scores.size + 1)
+    precision_at_pos = cum_pos[pos_sorted] / ranks[pos_sorted]
+    return float(precision_at_pos.sum() / n_pos)
+
+
 # a handful of score values makes long tie runs; -0.0 == 0.0 ties
 TIE_POOL = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
 
@@ -100,23 +115,35 @@ class TestAveragePrecision:
     def test_no_positives_undefined(self):
         assert average_precision([0.3, 0.8], [0, 0]) is None
 
-    def test_ties_broken_by_original_order(self):
-        # tied scores: the positive at the earlier index is ranked first
-        assert average_precision([0.5, 0.5], [1, 0]) == 1.0
+    def test_tied_scores_count_as_one_threshold(self):
+        # one run of tied scores: its positive is found at precision 1/2, whichever row holds it
+        assert average_precision([0.5, 0.5], [1, 0]) == 0.5
         assert average_precision([0.5, 0.5], [0, 1]) == 0.5
 
-    def test_matches_threshold_oracle_without_ties(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 13))
-            scores = rng.random(n)
-            labels = rng.integers(0, 2, n)
-            expected = ap_threshold_oracle(scores, labels)
-            got = average_precision(scores, labels)
-            if expected is None:
-                assert got is None
-            else:
-                assert got == pytest.approx(expected, abs=1e-12)
+    @settings(max_examples=150, deadline=None)
+    @given(auc_inputs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_threshold_oracle_under_row_permutation(self, case, seed):
+        scores, labels = case
+        got = average_precision(scores, labels)
+        expected = ap_threshold_oracle(scores, labels)
+        if expected is None:
+            assert got is None
+            return
+        assert got == pytest.approx(expected, abs=1e-12)
+        order = np.random.default_rng(seed).permutation(scores.size)
+        assert average_precision(scores[order], labels[order]) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.01, 0.5, 0.99, 1.0]),
+    )
+    def test_equals_stable_order_ap_without_ties(self, n, seed, share):
+        rng = np.random.default_rng(seed)
+        scores = rng.permutation(n) + rng.random(n)  # distinct: each integer part is drawn once
+        labels = (rng.random(n) < share).astype(np.int8)
+        assert average_precision(scores, labels) == stable_order_ap(scores, labels)
 
 
 class TestAucRoc:
