@@ -255,7 +255,7 @@ def cmd_merge_tta(args, run):
 
 
 def cmd_ensemble(args, run):
-    spec = EnsembleSpec.from_raw(args.weights)
+    spec = EnsembleSpec(member_weights=args.weights)
     if len(args.weights) != len(args.inputs):
         raise ValueError("need one weight per ensemble member")
     members = [load_scores(p, kind="probabilities") for p in args.inputs]

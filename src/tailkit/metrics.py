@@ -11,8 +11,8 @@ Conventions are pinned so results are reproducible and oracle-checkable:
 * F1 thresholds with ``score >= threshold`` and returns 0 when the
   denominator 2TP + FP + FN is 0.
 * ECE uses equal-width bins on [0, 1], right-closed with bin 0 left-closed;
-  empty bins contribute nothing.  A bin's mean sums in row order, so ECE and
-  the macro ``mece`` may differ in their last bits when the rows are permuted.
+  empty bins contribute nothing.  Each bin is a run of the sorted scores, so
+  its mean sums in sorted order and ECE does not depend on row order either.
 
 Score rows are matched to label rows by id, as in the pipeline; a differing
 id set or class order is an error.
@@ -54,9 +54,15 @@ def _as_1d(scores, labels):
     return scores, labels
 
 
-def _tie_run_ends(sorted_scores):
-    """Index of the last element of each run of equal values in sorted scores; -0.0 ties 0.0."""
-    return np.concatenate((np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), [sorted_scores.size - 1]))
+def _tie_run_ends(sorted_values):
+    """Index of the last element of each run of equal sorted values (none when empty); -0.0 ties 0.0."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], sorted_values.size > 0))
+
+
+def _defined_mean(values):
+    """Mean of the values that are not None; None when every one is."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 def average_precision(scores, labels):
@@ -108,25 +114,19 @@ def f1_at_threshold(scores, labels, threshold: float) -> float:
 
 
 def ece(scores, labels, cfg: EceConfig) -> float:
-    """Expected calibration error over equal-width confidence bins."""
+    """Expected calibration error over equal-width confidence bins, summed in ascending bin order."""
     scores, labels = _as_1d(scores, labels)
     _check_values("scores", scores, "[0, 1]")
-    n_bins = cfg.n_bins
-    idx = np.ceil(scores * n_bins).astype(np.int64) - 1
-    idx[scores == 0.0] = 0
-    idx = np.clip(idx, 0, n_bins - 1)
+    order = np.argsort(scores, kind="stable")
+    scores, positive = scores[order], labels[order] == 1
+    # the bin index rises with the score, so each occupied bin is one run of the sorted
+    # column; a score of 0 gives ceil(0) - 1 = -1, which the clip sends to bin 0
+    bins = np.clip(np.ceil(scores * cfg.n_bins).astype(np.int64) - 1, 0, cfg.n_bins - 1)
     total = 0.0
-    n = scores.size
-    # occupied bins only, in ascending order: the same terms in the same order as a loop
-    # over every bin that skips the empty ones, but bounded by the sample count.  Not
-    # np.unique: on numpy 2.4 its first call imports numpy.ma, 1.3 MB more in each process
-    ordered = np.sort(idx)
-    for b in np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])):
-        mask = idx == b
-        count = int(mask.sum())
-        confidence = scores[mask].mean()
-        positive_rate = (labels[mask] == 1).mean()
-        total += (count / n) * abs(confidence - positive_rate)
+    start = 0
+    for end in _tie_run_ends(bins) + 1:
+        total += ((end - start) / scores.size) * abs(scores[start:end].mean() - positive[start:end].mean())
+        start = end
     return float(total)
 
 
@@ -164,8 +164,8 @@ def macro_report(
             "ece": ece(col_scores, col_labels, ece_cfg),
         }
 
-    macro = {}
-    for key, macro_key in (("ap", "map"), ("auc", "mauc"), ("f1", "mf1"), ("ece", "mece")):
-        defined = [m[key] for m in per_class.values() if m[key] is not None]
-        macro[macro_key] = float(np.mean(defined)) if defined else None
+    macro = {
+        macro_key: _defined_mean(m[key] for m in per_class.values())
+        for key, macro_key in (("ap", "map"), ("auc", "mauc"), ("f1", "mf1"), ("ece", "mece"))
+    }
     return MetricReport(per_class=per_class, macro=macro, skipped_classes=skipped)

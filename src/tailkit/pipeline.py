@@ -42,10 +42,6 @@ class EnsembleSpec:
     def normalized_weights(self) -> np.ndarray:
         return self.member_weights / self.member_weights.sum()
 
-    @classmethod
-    def from_raw(cls, weights) -> "EnsembleSpec":
-        return cls(member_weights=weights)
-
 
 @dataclass
 class GateConfig:

@@ -26,7 +26,7 @@ from .loss import (
     margins,
     stable_sigmoid,
 )
-from .metrics import macro_report
+from .metrics import _defined_mean, macro_report
 from .sampler import SamplerConfig, build_epoch, class_repeat_factors, sample_repeat_factors
 
 DEFAULT_HEAD_FREQUENCY = 0.5
@@ -272,8 +272,7 @@ def evaluate_arm(model: LinearModel, features, labels: LabelMatrix, tercile_coun
     ap = [report.per_class[name]["ap"] for name in labels.class_names]
     summary = {"map": report.macro["map"]}
     for key, classes in zip(("tail_map", "head_map"), class_terciles(tercile_counts)):
-        defined = [ap[j] for j in classes if ap[j] is not None]
-        summary[key] = float(np.mean(defined)) if defined else None
+        summary[key] = _defined_mean(ap[j] for j in classes)
     return summary, report
 
 

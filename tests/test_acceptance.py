@@ -199,7 +199,7 @@ def test_c06_rank_invariance_chain():
 
 def test_c07_pipeline_fixtures():
     """Weight normalization, TTA merge, and gating fixtures, exact to 1e-12."""
-    spec = EnsembleSpec.from_raw([1.0, 1.5])
+    spec = EnsembleSpec([1.0, 1.5])
     assert abs(spec.normalized_weights[0] - 0.4) <= 1e-12
     assert abs(spec.normalized_weights[1] - 0.6) <= 1e-12
 

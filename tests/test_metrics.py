@@ -227,7 +227,7 @@ class TestF1:
 
 
 def ece_every_bin_oracle(scores, labels, n_bins):
-    """ECE by a loop over every bin, skipping the empty ones (the loop before occupied bins)."""
+    """ECE by a loop over every bin, skipping the empty ones; each bin's mean sums its scores sorted."""
     scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
     idx = np.ceil(scores * n_bins).astype(np.int64) - 1
     idx[scores == 0.0] = 0
@@ -238,8 +238,25 @@ def ece_every_bin_oracle(scores, labels, n_bins):
         count = int(mask.sum())
         if count == 0:
             continue
-        total += (count / scores.size) * abs(scores[mask].mean() - (labels[mask] == 1).mean())
+        total += (count / scores.size) * abs(np.sort(scores[mask]).mean() - (labels[mask] == 1).mean())
     return float(total)
+
+
+@st.composite
+def ece_inputs(draw):
+    """(scores, labels, n_bins): 0..2000 scores mixing bin edges, 0.0, -0.0, 1.0, long tie runs and draws."""
+    n_bins = draw(st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10**11)))
+    n = draw(st.integers(min_value=0, max_value=2000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kinds = [
+        rng.integers(0, n_bins + 1, n) / n_bins,
+        rng.choice([0.0, -0.0, 1.0], n),
+        rng.choice(rng.random(3), n),
+        rng.random(n),
+        rng.random(n) ** 8,
+    ]
+    scores = np.choose(rng.integers(0, len(kinds), n), kinds)
+    return scores, rng.integers(0, 2, n), n_bins
 
 
 class TestEce:
@@ -303,6 +320,15 @@ class TestEce:
         scores = np.where(rng.random(n) < 0.5, edges, rng.random(n) ** 4)
         labels = rng.integers(0, 2, n)
         assert ece(scores, labels, EceConfig(n_bins)) == ece_every_bin_oracle(scores, labels, n_bins)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ece_inputs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bit_identical_under_row_permutation(self, case, seed):
+        scores, labels, n_bins = case
+        order = np.random.default_rng(seed).permutation(scores.size)
+        value = ece(scores, labels, EceConfig(n_bins))
+        assert 0.0 <= value <= 1.0
+        assert ece(scores[order], labels[order], EceConfig(n_bins)) == value
 
     def test_huge_bin_count_finishes(self):
         # 10**11 bins put each of these distinct scores in a bin of its own, so ECE is

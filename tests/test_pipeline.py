@@ -89,39 +89,39 @@ class TestTtaMerge:
 
 class TestEnsemble:
     def test_paper_weight_normalization(self):
-        spec = EnsembleSpec.from_raw([1.0, 1.5])
+        spec = EnsembleSpec([1.0, 1.5])
         assert spec.normalized_weights.tolist() == pytest.approx([0.4, 0.6], abs=1e-12)
 
     def test_identical_members_fixed_point(self):
         member = probs([[0.3, 0.9]])
-        out = ensemble([member, member], EnsembleSpec.from_raw([1.0, 1.5]))
+        out = ensemble([member, member], EnsembleSpec([1.0, 1.5]))
         np.testing.assert_allclose(out.values, member.values, atol=1e-15)
 
     def test_weighted_mean(self):
         out = ensemble(
             [probs([[0.0]]), probs([[1.0]])],
-            EnsembleSpec.from_raw([1.0, 1.5]),
+            EnsembleSpec([1.0, 1.5]),
         )
         assert out.values[0, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_bounded_by_members(self):
         rng = np.random.default_rng(4)
         a, b = rng.random((2, 5, 3))
-        out = ensemble([probs(a), probs(b)], EnsembleSpec.from_raw([2.0, 3.0]))
+        out = ensemble([probs(a), probs(b)], EnsembleSpec([2.0, 3.0]))
         assert (out.values >= np.minimum(a, b) - 1e-12).all()
         assert (out.values <= np.maximum(a, b) + 1e-12).all()
 
     def test_permutation_invariance_equal_weights(self):
         a = probs([[0.2, 0.8]])
         b = probs([[0.6, 0.4]])
-        spec = EnsembleSpec.from_raw([1.0, 1.0])
+        spec = EnsembleSpec([1.0, 1.0])
         np.testing.assert_allclose(
             ensemble([a, b], spec).values, ensemble([b, a], spec).values, atol=1e-15
         )
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
-            EnsembleSpec.from_raw([1.0, 0.0])
+            EnsembleSpec([1.0, 0.0])
 
     @pytest.mark.parametrize(
         "weights",
@@ -139,7 +139,7 @@ class TestEnsemble:
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError, match="^need one weight per ensemble member$"):
-            ensemble([probs([[0.5]])], EnsembleSpec.from_raw([1.0, 1.0]))
+            ensemble([probs([[0.5]])], EnsembleSpec([1.0, 1.0]))
 
 
 class TestNormalGate:
@@ -282,7 +282,7 @@ class TestBlockedStagesMatchTheWholeMatrix:
         values[0][0, :2] = (0.0, 1.0)
         values[1][-1, :2] = (1.0, 1.0)
         members = stage_inputs(values, "probabilities", order, seed=n + 2)
-        spec = EnsembleSpec.from_raw([1.0, 1.5, 0.3])
+        spec = EnsembleSpec([1.0, 1.5, 0.3])
         got = ensemble(members, spec)
         assert got.ids == members[0].ids
         assert got.values.tobytes() == oracle_ensemble(members, spec).tobytes()
@@ -305,8 +305,8 @@ class TestBlockedStagesMatchTheWholeMatrix:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: ensemble([], EnsembleSpec.from_raw([1.0])), "need at least one ensemble member"),
-        (lambda: ensemble([logits([[0.5]])], EnsembleSpec.from_raw([1.0])), "ensemble expects probability members"),
+        (lambda: ensemble([], EnsembleSpec([1.0])), "need at least one ensemble member"),
+        (lambda: ensemble([logits([[0.5]])], EnsembleSpec([1.0])), "ensemble expects probability members"),
         (lambda: normal_gate(logits([[0.5, 0.5]]), GateConfig(normal_class_index=0)), "normal_gate expects probabilities"),
     ],
     ids=["no-members", "logit-member", "logit-gate"],

@@ -221,7 +221,7 @@ def test_ensemble_of_two_members_peaks_within_two_and_a_half_tables(refine_score
     first = refine_scores[0]
     table = ScoreMatrix(first.ids, stable_sigmoid(first.values), "probabilities", first.class_names)
     members = permuted_copies(table, "probabilities", (1,))
-    combined, peak = traced_peak(lambda: ensemble(members, EnsembleSpec.from_raw([1.0, 1.5])))
+    combined, peak = traced_peak(lambda: ensemble(members, EnsembleSpec([1.0, 1.5])))
     assert combined.values.shape == table.values.shape
     assert peak / table.values.nbytes <= 2.5
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from test_loss import db_loss_oracle
+from test_metrics import ap_threshold_oracle
 
 from tailkit.data import LabelMatrix, class_stats
 from tailkit.loss import DbLossParams
@@ -417,6 +418,36 @@ class TestSplitAndTerciles:
         model = LinearModel(np.zeros((2, features.shape[1])), np.zeros(2), labels.class_names)
         with pytest.raises(ValueError, match="^features and labels disagree on sample count$"):
             evaluate_arm(model, features[:n_rows], labels, [1, 1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_evaluate_arm_tier_maps_match_threshold_oracle(self, seed):
+        # mean oracle AP over each tier's classes that hold a positive; on even seeds the
+        # tail tier is the two classes with no positive, so its mAP is undefined
+        rng = np.random.default_rng(seed)
+        n, c, d = 50, 7, 5
+        features = rng.standard_normal((n, d))
+        weights = rng.standard_normal((c, d))
+        weights[c - 1] = 0.0  # every score of the last class ties at sigmoid(0) = 0.5
+        values = (rng.random((n, c)) < rng.choice([0.0, 0.05, 0.3, 0.7], c)).astype(np.int8)
+        values[:, :2] = 0
+        counts = rng.integers(0, 100, c)
+        if seed % 2 == 0:
+            counts[:2], counts[2:] = 0, np.maximum(counts[2:], 1)
+        labels = LabelMatrix([f"r{i}" for i in range(n)], values, [f"k{j}" for j in range(c)])
+        model = LinearModel(weights, np.zeros(c), labels.class_names)
+        summary, _ = evaluate_arm(model, features, labels, counts)
+
+        probs = 1.0 / (1.0 + np.exp(-(features @ weights.T)))
+        ap = [ap_threshold_oracle(probs[:, j], values[:, j]) for j in range(c)]
+        tail, head = class_terciles(counts)
+        for key, classes in (("map", range(c)), ("tail_map", tail), ("head_map", head)):
+            defined = [ap[j] for j in classes if ap[j] is not None]
+            if not defined:
+                assert summary[key] is None
+            else:
+                assert summary[key] == pytest.approx(sum(defined) / len(defined), abs=1e-12)
+        if seed % 2 == 0:
+            assert summary["tail_map"] is None
 
     def test_terciles_by_count_with_index_ties(self):
         tail, head = class_terciles([10, 2, 2, 50, 7, 100])
