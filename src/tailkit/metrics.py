@@ -5,9 +5,9 @@ Conventions are pinned so results are reproducible and oracle-checkable:
 * AP is the step AP over distinct scores, sum of (R_n - R_{n-1}) * P_n: tied
   scores count as one threshold, so AP does not depend on row order.  Without
   ties it is the mean precision at each positive's rank.
-* AUC uses the Mann-Whitney formulation: the fraction of
-  (positive, negative) pairs ranked correctly, ties counting 0.5.
-  Ranks are average ranks over the runs of tied scores.
+* AUC is the Mann-Whitney U over the (positive, negative) pairs: per run of
+  tied scores, each positive beats every negative of a lower run and scores
+  0.5 for each negative in its own run.
 * F1 thresholds with ``score >= threshold`` and returns 0 when the
   denominator 2TP + FP + FN is 0.
 * ECE uses equal-width bins on [0, 1], right-closed with bin 0 left-closed;
@@ -47,16 +47,17 @@ class MetricReport:
 
 
 def _as_1d(scores, labels):
-    scores = np.asarray(_check_values("scores", scores, "(-inf, inf)"), dtype=np.float64).ravel()
-    labels = _check_values("labels", labels, "[0, 1]", whole=True).ravel()  # a 2 would otherwise count as a negative
-    if scores.shape != labels.shape:
+    scores = np.asarray(_check_values("scores", scores, "(-inf, inf)"), dtype=np.float64)
+    labels = _check_values("labels", labels, "[0, 1]", whole=True)  # a 2 would otherwise count as a negative
+    if scores.shape != labels.shape:  # compared before the ravel, so a 3x2 is not paired with a 2x3
         raise ValueError("scores and labels length mismatch")
-    return scores, labels
+    return scores.ravel(), labels.ravel()
 
 
-def _tie_run_ends(sorted_values):
-    """Index of the last element of each run of equal sorted values (none when empty); -0.0 ties 0.0."""
-    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], sorted_values.size > 0))
+def _tie_runs(sorted_keys, positive):
+    """Positive count and size of each run of equal sorted keys, in order (none when empty); -0.0 ties 0.0."""
+    ends = np.flatnonzero(np.append(sorted_keys[1:] != sorted_keys[:-1], sorted_keys.size > 0))
+    return np.diff(np.cumsum(positive)[ends], prepend=0), np.diff(ends, prepend=-1)
 
 
 def _defined_mean(values):
@@ -73,12 +74,10 @@ def average_precision(scores, labels):
     if n_pos == 0:
         return None
     order = np.argsort(-scores, kind="stable")
-    ends = _tie_run_ends(scores[order])
-    run_pos = np.cumsum(positive[order])[ends]
-    # a run's new positives share the precision at its end; tie-free, each term is 1 * (cum_pos / rank)
-    new_pos = np.diff(run_pos, prepend=0)
-    hit = new_pos > 0
-    return float((new_pos[hit] * (run_pos[hit] / (ends[hit] + 1))).sum() / n_pos)
+    run_pos, run_size = _tie_runs(scores[order], positive[order])
+    # a run's positives share the precision at its end; tie-free, each term is 1 * (cum_pos / rank)
+    hit = run_pos > 0
+    return float((run_pos[hit] * (np.cumsum(run_pos)[hit] / np.cumsum(run_size)[hit])).sum() / n_pos)
 
 
 def auc_roc(scores, labels):
@@ -90,13 +89,11 @@ def auc_roc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="stable")
-    ends = _tie_run_ends(scores[order])
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # average rank over the tie run gives exactly 0.5 credit per tied pair
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    pos_rank_sum = ranks[positive].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    run_pos, run_size = _tie_runs(scores[order], positive[order])
+    run_neg = run_size - run_pos
+    # U: each positive beats every negative of a lower run and scores 0.5 per negative of its own
+    u = (run_pos * (np.cumsum(run_neg) - 0.5 * run_neg)).sum()
+    return float(u / (n_pos * n_neg))
 
 
 def f1_at_threshold(scores, labels, threshold: float) -> float:
@@ -122,11 +119,12 @@ def ece(scores, labels, cfg: EceConfig) -> float:
     # the bin index rises with the score, so each occupied bin is one run of the sorted
     # column; a score of 0 gives ceil(0) - 1 = -1, which the clip sends to bin 0
     bins = np.clip(np.ceil(scores * cfg.n_bins).astype(np.int64) - 1, 0, cfg.n_bins - 1)
+    run_pos, run_size = _tie_runs(bins, positive)
     total = 0.0
     start = 0
-    for end in _tie_run_ends(bins) + 1:
-        total += ((end - start) / scores.size) * abs(scores[start:end].mean() - positive[start:end].mean())
-        start = end
+    for pos, size in zip(run_pos.tolist(), run_size.tolist()):
+        total += (size / scores.size) * abs(scores[start : start + size].mean() - pos / size)
+        start += size
     return float(total)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailkit.data import LabelMatrix, ScoreMatrix
-from tailkit.metrics import EceConfig, auc_roc, average_precision, ece, f1_at_threshold, macro_report
+from tailkit.metrics import EceConfig, _tie_runs, auc_roc, average_precision, ece, f1_at_threshold, macro_report
 
 
 def ap_threshold_oracle(scores, labels):
@@ -47,7 +47,7 @@ def auc_pairwise_oracle(scores, labels):
 
 
 def tie_loop_auc(scores, labels):
-    """The tie-group loop auc_roc ran before its ranks came from tie runs in bulk."""
+    """Average-rank AUC with each tie group found by a loop: the rank form auc_roc had before it counted U per run."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     positive = np.asarray(labels).ravel() == 1
     n_pos = int(positive.sum())
@@ -66,6 +66,22 @@ def tie_loop_auc(scores, labels):
         i = j + 1
     pos_rank_sum = ranks[positive].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def run_end_ap(scores, labels):
+    """The AP kernel before _tie_runs: descending cumsums of the positives read at each tie run's last index."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    positive = np.asarray(labels).ravel() == 1
+    n_pos = int(positive.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    run_pos = np.cumsum(positive[order])[ends]
+    new_pos = np.diff(run_pos, prepend=0)
+    hit = new_pos > 0
+    return float((new_pos[hit] * (run_pos[hit] / (ends[hit] + 1))).sum() / n_pos)
 
 
 def stable_order_ap(scores, labels):
@@ -132,6 +148,13 @@ class TestAveragePrecision:
         assert got == pytest.approx(expected, abs=1e-12)
         order = np.random.default_rng(seed).permutation(scores.size)
         assert average_precision(scores[order], labels[order]) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(auc_inputs())
+    def test_equals_run_end_oracle(self, case):
+        """Bit for bit over heavy ties, -0.0 next to 0.0, all-tied columns and continuous draws."""
+        scores, labels = case
+        assert average_precision(scores, labels) == run_end_ap(scores, labels)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -438,12 +461,54 @@ def test_scores_and_labels_must_have_one_length():
     assert str(exc.value) == "scores and labels length mismatch"
 
 
+class TestTieRuns:
+    def test_empty(self):
+        run_pos, run_size = _tie_runs(np.array([]), np.array([], dtype=bool))
+        assert run_pos.tolist() == [] and run_size.tolist() == []
+
+    def test_one_element(self):
+        run_pos, run_size = _tie_runs(np.array([0.3]), np.array([True]))
+        assert run_pos.tolist() == [1] and run_size.tolist() == [1]
+
+    def test_all_tied(self):
+        run_pos, run_size = _tie_runs(np.full(5, 0.5), np.array([True, False, True, True, False]))
+        assert run_pos.tolist() == [3] and run_size.tolist() == [5]
+
+    def test_negative_zero_ties_zero(self):
+        run_pos, run_size = _tie_runs(np.array([-0.0, 0.0, -0.0, 0.5]), np.array([False, True, True, True]))
+        assert run_pos.tolist() == [2, 1] and run_size.tolist() == [3, 1]
+
+    def test_runs_in_the_order_given(self):
+        run_pos, run_size = _tie_runs(np.array([3, 3, 2, 1, 1, 1]), np.array([0, 1, 1, 0, 0, 1], dtype=bool))
+        assert run_pos.tolist() == [1, 1, 1] and run_size.tolist() == [2, 1, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(auc_inputs())
+    def test_sizes_and_positives_sum_to_the_column(self, case):
+        scores, labels = case
+        order = np.argsort(scores, kind="stable")
+        run_pos, run_size = _tie_runs(scores[order], labels[order] == 1)
+        assert run_size.sum() == scores.size and run_pos.sum() == (labels == 1).sum()
+        assert run_size.size == np.unique(scores).size and (run_size > 0).all()
+        assert ((0 <= run_pos) & (run_pos <= run_size)).all()
+
+
 KERNELS = {
     "average_precision": average_precision,
     "auc_roc": auc_roc,
     "f1_at_threshold": lambda s, y: f1_at_threshold(s, y, 0.5),
     "ece": lambda s, y: ece(s, y, EceConfig(15)),
 }
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_two_d_shapes_must_match_before_the_ravel(kernel):
+    # a 2x3 against a 3x2 was paired cell by cell: AP 0.7556, AUC 0.6667, F1 0.6667 and ECE 0.4
+    with pytest.raises(ValueError) as exc:
+        KERNELS[kernel]([[0.9, 0.1, 0.8], [0.2, 0.7, 0.3]], [[1, 0], [0, 1], [1, 0]])
+    assert str(exc.value) == "scores and labels length mismatch"
+    expected = KERNELS[kernel]([0.9, 0.1, 0.8, 0.2, 0.7, 0.3], [1, 0, 0, 1, 1, 0])
+    assert KERNELS[kernel]([[0.9, 0.1, 0.8], [0.2, 0.7, 0.3]], [[1, 0, 0], [1, 1, 0]]) == expected
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
