@@ -28,10 +28,15 @@ SCORE_KINDS = {"logits": "(-inf, inf)", "probabilities": "[0, 1]"}
 
 EMB_MAGIC = b"EMB1"
 
-# rows per block of the EMB1 reader, _map_rows's unit division, the CSV writer's float
-# conversion and pipeline's tta_merge, ensemble and normal_gate: 1 MiB of float64 (and a
-# 0.5 MiB float32 buffer) at D = 512, and 5k Python floats or 40 KiB of float64 at C = 20
+# rows per block of the EMB1 reader, _map_rows's unit division, the CSV writer's float conversion
+# and pipeline's stages, all sliced by _row_blocks alone: 1 MiB of float64 (and a 0.5 MiB
+# float32 buffer) at D = 512, and 5k Python floats or 40 KiB of float64 at C = 20
 _NORM_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int):
+    """Slices of ``_NORM_BLOCK_ROWS`` rows covering ``range(n)`` in order."""
+    return (slice(start, start + _NORM_BLOCK_ROWS) for start in range(0, n, _NORM_BLOCK_ROWS))
 
 
 def _inside(x, interval: str):
@@ -374,9 +379,8 @@ def _write_matrix(path, header, ids, values) -> None:
     fmt = ",%.9g" * values.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_csv_field, header)) + "\n")
-        for start in range(0, len(values), _NORM_BLOCK_ROWS):
-            rows = values[start : start + _NORM_BLOCK_ROWS].tolist()
-            for sample_id, row in zip(ids[start : start + _NORM_BLOCK_ROWS], rows):
+        for rows in _row_blocks(len(values)):
+            for sample_id, row in zip(ids[rows], values[rows].tolist()):
                 line = _csv_field(sample_id) + fmt % tuple(row)
                 fh.write((line or '""') + "\n")
 
@@ -491,19 +495,19 @@ def _map_rows(path, fn=None, width=None, dim=None, unit=False):
                 raise ValueError(f"{path}: expected {expected} bytes, found {size}")
             buffer = np.empty((min(count, _NORM_BLOCK_ROWS), found), dtype="<f4")
         out, bad = np.empty((count, width or found)), None
-        for start in range(0, count, _NORM_BLOCK_ROWS):
+        for rows in _row_blocks(count):
             if binary:
-                rows = buffer[: count - start]
-                if fh.readinto(rows) != rows.nbytes:
+                raw = buffer[: count - rows.start]
+                if fh.readinto(raw) != raw.nbytes:
                     raise ValueError(f"{path}: truncated data")
-                block = _check_values(f"{path}: embedding values", rows, "(-inf, inf)").astype(np.float64)
+                block = _check_values(f"{path}: embedding values", raw, "(-inf, inf)").astype(np.float64)
             else:
-                block = vectors[start : start + _NORM_BLOCK_ROWS]
+                block = vectors[rows]
             if unit and bad is None and (fault := _unit_rows(block)):
-                bad = (start + fault[0], fault[1])
+                bad = (rows.start + fault[0], fault[1])
             if bad is None and (dim is None or dim[0] == found):
-                out[start : start + len(block)] = block if fn is None else fn(block)
-    buffer = rows = block = None  # freed before the sidecar's ids are parsed, which can reuse the memory
+                out[rows] = block if fn is None else fn(block)
+    buffer = raw = block = None  # freed before the sidecar's ids are parsed, which can reuse the memory
     sidecar = _ids_sidecar(path)
     if binary and sidecar.exists():
         ids = _read_json(sidecar)

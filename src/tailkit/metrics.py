@@ -55,9 +55,10 @@ def _as_1d(scores, labels):
 
 
 def _tie_runs(sorted_keys, positive):
-    """Positive count and size of each run of equal sorted keys, in order (none when empty); -0.0 ties 0.0."""
+    """Cumulative int64 positives and rows up to the end of each run of equal sorted keys, in order
+    (none when empty); ``np.diff(..., prepend=0)`` gives each run's own.  -0.0 ties 0.0."""
     ends = np.flatnonzero(np.append(sorted_keys[1:] != sorted_keys[:-1], sorted_keys.size > 0))
-    return np.diff(np.cumsum(positive)[ends], prepend=0), np.diff(ends, prepend=-1)
+    return np.cumsum(positive)[ends], ends + 1
 
 
 def _defined_mean(values):
@@ -74,10 +75,11 @@ def average_precision(scores, labels):
     if n_pos == 0:
         return None
     order = np.argsort(-scores, kind="stable")
-    run_pos, run_size = _tie_runs(scores[order], positive[order])
+    cum_pos, cum_size = _tie_runs(scores[order], positive[order])
+    run_pos = np.diff(cum_pos, prepend=0)
     # a run's positives share the precision at its end; tie-free, each term is 1 * (cum_pos / rank)
     hit = run_pos > 0
-    return float((run_pos[hit] * (np.cumsum(run_pos)[hit] / np.cumsum(run_size)[hit])).sum() / n_pos)
+    return float((run_pos[hit] * (cum_pos[hit] / cum_size[hit])).sum() / n_pos)
 
 
 def auc_roc(scores, labels):
@@ -89,10 +91,10 @@ def auc_roc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="stable")
-    run_pos, run_size = _tie_runs(scores[order], positive[order])
-    run_neg = run_size - run_pos
+    cum_pos, cum_size = _tie_runs(scores[order], positive[order])
+    cum_neg = cum_size - cum_pos
     # U: each positive beats every negative of a lower run and scores 0.5 per negative of its own
-    u = (run_pos * (np.cumsum(run_neg) - 0.5 * run_neg)).sum()
+    u = (np.diff(cum_pos, prepend=0) * (cum_neg - 0.5 * np.diff(cum_neg, prepend=0))).sum()
     return float(u / (n_pos * n_neg))
 
 
@@ -119,7 +121,7 @@ def ece(scores, labels, cfg: EceConfig) -> float:
     # the bin index rises with the score, so each occupied bin is one run of the sorted
     # column; a score of 0 gives ceil(0) - 1 = -1, which the clip sends to bin 0
     bins = np.clip(np.ceil(scores * cfg.n_bins).astype(np.int64) - 1, 0, cfg.n_bins - 1)
-    run_pos, run_size = _tie_runs(bins, positive)
+    run_pos, run_size = (np.diff(cum, prepend=0) for cum in _tie_runs(bins, positive))
     total = 0.0
     start = 0
     for pos, size in zip(run_pos.tolist(), run_size.tolist()):

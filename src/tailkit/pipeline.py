@@ -10,17 +10,17 @@ abnormal findings.
 Inputs are aligned by sample id, never by row order; a mismatched id set or
 class order is a hard error.
 
-Each stage works in blocks of ``_NORM_BLOCK_ROWS`` rows: beside its inputs it
-holds its output matrix and at most one aligned copy of one input, and each
-output cell goes through the float operations of the whole-matrix form, in
-the same order.
+Each stage walks the row blocks of ``data._row_blocks``, holding beside its
+inputs its output and at most one aligned copy of one input; ``_aligned_sum``
+is the one walk of ``tta_merge`` and ``ensemble``.  Each output cell goes
+through the float operations of the whole-matrix form, in the same order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _NORM_BLOCK_ROWS, LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values
+from .data import LabelMatrix, ScoreMatrix, _check_int, _check_real, _check_values, _row_blocks
 from .loss import stable_sigmoid
 
 
@@ -67,9 +67,19 @@ def _align_to(reference: ScoreMatrix | LabelMatrix, other: ScoreMatrix) -> np.nd
     return other.values[perm]
 
 
-def _row_blocks(n: int):
-    """Slices of ``_NORM_BLOCK_ROWS`` rows covering ``range(n)`` in order."""
-    return (slice(start, start + _NORM_BLOCK_ROWS) for start in range(0, n, _NORM_BLOCK_ROWS))
+def _aligned_sum(members, kind: str, fault: str, term) -> np.ndarray:
+    """Sum of ``term(k, block)`` over the row blocks of member k aligned to the first, for each k.
+
+    Raises ``ValueError(fault)`` unless every member is of ``kind``; holds one aligned copy at a time."""
+    if any(mtx.kind != kind for mtx in members):
+        raise ValueError(fault)
+    total = np.zeros_like(members[0].values)
+    for k, mtx in enumerate(members):
+        aligned = _align_to(members[0], mtx)
+        for rows in _row_blocks(len(total)):
+            total[rows] += term(k, aligned[rows])
+        del aligned  # before the next member's copy is made
+    return total
 
 
 def tta_merge(views) -> ScoreMatrix:
@@ -77,22 +87,13 @@ def tta_merge(views) -> ScoreMatrix:
     views = list(views)
     if not views:
         raise ValueError("need at least one TTA view")
-    first = views[0]
-    for v in views:
-        if v.kind != "logits":
-            raise ValueError("tta_merge expects logit views")
-    total = np.zeros_like(first.values)
-    for v in views:
-        aligned = _align_to(first, v)
-        for rows in _row_blocks(len(total)):
-            total[rows] += stable_sigmoid(aligned[rows])
-        del aligned  # before the next view's copy is made
+    total = _aligned_sum(views, "logits", "tta_merge expects logit views", lambda k, block: stable_sigmoid(block))
     total /= len(views)
     return ScoreMatrix(
-        ids=first.ids,
+        ids=views[0].ids,
         values=total,
         kind="probabilities",
-        class_names=first.class_names,
+        class_names=views[0].class_names,
     )
 
 
@@ -101,21 +102,15 @@ def ensemble(members, spec: EnsembleSpec) -> ScoreMatrix:
     members = list(members)
     if not members:
         raise ValueError("need at least one ensemble member")
-    if spec.normalized_weights.size != len(members):
+    weights = spec.normalized_weights
+    if weights.size != len(members):
         raise ValueError("need one weight per ensemble member")
-    first = members[0]
-    for mtx in members:
-        if mtx.kind != "probabilities":
-            raise ValueError("ensemble expects probability members")
-    combined = np.zeros_like(first.values)
-    for weight, mtx in zip(spec.normalized_weights, members):
-        aligned = _align_to(first, mtx)
-        for rows in _row_blocks(len(combined)):
-            combined[rows] += weight * aligned[rows]
-        del aligned  # before the next member's copy is made
+    combined = _aligned_sum(
+        members, "probabilities", "ensemble expects probability members", lambda k, block: weights[k] * block
+    )
     np.clip(combined, 0.0, 1.0, out=combined)
     return ScoreMatrix(
-        ids=first.ids, values=combined, kind="probabilities", class_names=first.class_names
+        ids=members[0].ids, values=combined, kind="probabilities", class_names=members[0].class_names
     )
 
 

@@ -162,7 +162,7 @@ def train(
     the first epoch's NaN loss would be blamed on the learning rate.  Aborts with
     ValueError if the loss stops being finite.  The class weights and margins
     are checked once, where `_loss_terms` makes them; each batch then runs
-    `db_loss_fused` in scratch arrays allocated once per batch size, with the
+    `db_loss_fused` in scratch arrays allocated once per epoch, with the
     same bits as calling `db_loss` on it.
     """
     features = np.asarray(_check_values("feature values", features, "(-inf, inf)"), dtype=np.float64)
@@ -182,20 +182,18 @@ def train(
         weights=np.zeros((c, d)), bias=np.zeros(c), class_names=list(labels.class_names)
     )
     y_all = labels.values.astype(np.float64)
-    rows = 0  # batch rows the step's scratch arrays hold
+    full_scale = weights / (cfg.batch_size * c)
     trace = []
     for epoch in range(cfg.epochs):
         plan = build_epoch(repeat, sampler_cfg, epoch=epoch)
-        if min(cfg.batch_size, plan.epoch_len) > rows:
-            # scratch of the fused step; a shorter batch uses the leading rows
-            rows = min(cfg.batch_size, plan.epoch_len)
-            z_buf, grad_buf, work_buf = (np.empty((rows, c)) for _ in range(3))
-            mask_buf = np.empty((rows, c), dtype=bool)
-            # per-class vectors tiled to whole rows, so no ufunc of the step broadcasts
-            full_scale = weights / (cfg.batch_size * c)
-            w_rows, m_rows, scale_rows = (
-                np.tile(v, (rows, 1)) for v in (weights, margin_vec, full_scale)
-            )
+        # scratch of the fused step; a shorter batch uses the leading rows
+        rows = min(cfg.batch_size, plan.epoch_len)
+        z_buf, grad_buf, work_buf = (np.empty((rows, c)) for _ in range(3))
+        mask_buf = np.empty((rows, c), dtype=bool)
+        # per-class vectors tiled to whole rows, so no ufunc of the step broadcasts
+        w_rows, m_rows, scale_rows = (
+            np.tile(v, (rows, 1)) for v in (weights, margin_vec, full_scale)
+        )
         loss_sum = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # the divergence checks report these
             for start in range(0, plan.epoch_len, cfg.batch_size):

@@ -31,6 +31,7 @@ from tailkit.data import (
     _check_int,
     _check_real,
     _check_values,
+    _row_blocks,
 )
 from tailkit.loss import DbLossParams
 from tailkit.sampler import SamplerConfig
@@ -360,6 +361,17 @@ def test_writer_matches_per_cell_writer(tmp_path_factory, n, c, data):
         values_of = matrix.vectors if isinstance(matrix, EmbeddingSet) else matrix.values
         oracle_write_matrix(tmp / "want.csv", ids, header, values_of)
         assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, _NORM_BLOCK_ROWS - 1, _NORM_BLOCK_ROWS, _NORM_BLOCK_ROWS + 1, 2 * _NORM_BLOCK_ROWS + 1]
+)
+def test_row_blocks_cover_the_rows_in_order(n):
+    blocks = [range(n)[rows] for rows in _row_blocks(n)]
+    # joined in order they are range(n): each block starts where the one before it ends
+    assert [i for block in blocks for i in block] == list(range(n))
+    assert all(len(block) == _NORM_BLOCK_ROWS for block in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= _NORM_BLOCK_ROWS if n else blocks == []
 
 
 # either side of one and two writer blocks, and of 1024 and 2048 rows, which span several

@@ -463,34 +463,40 @@ def test_scores_and_labels_must_have_one_length():
 
 class TestTieRuns:
     def test_empty(self):
-        run_pos, run_size = _tie_runs(np.array([]), np.array([], dtype=bool))
-        assert run_pos.tolist() == [] and run_size.tolist() == []
+        cum_pos, cum_size = _tie_runs(np.array([]), np.array([], dtype=bool))
+        assert cum_pos.tolist() == [] and cum_size.tolist() == []
 
     def test_one_element(self):
-        run_pos, run_size = _tie_runs(np.array([0.3]), np.array([True]))
-        assert run_pos.tolist() == [1] and run_size.tolist() == [1]
+        cum_pos, cum_size = _tie_runs(np.array([0.3]), np.array([True]))
+        assert cum_pos.tolist() == [1] and cum_size.tolist() == [1]
 
     def test_all_tied(self):
-        run_pos, run_size = _tie_runs(np.full(5, 0.5), np.array([True, False, True, True, False]))
-        assert run_pos.tolist() == [3] and run_size.tolist() == [5]
+        cum_pos, cum_size = _tie_runs(np.full(5, 0.5), np.array([True, False, True, True, False]))
+        assert cum_pos.tolist() == [3] and cum_size.tolist() == [5]
 
     def test_negative_zero_ties_zero(self):
-        run_pos, run_size = _tie_runs(np.array([-0.0, 0.0, -0.0, 0.5]), np.array([False, True, True, True]))
-        assert run_pos.tolist() == [2, 1] and run_size.tolist() == [3, 1]
+        cum_pos, cum_size = _tie_runs(np.array([-0.0, 0.0, -0.0, 0.5]), np.array([False, True, True, True]))
+        assert cum_pos.tolist() == [2, 3] and cum_size.tolist() == [3, 4]
 
     def test_runs_in_the_order_given(self):
-        run_pos, run_size = _tie_runs(np.array([3, 3, 2, 1, 1, 1]), np.array([0, 1, 1, 0, 0, 1], dtype=bool))
-        assert run_pos.tolist() == [1, 1, 1] and run_size.tolist() == [2, 1, 3]
+        cum_pos, cum_size = _tie_runs(np.array([3, 3, 2, 1, 1, 1]), np.array([0, 1, 1, 0, 0, 1], dtype=bool))
+        assert cum_pos.tolist() == [1, 2, 3] and cum_size.tolist() == [2, 3, 6]
 
     @settings(max_examples=100, deadline=None)
     @given(auc_inputs())
     def test_sizes_and_positives_sum_to_the_column(self, case):
         scores, labels = case
         order = np.argsort(scores, kind="stable")
-        run_pos, run_size = _tie_runs(scores[order], labels[order] == 1)
-        assert run_size.sum() == scores.size and run_pos.sum() == (labels == 1).sum()
-        assert run_size.size == np.unique(scores).size and (run_size > 0).all()
-        assert ((0 <= run_pos) & (run_pos <= run_size)).all()
+        cum_pos, cum_size = _tie_runs(scores[order], labels[order] == 1)
+        assert cum_pos.dtype == cum_size.dtype == np.int64
+        run_pos, run_size = np.diff(cum_pos, prepend=0), np.diff(cum_size, prepend=0)
+        assert (run_pos >= 0).all() and (run_size > 0).all()  # both non-decreasing, sizes rising
+        assert cum_size[-1] == scores.size and cum_pos[-1] == (labels == 1).sum()
+        # the differences are each distinct score's size and positives, in ascending order
+        _, run_of, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+        assert run_size.tolist() == sizes.tolist()
+        assert run_pos.tolist() == np.bincount(run_of.ravel(), weights=labels).astype(np.int64).tolist()
+        assert (run_pos <= run_size).all()
 
 
 KERNELS = {

@@ -308,8 +308,30 @@ class TestBlockedStagesMatchTheWholeMatrix:
         (lambda: ensemble([], EnsembleSpec([1.0])), "need at least one ensemble member"),
         (lambda: ensemble([logits([[0.5]])], EnsembleSpec([1.0])), "ensemble expects probability members"),
         (lambda: normal_gate(logits([[0.5, 0.5]]), GateConfig(normal_class_index=0)), "normal_gate expects probabilities"),
+        # every member's kind is checked before any is aligned, and the weight count before the kinds
+        (
+            lambda: tta_merge([logits([[0.5]], ids=["x"]), logits([[0.5]], ids=["z"]), probs([[0.5]])]),
+            "tta_merge expects logit views",
+        ),
+        (
+            lambda: ensemble(
+                [probs([[0.5]], ids=["x"]), probs([[0.5]], ids=["z"]), logits([[0.5]])], EnsembleSpec([1.0] * 3)
+            ),
+            "ensemble expects probability members",
+        ),
+        (
+            lambda: ensemble([probs([[0.5]]), logits([[0.5]])], EnsembleSpec([1.0])),
+            "need one weight per ensemble member",
+        ),
     ],
-    ids=["no-members", "logit-member", "logit-gate"],
+    ids=[
+        "no-members",
+        "logit-member",
+        "logit-gate",
+        "kind-before-ids-tta",
+        "kind-before-ids-ensemble",
+        "weights-before-kind",
+    ],
 )
 def test_stage_faults_name_their_cause(call, message):
     with pytest.raises(ValueError) as exc:
